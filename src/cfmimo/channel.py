@@ -10,11 +10,18 @@ estimate and the estimation error, generated jointly so that
 holds exactly, with g_hat ~ CN(0, alpha) independent of g_err ~ CN(0,
 beta - alpha).  That joint construction is what the closed forms downstream
 assume, so it is the only sampling path in the package.
+
+Zero-forcing needs the inverse of each estimate's Gram matrix, so the
+well-conditioned Gram batches it draws (the singularity rule, its cheap
+screen and the redraw budget) live here too, shared by the moment pass, the
+single-matrix precoder and the link-level oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -99,3 +106,112 @@ def sample_channel(profile: FadingProfile, cfg: ScenarioConfig,
                           f"({profile.antennas_per_site})")
     g_true, g_hat, g_err = sample_channel_batch(profile, rng, 1)
     return ChannelSample(g_true=g_true[0], g_hat=g_hat[0], g_err=g_err[0])
+
+
+# relative reciprocal-condition floor: a Gram matrix whose smallest singular
+# value is at most this fraction of its largest counts as singular
+RCOND_FLOOR = 1e-13
+# fraction of singular draws beyond which an estimate is abandoned
+SINGULAR_FRACTION = 0.01
+
+
+class NumericalError(RuntimeError):
+    """Degenerate linear algebra beyond the tolerated rate."""
+
+
+def batch_sizes(n: int, per: int) -> list[int]:
+    """``n`` draws split into batches of ``per``, the remainder last."""
+    return [per] * (n // per) + ([n % per] if n % per else [])
+
+
+def _svd_singular(gram: np.ndarray) -> np.ndarray:
+    # the rule itself: non-finite, or sigma_min <= RCOND_FLOOR * sigma_max
+    bad = ~np.isfinite(gram).all(axis=(1, 2))
+    finite = np.flatnonzero(~bad)
+    if finite.size:
+        sv = np.linalg.svd(gram[finite], compute_uv=False)
+        bad[finite] = ~np.isfinite(sv).all(axis=1) \
+            | (sv[:, -1] <= sv[:, 0] * RCOND_FLOOR)
+    return bad
+
+
+def invert_grams(gram: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """Inverses of Gram matrices (n, k, k) and the mask of singular ones.
+
+    A matrix is singular when it is not finite or its smallest singular
+    value is at most :data:`RCOND_FLOOR` times its largest.  Most draws are
+    cleared without an SVD: cond_2(A) <= ||A||_F ||A^-1||_F, so a Frobenius
+    product under half of 1 / RCOND_FLOOR (the half absorbs the rounding of
+    the computed inverse) proves the matrix regular.  Only the draws that
+    screen cannot clear, or the whole batch when the solve itself fails,
+    get the SVD, so the mask is the SVD rule's.  The inverse is None when
+    the solve failed.
+    """
+    try:
+        inv = np.linalg.solve(gram, np.eye(gram.shape[-1]))
+    except np.linalg.LinAlgError:
+        return None, _svd_singular(gram)
+    product = np.linalg.norm(gram, axis=(1, 2)) \
+        * np.linalg.norm(inv, axis=(1, 2))
+    unclear = np.flatnonzero(~(product * RCOND_FLOOR < 0.5))
+    bad = np.zeros(len(gram), dtype=bool)
+    if unclear.size:
+        bad[unclear] = _svd_singular(gram[unclear])
+    return inv, bad
+
+
+class GramBatch(NamedTuple):
+    """One batch of draws whose estimate Gram matrices are all regular."""
+
+    parts: tuple          # the draw's arrays; parts[0] holds the estimates
+    g_conj: np.ndarray    # conj(estimates), (b, antennas, users)
+    gram: np.ndarray      # estimates^T conj(estimates), (b, users, users)
+    inv: np.ndarray       # gram^-1
+    redrawn: int          # singular draws replaced so far, all batches
+
+
+def conditioned_grams(draw: Callable[[int], tuple],
+                      sizes: Iterable[int]) -> Iterator[GramBatch]:
+    """Draw batches of the given sizes, redrawing singular estimates.
+
+    ``draw(b)`` returns a tuple of arrays with ``b`` draws on axis 0, the
+    channel estimates (b, antennas, users) first.  A draw whose Gram matrix
+    :func:`invert_grams` flags is replaced, in every part, by a fresh draw
+    from the same ``draw`` before the batch is yielded, so without redraws
+    the batches consume exactly the stream of one ``draw(sum(sizes))``.
+    More than :data:`SINGULAR_FRACTION` of the requested draws redrawn
+    raises :class:`NumericalError`.
+    """
+    sizes = list(sizes)
+    n = sum(sizes)
+    budget = max(1, math.ceil(SINGULAR_FRACTION * n))
+    redrawn = 0
+    for size in sizes:
+        parts = draw(size)
+        g = parts[0]
+        g_conj = g.conj()
+        gram = g.transpose(0, 2, 1) @ g_conj
+        inv, bad = invert_grams(gram)
+        while bad.any():
+            redrawn += int(bad.sum())
+            if redrawn > budget:
+                raise NumericalError(
+                    f"more than {SINGULAR_FRACTION:.0%} of estimate draws "
+                    f"gave singular Gram matrices "
+                    f"({redrawn} of {n} requested)")
+            idx = np.flatnonzero(bad)
+            fresh = draw(idx.size)
+            for part, new in zip(parts, fresh):
+                part[idx] = new
+            g_conj[idx] = fresh[0].conj()
+            gram[idx] = fresh[0].transpose(0, 2, 1) @ g_conj[idx]
+            sub_inv, still = invert_grams(gram[idx])
+            if inv is not None and sub_inv is not None:
+                inv[idx] = sub_inv
+            else:
+                inv = None
+            bad = np.zeros_like(bad)
+            bad[idx[still]] = True
+        if inv is None:
+            inv = np.linalg.solve(gram, np.eye(gram.shape[-1]))
+        yield GramBatch(parts, g_conj, gram, inv, redrawn)

@@ -15,7 +15,7 @@ import sys
 
 from . import __version__, experiment, oracle
 from .cost import CostModelError
-from .downlink import NumericalError
+from .channel import NumericalError
 from .scenario import ConfigError, ScenarioConfig, config_to_dict, load_config
 
 QUICK_FACTOR = 10          # --quick divides drops and oracle samples by this
@@ -58,13 +58,14 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, drops=True):
         p.add_argument("--config", metavar="PATH",
                        help="JSON scenario config (defaults apply if omitted)")
         p.add_argument("--seed", type=int, metavar="N",
                        help="override the master seed")
-        p.add_argument("--drops", type=int, metavar="N",
-                       help="override the drop count")
+        if drops:
+            p.add_argument("--drops", type=int, metavar="N",
+                           help="override the drop count")
         p.add_argument("--quick", action="store_true",
                        help=f"scale drops and oracle samples down "
                             f"{QUICK_FACTOR}x for smoke runs")
@@ -85,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate",
                            help="closed-form versus brute-force oracle suite")
-    common(p_val)
+    common(p_val, drops=False)         # validate inspects drop 0 only
     p_val.add_argument("--output", metavar="PATH",
                        help="also write the report as CSV")
     p_val.add_argument("--samples", type=int, metavar="N",
@@ -97,9 +98,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_config(path) -> ScenarioConfig:
+    cfg, cost = load_config(path)
+    if cost is not None:
+        # no command consumes an itemized cost model yet: refuse it rather
+        # than run with the section silently ignored
+        raise ConfigError(f"{path}: the 'cost' section is not supported by "
+                          f"the command line; remove it")
+    return cfg
+
+
 def _resolve_config(args) -> ScenarioConfig:
     if args.config:
-        cfg, _ = load_config(args.config)
+        cfg = _load_config(args.config)
     else:
         cfg = ScenarioConfig()
     changes = {}
@@ -157,7 +168,7 @@ def _cmd_drop(args) -> int:
 
 def _cmd_validate(args) -> int:
     if args.config:
-        cfg, _ = load_config(args.config)
+        cfg = _load_config(args.config)
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, master_seed=args.seed)
     else:

@@ -19,6 +19,11 @@ under a common power scale eta is
 
 where chi[k, i] is the mean leaked power of user k's estimation error into
 the stream of user i.
+
+The Monte-Carlo pass runs in cache-sized blocks of estimate draws that
+together consume the generator's stream exactly as one batch of all draws
+would, and it adds every draw into its sums in draw order, so its output is
+bit-for-bit independent of the block size.
 """
 
 from __future__ import annotations
@@ -27,19 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import expand_site_to_antennas, sample_estimates
+from .channel import RCOND_FLOOR, NumericalError, batch_sizes, \
+    conditioned_grams, expand_site_to_antennas, invert_grams, \
+    sample_estimates
 from .propagation import FadingProfile
 from .scenario import ConfigError, ScenarioConfig, derive_noise_power
 
-# relative reciprocal-condition floor below which a Gram matrix draw is
-# treated as singular and redrawn
-_RCOND_FLOOR = 1e-13
-# fraction of singular draws beyond which the estimate is abandoned
-_SINGULAR_FRACTION = 0.01
-
-
-class NumericalError(RuntimeError):
-    """Degenerate linear algebra beyond the tolerated rate."""
+# estimate entries per block of the moment pass: 64k complex values (1 MB),
+# so a block's draws and precoders stay within a 4 MiB L2 cache
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -130,23 +131,21 @@ def zfp_precoder(g_hat: np.ndarray, eta) -> np.ndarray:
     if m < k:
         raise ConfigError(f"zero-forcing needs at least as many antennas as "
                           f"users, got {m} x {k}")
-    gram = g_hat.T @ g_hat.conj()
-    sv = np.linalg.svd(gram, compute_uv=False)
-    if not np.isfinite(sv).all() or sv[-1] <= sv[0] * _RCOND_FLOOR:
-        cond = float("inf") if sv[-1] == 0 else float(sv[0] / sv[-1])
-        raise NumericalError(f"estimate Gram matrix is singular "
-                             f"(condition number {cond:.3e})")
+    inv, bad = invert_grams((g_hat.T @ g_hat.conj())[None])
+    if bad[0]:
+        raise NumericalError(f"estimate Gram matrix is singular (condition "
+                             f"number at or above {1 / RCOND_FLOOR:.0e})")
     scale = np.sqrt(np.broadcast_to(np.asarray(eta, dtype=float), (k,)))
-    return g_hat.conj() @ np.linalg.solve(gram, np.diag(scale))
+    return g_hat.conj() @ inv[0] * scale
 
 
-def _chunk_sizes(n: int, m: int, k: int) -> list[int]:
-    # keep each batch of (chunk, m, k) complex draws around a few tens of MB
-    per = max(1, 4_000_000 // max(1, m * k))
-    sizes = [per] * (n // per)
-    if n % per:
-        sizes.append(n % per)
-    return sizes
+def _add_in_order(total: np.ndarray, block: np.ndarray) -> np.ndarray:
+    # total + block[0] + block[1] + ..., left to right: the additions of one
+    # running sum over all draws, so the result is independent of blocking
+    stack = np.empty((len(block) + 1,) + total.shape)
+    stack[0] = total
+    stack[1:] = block
+    return stack.sum(axis=0)
 
 
 def _precoder_second_moments(profile: FadingProfile, cfg: ScenarioConfig,
@@ -155,10 +154,17 @@ def _precoder_second_moments(profile: FadingProfile, cfg: ScenarioConfig,
 
     Returns (chi mean, chi stderr, delta, load stderr, resampled count)
     where delta[m, i] = E|W_mi|^2 is the per-antenna per-stream precoder
-    energy and the load stderr refers to delta summed over streams.  A draw
-    whose Gram matrix falls below the reciprocal-condition floor is redrawn
-    from the same stream; more than one percent of such draws aborts with
-    :class:`NumericalError`.
+    energy and the load stderr refers to delta summed over streams.
+
+    The pass streams over blocks of about :data:`_BLOCK_ELEMENTS` estimate
+    entries, so each block's intermediates stay in cache.  The blocks draw
+    in turn from ``rng`` and together consume exactly the stream of one
+    ``n_samples`` batch; every draw's precoder is computed by the same
+    per-matrix products as in one batch, and the sums run draw by draw in
+    draw order, so the result does not depend on the block size.  A draw
+    whose Gram matrix is singular (see :func:`channel.invert_grams`) is
+    redrawn from the same stream right after its block's draws; more than
+    one percent of such draws aborts with :class:`NumericalError`.
     """
     if n_samples < 1:
         raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
@@ -168,41 +174,33 @@ def _precoder_second_moments(profile: FadingProfile, cfg: ScenarioConfig,
         raise ConfigError(f"zero-forcing needs at least as many antennas as "
                           f"users, got {m} antennas for {k} users")
     err_var_t = np.ascontiguousarray((beta_mk - alpha_mk).T)  # (users, antennas)
-    eye = np.eye(k)
 
     chi_sum = np.zeros((k, k))
     chi_sq_sum = np.zeros((k, k))
     delta_sum = np.zeros((m, k))
     load_sq_sum = np.zeros(m)
     resampled = 0
-    budget = max(1, int(np.ceil(_SINGULAR_FRACTION * n_samples)))
 
-    for chunk in _chunk_sizes(n_samples, m, k):
-        g = sample_estimates(profile, rng, chunk)
-        gram = g.transpose(0, 2, 1) @ g.conj()
-        sv = np.linalg.svd(gram, compute_uv=False)
-        bad = ~np.isfinite(sv).all(axis=1) | (sv[:, -1] <= sv[:, 0] * _RCOND_FLOOR)
-        while bad.any():
-            resampled += int(bad.sum())
-            if resampled > budget:
-                raise NumericalError(
-                    f"more than {_SINGULAR_FRACTION:.0%} of estimate draws "
-                    f"gave singular Gram matrices "
-                    f"({resampled} of {n_samples} requested)")
-            g[bad] = sample_estimates(profile, rng, int(bad.sum()))
-            gram[bad] = g[bad].transpose(0, 2, 1) @ g[bad].conj()
-            sv = np.linalg.svd(gram[bad], compute_uv=False)
-            still = ~np.isfinite(sv).all(axis=1) | (sv[:, -1] <= sv[:, 0] * _RCOND_FLOOR)
-            idx = np.flatnonzero(bad)
-            bad = np.zeros_like(bad)
-            bad[idx[still]] = True
-        w = g.conj() @ np.linalg.solve(gram, eye)      # (chunk, antennas, users)
-        w2 = w.real ** 2 + w.imag ** 2
-        delta_sum += w2.sum(axis=0)
-        load_sq_sum += (w2.sum(axis=2) ** 2).sum(axis=0)
-        chi_chunk = err_var_t @ w2                      # (chunk, users, users)
-        chi_sum += chi_chunk.sum(axis=0)
-        chi_sq_sum += (chi_chunk ** 2).sum(axis=0)
+    sizes = batch_sizes(n_samples, max(1, _BLOCK_ELEMENTS // (m * k)))
+
+    def draw(b):
+        return (sample_estimates(profile, rng, b),)
+
+    for batch in conditioned_grams(draw, sizes):
+        w = batch.g_conj @ batch.inv                    # (block, antennas, users)
+        # |W|^2 is written under the running delta sum, as _add_in_order
+        # would stack it, without copying the block
+        stack = np.empty((len(w) + 1, m, k))
+        stack[0] = delta_sum
+        w2 = stack[1:]
+        np.square(w.real, out=w2)
+        w2 += w.imag ** 2
+        delta_sum = stack.sum(axis=0)
+        load_sq_sum = _add_in_order(load_sq_sum, w2.sum(axis=2) ** 2)
+        chi_block = err_var_t @ w2                      # (block, users, users)
+        chi_sum = _add_in_order(chi_sum, chi_block)
+        chi_sq_sum = _add_in_order(chi_sq_sum, chi_block ** 2)
+        resampled = batch.redrawn
 
     chi = chi_sum / n_samples
     delta = delta_sum / n_samples
@@ -257,7 +255,7 @@ def zfp_power(profile: FadingProfile, cfg: ScenarioConfig,
 def zfp_moments(profile: FadingProfile, cfg: ScenarioConfig,
                 rng: np.random.Generator,
                 n_samples: int | None = None) -> tuple[ChiMatrix, ZfpPowerControl]:
-    """Both ZFP moment estimates from one shared batch of estimate draws.
+    """Both ZFP moment estimates from one shared pass over estimate draws.
 
     Equivalent to calling :func:`zfp_chi` and :func:`zfp_power` on
     identically seeded generators but at half the sampling cost; the drop

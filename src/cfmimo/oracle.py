@@ -20,10 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import downlink, uplink
-from .channel import complex_normal, expand_site_to_antennas, \
-    sample_channel_batch
-from .downlink import NumericalError, _RCOND_FLOOR, _SINGULAR_FRACTION, \
-    _chunk_sizes
+from .channel import batch_sizes, complex_normal, conditioned_grams, \
+    expand_site_to_antennas, sample_channel_batch
 from .propagation import FadingProfile, fading_profile, place_topology
 from .scenario import ConfigError, ScenarioConfig, derive_noise_power, \
     drop_seed
@@ -38,6 +36,9 @@ TERM_TOL = 0.03
 SINR_TOL = 0.03
 ZFP_SINR_TOL = 0.05
 ZFP_IUI_ABS_TOL = 1e-9
+
+# channel entries per oracle chunk: 4M complex values, 64 MB per array
+_CHUNK_ELEMENTS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,10 @@ class ZfpEstimate:
     max_est_iui: float
     n_samples: int
     n_resampled: int
+
+
+def _chunk_sizes(n: int, m: int, k: int) -> list[int]:
+    return batch_sizes(n, max(1, _CHUNK_ELEMENTS // max(1, m * k)))
 
 
 def _accumulate(terms: dict, sums: dict, sq_sums: dict, cross: dict):
@@ -228,33 +233,15 @@ def simulate_downlink_zfp(profile: FadingProfile, eta_common: float, k: int,
     noise_sq = 0.0
     max_iui = 0.0
     resampled = 0
-    budget = max(1, int(np.ceil(_SINGULAR_FRACTION * n_samples)))
 
-    for chunk in _chunk_sizes(n_samples, m, n_users):
-        g_true, g_hat, g_err = sample_channel_batch(profile, rng, chunk)
-        gram = g_hat.transpose(0, 2, 1) @ g_hat.conj()
-        sv = np.linalg.svd(gram, compute_uv=False)
-        bad = ~np.isfinite(sv).all(axis=1) | (sv[:, -1] <= sv[:, 0] * _RCOND_FLOOR)
-        while bad.any():
-            resampled += int(bad.sum())
-            if resampled > budget:
-                raise NumericalError(
-                    f"more than {_SINGULAR_FRACTION:.0%} of estimate draws "
-                    f"gave singular Gram matrices "
-                    f"({resampled} of {n_samples} requested)")
-            nb = int(bad.sum())
-            g_true[bad], g_hat[bad], g_err[bad] = \
-                sample_channel_batch(profile, rng, nb)
-            gram[bad] = g_hat[bad].transpose(0, 2, 1) @ g_hat[bad].conj()
-            sv = np.linalg.svd(gram[bad], compute_uv=False)
-            still = ~np.isfinite(sv).all(axis=1) \
-                | (sv[:, -1] <= sv[:, 0] * _RCOND_FLOOR)
-            idx = np.flatnonzero(bad)
-            bad = np.zeros_like(bad)
-            bad[idx[still]] = True
+    def draw(b):
+        return sample_channel_batch(profile, rng, b)[1:]   # (g_hat, g_err)
 
-        inv = np.linalg.solve(gram, eye)
-        w_mat = g_hat.conj() @ inv                     # unscaled precoder
+    for batch in conditioned_grams(draw, _chunk_sizes(n_samples, m, n_users)):
+        (g_hat, g_err), gram, inv = batch.parts, batch.gram, batch.inv
+        chunk = len(gram)
+        resampled = batch.redrawn
+        w_mat = batch.g_conj @ inv                     # unscaled precoder
         u = complex_normal(rng, 1.0, (chunk, n_users))
         w_noise = complex_normal(rng, sigma_n2, (chunk,))
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from cfmimo.channel import (ChannelSample, complex_normal,
-                            expand_site_to_antennas, sample_channel,
-                            sample_channel_batch, sample_estimates)
+from cfmimo.channel import (RCOND_FLOOR, ChannelSample, NumericalError,
+                            batch_sizes, complex_normal, conditioned_grams,
+                            expand_site_to_antennas, invert_grams,
+                            sample_channel, sample_channel_batch,
+                            sample_estimates)
 from cfmimo.propagation import FadingProfile
 from cfmimo.scenario import ConfigError, ScenarioConfig
 
@@ -121,3 +123,102 @@ def test_invalid_variance_ordering_rejected():
     # alpha above beta cannot even be constructed as a profile
     with pytest.raises(ConfigError):
         make_profile([[1.0]], [[1.5]])
+
+
+# --- well-conditioned Gram batches -----------------------------------------
+
+def svd_rule(gram):
+    """The singularity rule on one matrix, straight from its definition."""
+    if not np.isfinite(gram).all():
+        return True
+    sv = np.linalg.svd(gram, compute_uv=False)
+    return bool(sv[-1] <= sv[0] * RCOND_FLOOR)
+
+
+def gram_with_condition(rng, cond, k=4):
+    # U diag(1, ..., 1, 1/cond) U^H with a random unitary U
+    q, _ = np.linalg.qr(complex_normal(rng, 1.0, (k, k)))
+    s = np.ones(k)
+    s[-1] = 1.0 / cond
+    return (q * s) @ q.conj().T
+
+
+def regular_grams(rng, n, k=4):
+    g = complex_normal(rng, 1.0, (n, 12, k))
+    return g.transpose(0, 2, 1) @ g.conj()
+
+
+def test_batch_sizes_split_with_remainder_last():
+    assert batch_sizes(10, 4) == [4, 4, 2]
+    assert batch_sizes(8, 4) == [4, 4]
+    assert batch_sizes(3, 4) == [3]
+
+
+def test_screen_flags_exactly_what_the_svd_rule_flags():
+    rng = np.random.default_rng(21)
+    dup = complex_normal(rng, 1.0, (12, 4))
+    dup[:, 1] = dup[:, 0]                  # two identical rows and columns
+    special = {f"cond {c:.0e}": gram_with_condition(rng, c)
+               for c in (1e11, 1e13, 1e15)}
+    special["exactly singular"] = np.diag([2.0, 1.0, 1.0, 0.0]) + 0j
+    special["dependent columns"] = dup.T @ dup.conj()
+    special["nan"] = np.where(np.eye(4) > 0, np.nan, 0.5) + 0j
+    assert not svd_rule(special["cond 1e+11"])
+    assert svd_rule(special["cond 1e+15"])
+    assert svd_rule(special["exactly singular"]) and svd_rule(special["nan"])
+    for name, gram in special.items():
+        batch = regular_grams(rng, 5)
+        batch[2] = gram
+        inv, bad = invert_grams(batch)
+        assert bad.tolist() == [svd_rule(a) for a in batch], name
+        if inv is not None:                # the regular draws are inverted
+            rest = [0, 1, 3, 4]
+            assert np.allclose(batch[rest] @ inv[rest], np.eye(4), atol=1e-9)
+    # all of them in one batch: the solve fails and the SVD rule decides
+    batch = np.concatenate([regular_grams(rng, 3),
+                            np.stack(list(special.values()))])
+    inv, bad = invert_grams(batch)
+    assert inv is None
+    assert bad.tolist() == [svd_rule(a) for a in batch]
+
+
+def test_conditioned_grams_keep_the_stream_without_redraws():
+    profile = make_profile([[1.0, 2.0, 0.5]] * 4, [[0.5, 1.0, 0.25]] * 4,
+                           n_t=2)
+    rng = np.random.default_rng(8)
+    batches = list(conditioned_grams(
+        lambda b: (sample_estimates(profile, rng, b),), [7, 7, 3]))
+    whole = sample_estimates(profile, np.random.default_rng(8), 17)
+    g = np.concatenate([b.parts[0] for b in batches])
+    assert np.array_equal(g, whole)
+    gram = np.concatenate([b.gram for b in batches])
+    assert np.array_equal(gram, whole.transpose(0, 2, 1) @ whole.conj())
+    assert np.array_equal(np.concatenate([b.inv for b in batches]),
+                          np.linalg.solve(gram, np.eye(3)))
+    assert [b.redrawn for b in batches] == [0, 0, 0]
+
+
+def test_conditioned_grams_redraw_every_part_and_respect_the_budget():
+    rng = np.random.default_rng(3)
+    calls = []
+
+    def draw(b):
+        g = complex_normal(rng, 1.0, (b, 6, 2))
+        if not calls:
+            g[1] = 0.0                     # one singular draw in the first batch
+        calls.append(b)
+        return g, np.arange(b) + 100 * len(calls)
+
+    batches = list(conditioned_grams(draw, [4, 4] + [4] * 23))
+    assert calls[:2] == [4, 1]             # the redraw follows its batch
+    assert batches[0].redrawn == batches[-1].redrawn == 1
+    assert batches[0].parts[1].tolist() == [100, 200, 102, 103]
+    assert np.abs(batches[0].parts[0][1]).min() > 0
+
+    def singular(b):
+        return (np.zeros((b, 6, 2), dtype=complex),)
+
+    # 100 requested draws allow one redraw; the second is over budget
+    with pytest.raises(NumericalError) as err:
+        list(conditioned_grams(singular, [50, 50]))
+    assert "more than 1%" in str(err.value)

@@ -150,3 +150,24 @@ def test_validate_custom_samples(capsys):
     code = main(["validate", "--samples", "4000"])
     assert code == 0
     assert "4000" in capsys.readouterr().out
+
+
+def test_validate_rejects_drops(capsys):
+    # validate inspects drop 0 only, so a drop count is a usage error
+    assert main(["validate", "--quick", "--drops", "3"]) == 1
+    assert "usage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["sweep", "--nt", "2"], ["drop"],
+                                     ["show-config"], ["validate"]])
+def test_cost_section_is_rejected(tmp_path, capsys, command):
+    path = tmp_path / "cost.json"
+    path.write_text(json.dumps(dict(TINY, cost={"fixed_per_site": 7,
+                                                "per_antenna": 3})))
+    argv = command + ["--config", str(path)]
+    if command[0] == "sweep":
+        argv += ["--output", str(tmp_path / "x.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "'cost' section" in err
+    assert not (tmp_path / "x.csv").exists()

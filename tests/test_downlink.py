@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cfmimo import downlink
 from cfmimo.channel import (complex_normal, expand_site_to_antennas,
                             sample_estimates)
 from cfmimo.downlink import (CbfPowerControl, NumericalError, cbf_power,
@@ -301,3 +302,99 @@ def test_moment_estimation_needs_enough_antennas():
     cfg = ScenarioConfig(total_antennas=4, antennas_per_ap=1, num_users=3)
     with pytest.raises(ConfigError):
         zfp_chi(profile, cfg, np.random.default_rng(0), 50)
+
+
+# --- the block pass --------------------------------------------------------
+
+def block_draws(m, k):
+    return downlink._BLOCK_ELEMENTS // (m * k)
+
+
+def test_zfp_moments_match_per_draw_pseudo_inverse():
+    # plain per-draw numpy on an identically seeded generator, over three
+    # blocks and a remainder
+    cfg, profile = random_profile(13, m=40, n_t=2, k=4)
+    n = 3 * block_draws(40, 4) + 57
+    chi, pc = zfp_moments(profile, cfg, np.random.default_rng(4), n)
+
+    beta_mk, alpha_mk = expand_site_to_antennas(profile)
+    g = sample_estimates(profile, np.random.default_rng(4), n)
+    chi_d = np.empty((n, 4, 4))
+    load_d = np.empty((n, 40))
+    for d in range(n):
+        w2 = np.abs(np.linalg.pinv(g[d].T)) ** 2        # (antennas, users)
+        chi_d[d] = (beta_mk - alpha_mk).T @ w2
+        load_d[d] = w2.sum(axis=1)
+    load = load_d.mean(axis=0)
+    assert np.allclose(chi.chi, chi_d.mean(axis=0), rtol=1e-12, atol=0)
+    assert np.allclose(chi.stderr, chi_d.std(axis=0, ddof=1) / np.sqrt(n),
+                       rtol=1e-12, atol=0)
+    assert np.allclose(pc.antenna_load, load, rtol=1e-12, atol=0)
+    assert np.allclose(pc.load_stderr, load_d.std(axis=0, ddof=1)
+                       / np.sqrt(n), rtol=1e-12, atol=0)
+    assert pc.eta_common == pytest.approx(1.0 / load.max(), rel=1e-12)
+    assert chi.n_resampled == pc.n_resampled == 0
+
+
+def test_block_pass_equals_one_batch_bit_for_bit():
+    # the same arithmetic on all draws at once: blocking must not change a bit
+    cfg, profile = random_profile(16, m=40, n_t=2, k=4)
+    n = 2 * block_draws(40, 4) + 11
+    chi, pc = zfp_moments(profile, cfg, np.random.default_rng(9), n)
+
+    beta_mk, alpha_mk = expand_site_to_antennas(profile)
+    g = sample_estimates(profile, np.random.default_rng(9), n)
+    gram = g.transpose(0, 2, 1) @ g.conj()
+    w = g.conj() @ np.linalg.solve(gram, np.eye(4))
+    w2 = w.real ** 2 + w.imag ** 2
+    chi_d = np.ascontiguousarray((beta_mk - alpha_mk).T) @ w2
+    load = (w2.sum(axis=0) / n).sum(axis=1)
+    assert np.array_equal(chi.chi, chi_d.sum(axis=0) / n)
+    assert np.array_equal(pc.antenna_load, load)
+    chi_var = (chi_d ** 2).sum(axis=0) - n * chi.chi ** 2
+    assert np.array_equal(chi.stderr,
+                          np.sqrt(np.maximum(chi_var, 0) / (n - 1) / n))
+    load_var = ((w2.sum(axis=2) ** 2).sum(axis=0) - n * load ** 2)
+    assert np.array_equal(pc.load_stderr,
+                          np.sqrt(np.maximum(load_var, 0) / (n - 1) / n))
+
+
+def inject_singular(monkeypatch, at):
+    """Zero the estimate draws numbered ``at`` in the pass's draw sequence."""
+    seen = [0]
+
+    def patched(profile, rng, n):
+        g = sample_estimates(profile, rng, n)
+        for i in range(n):
+            if seen[0] + i in at:
+                g[i] = 0.0
+        seen[0] += n
+        return g
+
+    monkeypatch.setattr(downlink, "sample_estimates", patched)
+    return seen
+
+
+def test_singular_draws_on_both_sides_of_a_block_boundary(monkeypatch):
+    cfg, profile = random_profile(14, m=40, n_t=2, k=4)
+    b = block_draws(40, 4)
+    n = 2 * b + 30
+    clean = zfp_moments(profile, cfg, np.random.default_rng(5), n)
+    # the last draw of block 0 and the first of block 1; block 0's redraw
+    # comes right after block 0, so block 1 starts one draw later
+    seen = inject_singular(monkeypatch, {b - 1, b + 1})
+    chi, pc = zfp_moments(profile, cfg, np.random.default_rng(5), n)
+    assert chi.n_resampled == pc.n_resampled == 2
+    assert seen[0] == n + 2
+    assert np.isfinite(chi.chi).all() and np.isfinite(pc.antenna_load).all()
+    assert not np.array_equal(chi.chi, clean[0].chi)
+    assert pc.eta_common == pytest.approx(clean[1].eta_common, rel=0.05)
+
+
+def test_singular_draws_beyond_the_budget_raise(monkeypatch):
+    cfg, profile = random_profile(15, m=40, n_t=2, k=4)
+    n = block_draws(40, 4) + 100          # 1% of it allows 6 redraws
+    inject_singular(monkeypatch, set(range(0, 14, 2)))
+    with pytest.raises(NumericalError) as err:
+        zfp_moments(profile, cfg, np.random.default_rng(6), n)
+    assert "7 of" in str(err.value)
