@@ -10,35 +10,18 @@ form it relies on.
 
 __version__ = "0.1.0"
 
-from .scenario import (ConfigError, ScenarioConfig, derive_noise_power,
-                       derive_site_count, drop_seed, load_config)
-from .cost import CostModel, CostModelError, cost_effectiveness, total_cost
-from .propagation import (FadingProfile, Topology, fading_profile,
-                          l0_constant, large_scale_gain, mmse_alpha,
-                          path_loss_db, place_topology)
-from .channel import ChannelSample, expand_site_to_antennas, sample_channel
-from .uplink import (UplinkPowerControl, UplinkTermVariances, per_user_rate,
-                     uplink_sinr, uplink_sinr_all, uplink_term_variances)
-from .downlink import (CbfPowerControl, ChiMatrix, NumericalError,
-                       ZfpPowerControl, cbf_power, cbf_sinr, cbf_sinr_all,
-                       zfp_chi, zfp_moments, zfp_power, zfp_precoder,
-                       zfp_sinr, zfp_sinr_all)
-from .experiment import (RateReport, SweepRecord, percentile, run_drop,
-                         sweep, write_metadata, write_records_csv)
+from .scenario import ConfigError, ScenarioConfig, drop_seed, load_config
+from .cost import CostModelError
+from .propagation import fading_profile, place_topology
+from .channel import NumericalError
+from .uplink import UplinkPowerControl, per_user_rate, uplink_sinr_all
+from .experiment import run_drop, sweep, write_metadata, write_records_csv
 
 __all__ = [
     "__version__",
-    "ConfigError", "ScenarioConfig", "derive_noise_power",
-    "derive_site_count", "drop_seed", "load_config",
-    "CostModel", "CostModelError", "cost_effectiveness", "total_cost",
-    "FadingProfile", "Topology", "fading_profile", "l0_constant",
-    "large_scale_gain", "mmse_alpha", "path_loss_db", "place_topology",
-    "ChannelSample", "expand_site_to_antennas", "sample_channel",
-    "UplinkPowerControl", "UplinkTermVariances", "per_user_rate",
-    "uplink_sinr", "uplink_sinr_all", "uplink_term_variances",
-    "CbfPowerControl", "ChiMatrix", "NumericalError", "ZfpPowerControl",
-    "cbf_power", "cbf_sinr", "cbf_sinr_all", "zfp_chi", "zfp_moments",
-    "zfp_power", "zfp_precoder", "zfp_sinr", "zfp_sinr_all",
-    "RateReport", "SweepRecord", "percentile", "run_drop", "sweep",
-    "write_metadata", "write_records_csv",
+    "ConfigError", "CostModelError", "NumericalError",
+    "ScenarioConfig", "drop_seed", "load_config",
+    "fading_profile", "place_topology",
+    "UplinkPowerControl", "per_user_rate", "uplink_sinr_all",
+    "run_drop", "sweep", "write_metadata", "write_records_csv",
 ]

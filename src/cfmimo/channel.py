@@ -13,29 +13,18 @@ assume, so it is the only sampling path in the package.
 
 Zero-forcing needs the inverse of each estimate's Gram matrix, so the
 well-conditioned Gram batches it draws (the singularity rule, its cheap
-screen and the redraw budget) live here too, shared by the moment pass, the
-single-matrix precoder and the link-level oracle.
+screen and the redraw budget) live here too, shared by the moment pass and
+the link-level oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .propagation import FadingProfile
-from .scenario import ConfigError, ScenarioConfig
-
-
-@dataclass(frozen=True)
-class ChannelSample:
-    """One joint draw: true channel, estimate and error, all (antennas, users)."""
-
-    g_true: np.ndarray
-    g_hat: np.ndarray
-    g_err: np.ndarray
 
 
 def expand_site_to_antennas(profile: FadingProfile) -> tuple[np.ndarray, np.ndarray]:
@@ -95,17 +84,6 @@ def sample_channel_batch(profile: FadingProfile, rng: np.random.Generator,
     g_hat = complex_normal(rng, alpha, (n,) + alpha.shape)
     g_err = complex_normal(rng, err_var, (n,) + err_var.shape)
     return g_hat + g_err, g_hat, g_err
-
-
-def sample_channel(profile: FadingProfile, cfg: ScenarioConfig,
-                   rng: np.random.Generator) -> ChannelSample:
-    """One joint draw at antenna level."""
-    if cfg.antennas_per_ap != profile.antennas_per_site:
-        raise ConfigError(f"config antennas_per_ap ({cfg.antennas_per_ap}) "
-                          f"does not match profile "
-                          f"({profile.antennas_per_site})")
-    g_true, g_hat, g_err = sample_channel_batch(profile, rng, 1)
-    return ChannelSample(g_true=g_true[0], g_hat=g_hat[0], g_err=g_err[0])
 
 
 # relative reciprocal-condition floor: a Gram matrix whose smallest singular

@@ -32,9 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import RCOND_FLOOR, NumericalError, batch_sizes, \
-    conditioned_grams, expand_site_to_antennas, invert_grams, \
-    sample_estimates
+from .channel import NumericalError, batch_sizes, conditioned_grams, \
+    expand_site_to_antennas, sample_estimates
 from .propagation import FadingProfile
 from .scenario import ConfigError, ScenarioConfig, derive_noise_power
 
@@ -111,32 +110,31 @@ def cbf_sinr_all(profile: FadingProfile, pc: CbfPowerControl,
     return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
 
 
-def cbf_sinr(profile: FadingProfile, pc: CbfPowerControl, k: int,
-             cfg: ScenarioConfig) -> float:
+def cbf_term_variances(profile: FadingProfile, pc: CbfPowerControl, k: int,
+                       cfg: ScenarioConfig) -> dict:
+    """Closed-form powers of the five CBF received-sample parts of user ``k``.
+
+    Keyed desired, uncertainty, est_error, inter_user and noise; the desired
+    power over the sum of the other four is :func:`cbf_sinr_all`'s entry k.
+    """
     if not 0 <= k < profile.num_users:
         raise ConfigError(f"user index {k} out of range")
-    return float(cbf_sinr_all(profile, pc, cfg)[k])
-
-
-def zfp_precoder(g_hat: np.ndarray, eta) -> np.ndarray:
-    """Zero-forcing precoder for one estimate matrix.
-
-    ``B = conj(G) (G^T conj(G))^-1 D`` with ``D = diag(sqrt(eta))``, so
-    ``G^T B = D`` holds exactly: each user receives only its own stream
-    through the estimated channel.  ``eta`` may be a scalar or per-user.
-    """
-    if g_hat.ndim != 2:
-        raise ConfigError(f"estimate matrix must be 2-d, got {g_hat.shape}")
-    m, k = g_hat.shape
-    if m < k:
-        raise ConfigError(f"zero-forcing needs at least as many antennas as "
-                          f"users, got {m} x {k}")
-    inv, bad = invert_grams((g_hat.T @ g_hat.conj())[None])
-    if bad[0]:
-        raise NumericalError(f"estimate Gram matrix is singular (condition "
-                             f"number at or above {1 / RCOND_FLOOR:.0e})")
-    scale = np.sqrt(np.broadcast_to(np.asarray(eta, dtype=float), (k,)))
-    return g_hat.conj() @ inv[0] * scale
+    beta_mk, alpha_mk = expand_site_to_antennas(profile)
+    eta_m = np.repeat(np.asarray(pc.eta_site, dtype=float),
+                      profile.antennas_per_site)
+    p_d = cfg.ap_per_antenna_tx_power
+    a_k, b_k = alpha_mk[:, k], beta_mk[:, k]
+    inter = 0.0
+    for i in range(profile.num_users):
+        if i != k:
+            inter += float((eta_m * b_k * alpha_mk[:, i]).sum())
+    return {
+        "desired": p_d * float((np.sqrt(eta_m) * a_k).sum()) ** 2,
+        "uncertainty": p_d * float((eta_m * a_k ** 2).sum()),
+        "est_error": p_d * float((eta_m * a_k * (b_k - a_k)).sum()),
+        "inter_user": p_d * inter,
+        "noise": derive_noise_power(cfg),
+    }
 
 
 def _add_in_order(total: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -148,13 +146,19 @@ def _add_in_order(total: np.ndarray, block: np.ndarray) -> np.ndarray:
     return stack.sum(axis=0)
 
 
-def _precoder_second_moments(profile: FadingProfile, cfg: ScenarioConfig,
-                             rng: np.random.Generator, n_samples: int):
-    """Shared Monte-Carlo pass over estimate draws.
+def zfp_moments(profile: FadingProfile, cfg: ScenarioConfig,
+                rng: np.random.Generator,
+                n_samples: int | None = None) -> tuple[ChiMatrix, ZfpPowerControl]:
+    """Both ZFP moment estimates from one Monte-Carlo pass over estimate draws.
 
-    Returns (chi mean, chi stderr, delta, load stderr, resampled count)
-    where delta[m, i] = E|W_mi|^2 is the per-antenna per-stream precoder
-    energy and the load stderr refers to delta summed over streams.
+    ``chi[k, i]`` is the mean of ``sum_m (beta_mk - alpha_mk) |W_mi|^2``
+    over estimate draws, with W the unscaled pseudo-inverse precoder: the
+    power of user k's estimation error leaking into stream i.  Perfect
+    estimates give an exactly zero matrix.  The common power scale
+    normalizes against the most loaded antenna, eta = 1 / max_m sum_i
+    E|W_mi|^2, so that antenna radiates its per-antenna budget exactly in
+    expectation and no antenna exceeds it.  ``n_samples`` defaults to the
+    config's ``chi_samples``.
 
     The pass streams over blocks of about :data:`_BLOCK_ELEMENTS` estimate
     entries, so each block's intermediates stay in cache.  The blocks draw
@@ -166,8 +170,9 @@ def _precoder_second_moments(profile: FadingProfile, cfg: ScenarioConfig,
     redrawn from the same stream right after its block's draws; more than
     one percent of such draws aborts with :class:`NumericalError`.
     """
-    if n_samples < 1:
-        raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
+    n = cfg.chi_samples if n_samples is None else n_samples
+    if n < 1:
+        raise ConfigError(f"n_samples must be >= 1, got {n}")
     beta_mk, alpha_mk = expand_site_to_antennas(profile)
     m, k = beta_mk.shape
     if m < k:
@@ -181,7 +186,7 @@ def _precoder_second_moments(profile: FadingProfile, cfg: ScenarioConfig,
     load_sq_sum = np.zeros(m)
     resampled = 0
 
-    sizes = batch_sizes(n_samples, max(1, _BLOCK_ELEMENTS // (m * k)))
+    sizes = batch_sizes(n, max(1, _BLOCK_ELEMENTS // (m * k)))
 
     def draw(b):
         return (sample_estimates(profile, rng, b),)
@@ -202,69 +207,17 @@ def _precoder_second_moments(profile: FadingProfile, cfg: ScenarioConfig,
         chi_sq_sum = _add_in_order(chi_sq_sum, chi_block ** 2)
         resampled = batch.redrawn
 
-    chi = chi_sum / n_samples
-    delta = delta_sum / n_samples
-    load = delta.sum(axis=1)
-    if n_samples > 1:
-        var = np.maximum(chi_sq_sum - n_samples * chi ** 2, 0.0) / (n_samples - 1)
-        stderr = np.sqrt(var / n_samples)
-        load_var = np.maximum(load_sq_sum - n_samples * load ** 2, 0.0) \
-            / (n_samples - 1)
-        load_se = np.sqrt(load_var / n_samples)
+    chi = chi_sum / n
+    # delta[m, i] = E|W_mi|^2, the per-antenna per-stream precoder energy
+    load = (delta_sum / n).sum(axis=1)
+    if n > 1:
+        var = np.maximum(chi_sq_sum - n * chi ** 2, 0.0) / (n - 1)
+        stderr = np.sqrt(var / n)
+        load_var = np.maximum(load_sq_sum - n * load ** 2, 0.0) / (n - 1)
+        load_se = np.sqrt(load_var / n)
     else:
         stderr = np.full((k, k), np.nan)
         load_se = np.full(m, np.nan)
-    return chi, stderr, delta, load_se, resampled
-
-
-def zfp_chi(profile: FadingProfile, cfg: ScenarioConfig,
-            rng: np.random.Generator, n_samples: int | None = None) -> ChiMatrix:
-    """Estimation-error leakage moments.
-
-    ``chi[k, i]`` is the mean of ``sum_m (beta_mk - alpha_mk) |W_mi|^2``
-    over estimate draws, with W the unscaled pseudo-inverse precoder: the
-    power of user k's estimation error leaking into stream i.  Perfect
-    estimates give an exactly zero matrix.
-    """
-    n = cfg.chi_samples if n_samples is None else n_samples
-    chi, stderr, _, _, resampled = _precoder_second_moments(profile, cfg, rng, n)
-    return ChiMatrix(chi=chi, stderr=stderr, n_samples=n, n_resampled=resampled)
-
-
-def zfp_power(profile: FadingProfile, cfg: ScenarioConfig,
-              rng: np.random.Generator,
-              n_samples: int | None = None) -> ZfpPowerControl:
-    """Common power scale for the ZF precoder.
-
-    Normalizes against the most loaded antenna: eta = 1 / max_m sum_i
-    E|W_mi|^2, so that antenna radiates its per-antenna budget exactly in
-    expectation and no antenna exceeds it.
-    """
-    n = cfg.chi_samples if n_samples is None else n_samples
-    _, _, delta, load_se, resampled = _precoder_second_moments(profile, cfg,
-                                                               rng, n)
-    load = delta.sum(axis=1)
-    peak = float(load.max())
-    if not peak > 0:
-        raise NumericalError("estimated precoder load is zero everywhere")
-    return ZfpPowerControl(eta_common=1.0 / peak, antenna_load=load,
-                           load_stderr=load_se, n_samples=n,
-                           n_resampled=resampled)
-
-
-def zfp_moments(profile: FadingProfile, cfg: ScenarioConfig,
-                rng: np.random.Generator,
-                n_samples: int | None = None) -> tuple[ChiMatrix, ZfpPowerControl]:
-    """Both ZFP moment estimates from one shared pass over estimate draws.
-
-    Equivalent to calling :func:`zfp_chi` and :func:`zfp_power` on
-    identically seeded generators but at half the sampling cost; the drop
-    runner uses this path.
-    """
-    n = cfg.chi_samples if n_samples is None else n_samples
-    chi, stderr, delta, load_se, resampled = _precoder_second_moments(
-        profile, cfg, rng, n)
-    load = delta.sum(axis=1)
     peak = float(load.max())
     if not peak > 0:
         raise NumericalError("estimated precoder load is zero everywhere")
@@ -288,10 +241,3 @@ def zfp_sinr_all(profile: FadingProfile, pc: ZfpPowerControl, chi: ChiMatrix,
     sigma_n2 = derive_noise_power(cfg)
     leakage = chi.chi.sum(axis=1)              # sum_i chi[k, i]
     return p_d * eta / (sigma_n2 + p_d * eta * leakage)
-
-
-def zfp_sinr(profile: FadingProfile, pc: ZfpPowerControl, chi: ChiMatrix,
-             k: int, cfg: ScenarioConfig) -> float:
-    if not 0 <= k < profile.num_users:
-        raise ConfigError(f"user index {k} out of range")
-    return float(zfp_sinr_all(profile, pc, chi, cfg)[k])

@@ -134,14 +134,13 @@ def _collect_drops(cfg: ScenarioConfig, jobs: int, progress=None):
 
 
 def sweep(cfg: ScenarioConfig, nt_list=None, cv_ratios=None, jobs: int = 1,
-          cost_fixed_per_site: float = 1.0,
           progress=None) -> list[SweepRecord]:
     """Antenna-split sweep at a fixed antenna budget.
 
     Every entry of ``nt_list`` must divide the config's antenna total; that
-    is checked up front so a bad grid fails before any computation.  The
-    cost ratios scale the per-antenna cost against the per-site fixed cost
-    (default 1 unit per site).
+    is checked up front so a bad grid fails before any computation.  Costs
+    are in units of the per-site fixed cost: a cost ratio is the
+    per-antenna cost, with 1 unit per site.
     """
     nt_list = list(DEFAULT_NT_SWEEP if nt_list is None else nt_list)
     cv_ratios = list(DEFAULT_COST_RATIOS if cv_ratios is None else cv_ratios)
@@ -177,9 +176,8 @@ def sweep(cfg: ScenarioConfig, nt_list=None, cv_ratios=None, jobs: int = 1,
             p05 = percentile(pooled, 0.05)
             p50 = percentile(pooled, 0.50)
             for ratio in cv_ratios:
-                model = CostModel.aggregated(
-                    fixed_per_site=cost_fixed_per_site,
-                    per_antenna=ratio * cost_fixed_per_site)
+                model = CostModel.aggregated(fixed_per_site=1.0,
+                                             per_antenna=ratio)
                 cost = total_cost(model, n_ap, n_t)
                 records.append(SweepRecord(
                     scheme=scheme, n_t=n_t, n_ap=n_ap, k=sub.num_users,

@@ -107,7 +107,8 @@ def _finish(sums, sq_sums, cross, resid_sq, n) -> TermEstimate:
                         n_samples=n)
 
 
-def simulate_uplink_terms(profile: FadingProfile, eta, k: int,
+def simulate_uplink_terms(profile: FadingProfile,
+                          pc: uplink.UplinkPowerControl, k: int,
                           cfg: ScenarioConfig, n_samples: int,
                           rng: np.random.Generator) -> TermEstimate:
     """Brute-force the five uplink parts for user ``k``.
@@ -121,7 +122,10 @@ def simulate_uplink_terms(profile: FadingProfile, eta, k: int,
         raise ConfigError(f"user index {k} out of range")
     _, alpha_mk = expand_site_to_antennas(profile)
     m, n_users = alpha_mk.shape
-    eta_vec = uplink._eta_vector(eta, n_users)
+    eta_vec = pc.eta
+    if eta_vec.shape[0] != n_users:
+        raise ConfigError(f"eta has {eta_vec.shape[0]} entries for "
+                          f"{n_users} users")
     p_u = cfg.ue_tx_power
     sigma_n2 = derive_noise_power(cfg)
     a_k = float(alpha_mk[:, k].sum())
@@ -305,38 +309,20 @@ def _row(name, closed, empirical, tol, n) -> ValidationRow:
                          passed=bool(err <= tol))
 
 
-def _cbf_closed_terms(profile: FadingProfile, eta_site, cfg) -> dict:
-    """Closed-form CBF part variances for user 0, for the report only."""
-    beta_mk, alpha_mk = expand_site_to_antennas(profile)
-    eta_m = np.repeat(np.asarray(eta_site, dtype=float),
-                      profile.antennas_per_site)
-    p_d = cfg.ap_per_antenna_tx_power
-    a0, b0 = alpha_mk[:, 0], beta_mk[:, 0]
-    inter = 0.0
-    for i in range(1, profile.num_users):
-        inter += float((eta_m * b0 * alpha_mk[:, i]).sum())
-    return {
-        "desired": p_d * float((np.sqrt(eta_m) * a0).sum()) ** 2,
-        "uncertainty": p_d * float((eta_m * a0 ** 2).sum()),
-        "est_error": p_d * float((eta_m * a0 * (b0 - a0)).sum()),
-        "inter_user": p_d * inter,
-        "noise": derive_noise_power(cfg),
-    }
-
-
 def reference_config(master_seed: int = 0) -> ScenarioConfig:
     """Small instance used by the stock validation run."""
     return ScenarioConfig(total_antennas=40, antennas_per_ap=2, num_users=4,
-                          master_seed=master_seed)
+                          chi_samples=20000, master_seed=master_seed)
 
 
-def validate_instance(cfg: ScenarioConfig, n_samples: int,
-                      chi_ref_samples: int = 20000) -> list[ValidationRow]:
+def validate_instance(cfg: ScenarioConfig,
+                      n_samples: int) -> list[ValidationRow]:
     """Run the full closed-form versus brute-force comparison on one drop.
 
     The drop topology comes from the config's master seed (drop 0 stream),
     user 0 is inspected.  Returns one row per compared quantity; the ZFP
-    closed form uses a high-sample moment estimate so the comparison noise
+    closed form takes its moments from ``cfg.chi_samples`` estimate draws,
+    which the reference config sets high (20000) so the comparison noise
     is dominated by the link-level side.  Relative tolerances hold as
     stated at the reference sample count and widen like 1/sqrt(n) below
     it, so quick runs stay meaningful without being vacuous.
@@ -365,22 +351,24 @@ def validate_instance(cfg: ScenarioConfig, n_samples: int,
     for label in UPLINK_TERMS:
         rows.append(_row(f"ul_{label}", closed_ul[label], est.powers[label],
                          term_tol, n_samples))
-    rows.append(_row("ul_sinr", uplink.uplink_sinr(profile, eta_ul, 0, cfg),
+    rows.append(_row("ul_sinr",
+                     float(uplink.uplink_sinr_all(profile, eta_ul, cfg)[0]),
                      est.empirical_sinr, sinr_tol, n_samples))
 
     # CBF parts and SINR
     pc = downlink.cbf_power(profile)
-    closed_cbf = _cbf_closed_terms(profile, pc.eta_site, cfg)
+    closed_cbf = downlink.cbf_term_variances(profile, pc, 0, cfg)
     est_cbf = simulate_downlink_cbf(profile, pc, 0, cfg, n_samples, rng)
     for label in CBF_TERMS:
         rows.append(_row(f"cbf_{label}", closed_cbf[label],
                          est_cbf.powers[label], term_tol, n_samples))
-    rows.append(_row("cbf_sinr", downlink.cbf_sinr(profile, pc, 0, cfg),
+    rows.append(_row("cbf_sinr",
+                     float(downlink.cbf_sinr_all(profile, pc, cfg)[0]),
                      est_cbf.empirical_sinr, sinr_tol, n_samples))
 
     # ZFP SINR and the estimated-channel interference audit
-    chi, zpc = downlink.zfp_moments(profile, cfg, rng, chi_ref_samples)
-    closed_zfp = downlink.zfp_sinr(profile, zpc, chi, 0, cfg)
+    chi, zpc = downlink.zfp_moments(profile, cfg, rng)
+    closed_zfp = float(downlink.zfp_sinr_all(profile, zpc, chi, cfg)[0])
     est_zfp = simulate_downlink_zfp(profile, zpc.eta_common, 0, cfg,
                                     n_samples, rng)
     rows.append(_row("zfp_sinr", closed_zfp, est_zfp.empirical_sinr,

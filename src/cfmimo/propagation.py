@@ -11,7 +11,6 @@ Distances are in km throughout.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -186,25 +185,3 @@ def fading_profile(cfg: ScenarioConfig, topology: Topology,
     alpha = mmse_alpha(cfg.ue_tx_power, beta, derive_noise_power(cfg))
     return FadingProfile(beta=beta, alpha=alpha,
                          antennas_per_site=cfg.antennas_per_ap)
-
-
-def topology_to_csv(topology: Topology, path) -> None:
-    """Dump coordinates for plotting: columns kind, index, x_km, y_km."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "index", "x_km", "y_km"])
-        for kind, arr in (("ap", topology.ap_positions),
-                          ("ue", topology.ue_positions)):
-            for i, (x, y) in enumerate(arr):
-                writer.writerow([kind, i, f"{x:.6g}", f"{y:.6g}"])
-
-
-def fading_to_csv(profile: FadingProfile, path) -> None:
-    """Dump gains for inspection: columns site, user, beta, alpha."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["site", "user", "beta", "alpha"])
-        for q in range(profile.num_sites):
-            for k in range(profile.num_users):
-                writer.writerow([q, k, f"{profile.beta[q, k]:.6g}",
-                                 f"{profile.alpha[q, k]:.6g}"])

@@ -49,9 +49,9 @@ class UplinkTermVariances:
     """Variances of the five received-sample parts for one user.
 
     ``uncertainty`` is the raw second moment of the effective-gain
-    fluctuation, n_t * sum_q alpha_qk^2; the transmit scaling p_u eta_k is
-    applied when the parts are composed into an SINR, see
-    :func:`composed_uplink_sinr`.
+    fluctuation, n_t * sum_q alpha_qk^2; scaled by the transmit power
+    p_u eta_k of its user, it sums with the other three interference parts
+    exactly to the closed-form denominator.
     """
 
     desired: float
@@ -61,23 +61,19 @@ class UplinkTermVariances:
     noise: float
 
 
-def _eta_vector(eta, num_users: int) -> np.ndarray:
-    if isinstance(eta, UplinkPowerControl):
-        vec = eta.eta
-    else:
-        vec = UplinkPowerControl(eta=np.asarray(eta, dtype=float)).eta
-    if vec.shape[0] != num_users:
-        raise ConfigError(f"eta has {vec.shape[0]} entries for "
+def _eta_vector(pc: UplinkPowerControl, num_users: int) -> np.ndarray:
+    if pc.eta.shape[0] != num_users:
+        raise ConfigError(f"eta has {pc.eta.shape[0]} entries for "
                           f"{num_users} users")
-    return vec
+    return pc.eta
 
 
-def uplink_term_variances(profile: FadingProfile, eta, k: int,
-                          cfg: ScenarioConfig) -> UplinkTermVariances:
+def uplink_term_variances(profile: FadingProfile, pc: UplinkPowerControl,
+                          k: int, cfg: ScenarioConfig) -> UplinkTermVariances:
     """Closed-form variances of the five parts for user ``k``."""
     alpha, beta = profile.alpha, profile.beta
     n_t = profile.antennas_per_site
-    eta_vec = _eta_vector(eta, profile.num_users)
+    eta_vec = _eta_vector(pc, profile.num_users)
     if not 0 <= k < profile.num_users:
         raise ConfigError(f"user index {k} out of range")
     p_u = cfg.ue_tx_power
@@ -97,26 +93,12 @@ def uplink_term_variances(profile: FadingProfile, eta, k: int,
                                inter_user=inter_user, noise=noise)
 
 
-def composed_uplink_sinr(terms: UplinkTermVariances, p_u: float,
-                         eta_k: float) -> float:
-    """SINR from the term variances.
-
-    The uncertainty part enters scaled by the transmit power p_u eta_k of
-    the user it belongs to; with that scaling the four interference parts
-    sum exactly to the closed-form denominator.
-    """
-    denom = (p_u * eta_k * terms.uncertainty + terms.estimation_error
-             + terms.inter_user + terms.noise)
-    if denom <= 0:
-        return 0.0
-    return terms.desired / denom
-
-
-def uplink_sinr_all(profile: FadingProfile, eta, cfg: ScenarioConfig) -> np.ndarray:
+def uplink_sinr_all(profile: FadingProfile, pc: UplinkPowerControl,
+                    cfg: ScenarioConfig) -> np.ndarray:
     """Effective SINR of every user at once, shape (users,)."""
     alpha, beta = profile.alpha, profile.beta
     n_t = profile.antennas_per_site
-    eta_vec = _eta_vector(eta, profile.num_users)
+    eta_vec = _eta_vector(pc, profile.num_users)
     p_u = cfg.ue_tx_power
     sigma_n2 = derive_noise_power(cfg)
 
@@ -126,13 +108,6 @@ def uplink_sinr_all(profile: FadingProfile, eta, cfg: ScenarioConfig) -> np.ndar
     num = p_u * eta_vec * (n_t * a) ** 2
     den = p_u * n_t * interference + sigma_n2 * n_t * a
     return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-
-
-def uplink_sinr(profile: FadingProfile, eta, k: int, cfg: ScenarioConfig) -> float:
-    """Effective SINR of user ``k``."""
-    if not 0 <= k < profile.num_users:
-        raise ConfigError(f"user index {k} out of range")
-    return float(uplink_sinr_all(profile, eta, cfg)[k])
 
 
 def per_user_rate(gamma) -> np.ndarray:

@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from cfmimo.cli import main as cli_main
-from cfmimo.downlink import cbf_power, cbf_sinr, cbf_sinr_all, zfp_moments, \
-    zfp_power, zfp_sinr
+from cfmimo.downlink import cbf_power, cbf_sinr_all, zfp_moments, zfp_sinr_all
 from cfmimo.experiment import DEFAULT_COST_RATIOS, DEFAULT_NT_SWEEP, \
     percentile, sweep
 from cfmimo.oracle import reference_config, simulate_downlink_cbf, \
@@ -24,7 +23,7 @@ from cfmimo.propagation import fading_profile, l0_constant, large_scale_gain, \
     path_loss_db, place_topology
 from cfmimo.scenario import ScenarioConfig, derive_noise_power, drop_seed
 from cfmimo.uplink import UplinkPowerControl, per_user_rate, \
-    uplink_sinr, uplink_term_variances, uplink_sinr_all
+    uplink_term_variances, uplink_sinr_all
 
 ORACLE_SAMPLES = 100_000
 CHI_REF_SAMPLES = 20_000
@@ -109,7 +108,8 @@ def test_criterion_1_uplink_oracle(reference_instance, acceptance_record):
     }
     term_errs = {lbl: _relerr(closed[lbl], est.powers[lbl]) for lbl in closed}
     worst = max(term_errs, key=term_errs.get)
-    sinr_err = _relerr(uplink_sinr(profile, eta, 0, cfg), est.empirical_sinr)
+    sinr_err = _relerr(uplink_sinr_all(profile, eta, cfg)[0],
+                       est.empirical_sinr)
 
     ok = (max(term_errs.values()) <= 0.03 and sinr_err <= 0.03
           and elapsed < 60.0)
@@ -128,7 +128,7 @@ def test_criterion_2_cbf_oracle(reference_instance, acceptance_record):
     est = simulate_downlink_cbf(profile, pc, 0, cfg, ORACLE_SAMPLES,
                                 np.random.default_rng(21))
     elapsed = time.perf_counter() - t0
-    sinr_err = _relerr(cbf_sinr(profile, pc, 0, cfg), est.empirical_sinr)
+    sinr_err = _relerr(cbf_sinr_all(profile, pc, cfg)[0], est.empirical_sinr)
 
     ok = sinr_err <= 0.03 and elapsed < 60.0
     detail = (f"closed-form SINR within 3% of link level ({sinr_err:.2%}), "
@@ -141,7 +141,7 @@ def test_criterion_3_zfp_oracle(reference_instance, acceptance_record):
     cfg, profile = reference_instance
     chi, pc = zfp_moments(profile, cfg, np.random.default_rng(31),
                           CHI_REF_SAMPLES)
-    closed = zfp_sinr(profile, pc, chi, 0, cfg)
+    closed = zfp_sinr_all(profile, pc, chi, cfg)[0]
     est = simulate_downlink_zfp(profile, pc.eta_common, 0, cfg,
                                 ORACLE_SAMPLES, np.random.default_rng(33))
     sinr_err = _relerr(closed, est.empirical_sinr)
@@ -192,8 +192,10 @@ def test_criterion_5_power_budgets(reference_instance, acceptance_record):
 
     # zero-forcing: the common scale is estimated, so audit it against an
     # independently seeded load measurement
-    pc_z = zfp_power(profile, cfg, np.random.default_rng(51), CHI_REF_SAMPLES)
-    audit = zfp_power(profile, cfg, np.random.default_rng(53), CHI_REF_SAMPLES)
+    _, pc_z = zfp_moments(profile, cfg, np.random.default_rng(51),
+                          CHI_REF_SAMPLES)
+    _, audit = zfp_moments(profile, cfg, np.random.default_rng(53),
+                           CHI_REF_SAMPLES)
     eta = pc_z.eta_common
     measured = p_d * eta * audit.antenna_load
     peak = float(measured.max())

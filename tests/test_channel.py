@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from cfmimo.channel import (RCOND_FLOOR, ChannelSample, NumericalError,
-                            batch_sizes, complex_normal, conditioned_grams,
+from cfmimo.channel import (RCOND_FLOOR, NumericalError, batch_sizes,
+                            complex_normal, conditioned_grams,
                             expand_site_to_antennas, invert_grams,
-                            sample_channel, sample_channel_batch,
-                            sample_estimates)
+                            sample_channel_batch, sample_estimates)
 from cfmimo.propagation import FadingProfile
-from cfmimo.scenario import ConfigError, ScenarioConfig
+from cfmimo.scenario import ConfigError
 
 
 def make_profile(beta, alpha, n_t=1):
@@ -36,38 +35,28 @@ def test_expand_replicates_site_rows_in_order():
 
 
 def test_sample_decomposition_is_exact():
-    cfg = ScenarioConfig(total_antennas=8, antennas_per_ap=2, num_users=3)
     profile = make_profile(np.full((4, 3), 2.0), np.full((4, 3), 1.5), n_t=2)
-    sample = sample_channel(profile, cfg, np.random.default_rng(0))
-    assert isinstance(sample, ChannelSample)
-    assert sample.g_true.shape == (8, 3)
-    assert np.array_equal(sample.g_true, sample.g_hat + sample.g_err)
+    g_true, g_hat, g_err = sample_channel_batch(
+        profile, np.random.default_rng(0), 5)
+    assert g_true.shape == g_hat.shape == g_err.shape == (5, 8, 3)
+    assert np.array_equal(g_true, g_hat + g_err)
 
 
 def test_sample_reproducible():
-    cfg = ScenarioConfig(total_antennas=6, antennas_per_ap=3, num_users=2)
     profile = make_profile(np.full((2, 2), 1.0), np.full((2, 2), 0.25), n_t=3)
-    a = sample_channel(profile, cfg, np.random.default_rng(42))
-    b = sample_channel(profile, cfg, np.random.default_rng(42))
-    assert np.array_equal(a.g_true, b.g_true)
-    assert np.array_equal(a.g_hat, b.g_hat)
-    assert np.array_equal(a.g_err, b.g_err)
+    a = sample_channel_batch(profile, np.random.default_rng(42), 3)
+    b = sample_channel_batch(profile, np.random.default_rng(42), 3)
+    for part_a, part_b in zip(a, b):
+        assert np.array_equal(part_a, part_b)
 
 
 def test_perfect_estimates_leave_no_error():
-    cfg = ScenarioConfig(total_antennas=4, antennas_per_ap=1, num_users=2)
     beta = np.array([[1.0, 2.0]] * 4)
     profile = make_profile(beta, beta, n_t=1)
-    sample = sample_channel(profile, cfg, np.random.default_rng(1))
-    assert np.abs(sample.g_err).max() == 0.0
-    assert np.array_equal(sample.g_true, sample.g_hat)
-
-
-def test_mismatched_config_rejected():
-    cfg = ScenarioConfig(total_antennas=8, antennas_per_ap=4, num_users=2)
-    profile = make_profile(np.ones((2, 2)), np.ones((2, 2)) * 0.5, n_t=2)
-    with pytest.raises(ConfigError):
-        sample_channel(profile, cfg, np.random.default_rng(0))
+    g_true, g_hat, g_err = sample_channel_batch(
+        profile, np.random.default_rng(1), 3)
+    assert np.abs(g_err).max() == 0.0
+    assert np.array_equal(g_true, g_hat)
 
 
 def test_moments_match_profile():

@@ -152,6 +152,21 @@ def test_validate_custom_samples(capsys):
     assert "4000" in capsys.readouterr().out
 
 
+def test_validate_takes_zf_draws_from_the_config(tmp_path, capsys):
+    # the ZF closed form's moment draws come from the config's chi_samples
+    closed = {}
+    for n in (50, 5000):
+        path = tmp_path / f"chi{n}.json"
+        path.write_text(json.dumps({"total_antennas": 40,
+                                    "antennas_per_ap": 2, "num_users": 4,
+                                    "chi_samples": n}))
+        code = main(["validate", "--config", str(path), "--samples", "2000"])
+        assert code in (0, 2)
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        closed[n] = [r[1] for r in rows if r and r[0] == "zfp_sinr"]
+    assert len(closed[50]) == 1 and closed[50] != closed[5000]
+
+
 def test_validate_rejects_drops(capsys):
     # validate inspects drop 0 only, so a drop count is a usage error
     assert main(["validate", "--quick", "--drops", "3"]) == 1

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,7 @@ from cfmimo import downlink
 from cfmimo.channel import (complex_normal, expand_site_to_antennas,
                             sample_estimates)
 from cfmimo.downlink import (CbfPowerControl, NumericalError, cbf_power,
-                             cbf_sinr, cbf_sinr_all, zfp_chi, zfp_moments,
-                             zfp_power, zfp_precoder, zfp_sinr, zfp_sinr_all)
+                             cbf_sinr_all, zfp_moments, zfp_sinr_all)
 from cfmimo.propagation import FadingProfile, fading_profile, place_topology
 from cfmimo.scenario import ConfigError, ScenarioConfig, derive_noise_power, \
     drop_seed
@@ -90,70 +91,24 @@ def test_cbf_single_site_single_user_hand_value():
     eta = 1.0 / alpha
     expected = (p_d * n_t ** 2 * eta * alpha ** 2
                 / (s2 + p_d * n_t * beta * eta * alpha))
-    assert cbf_sinr(profile, pc, 0, cfg) == pytest.approx(expected, rel=1e-12)
+    assert cbf_sinr_all(profile, pc, cfg)[0] == pytest.approx(
+        expected, rel=1e-12)
 
 
 def test_cbf_sinr_zero_alpha_user():
     profile = make_profile([[1e-11, 2e-11]], [[0.0, 1e-11]], n_t=1)
     cfg = ScenarioConfig(total_antennas=2, antennas_per_ap=1, num_users=1)
     pc = CbfPowerControl(eta_site=np.array([1e11]))
-    assert cbf_sinr(profile, pc, 0, cfg) == 0.0
+    assert cbf_sinr_all(profile, pc, cfg)[0] == 0.0
 
 
 def test_cbf_sinr_validates_inputs():
     cfg, profile = random_profile(4)
     pc = cbf_power(profile)
     with pytest.raises(ConfigError):
-        cbf_sinr(profile, pc, 99, cfg)
+        cbf_sinr_all(profile, CbfPowerControl(eta_site=-pc.eta_site), cfg)
     with pytest.raises(ConfigError):
         cbf_sinr_all(profile, CbfPowerControl(eta_site=np.ones(3)), cfg)
-
-
-# --- zero-forcing precoder -------------------------------------------------
-
-def test_zfp_precoder_inverts_estimated_channel():
-    rng = np.random.default_rng(0)
-    g = complex_normal(rng, 1.0, (16, 4))
-    eta = 0.25
-    b = zfp_precoder(g, eta)
-    response = g.T @ b
-    expected = np.sqrt(eta) * np.eye(4)
-    assert np.abs(response - expected).max() < 1e-9
-
-
-def test_zfp_precoder_single_user_is_matched_filter():
-    rng = np.random.default_rng(1)
-    g = complex_normal(rng, 1.0, (8, 1))
-    b = zfp_precoder(g, 4.0)
-    expected = 2.0 * g.conj() / (np.abs(g) ** 2).sum()
-    assert np.allclose(b, expected, rtol=1e-12)
-
-
-def test_zfp_precoder_square_case_matches_plain_inverse():
-    rng = np.random.default_rng(2)
-    g = complex_normal(rng, 1.0, (3, 3))
-    b = zfp_precoder(g, 1.0)
-    assert np.allclose(b, np.linalg.inv(g.T), rtol=1e-9, atol=1e-12)
-
-
-def test_zfp_precoder_per_user_eta():
-    rng = np.random.default_rng(3)
-    g = complex_normal(rng, 1.0, (10, 3))
-    eta = np.array([1.0, 4.0, 0.25])
-    b = zfp_precoder(g, eta)
-    response = g.T @ b
-    assert np.allclose(np.diag(response), np.sqrt(eta), rtol=1e-9)
-
-
-def test_zfp_precoder_rejects_singular_and_wide():
-    rng = np.random.default_rng(4)
-    g = complex_normal(rng, 1.0, (6, 2))
-    g[:, 1] = g[:, 0]                      # exactly dependent columns
-    with pytest.raises(NumericalError) as err:
-        zfp_precoder(g, 1.0)
-    assert "condition" in str(err.value)
-    with pytest.raises(ConfigError):
-        zfp_precoder(complex_normal(rng, 1.0, (2, 5)), 1.0)
 
 
 # --- zero-forcing moments --------------------------------------------------
@@ -162,7 +117,7 @@ def test_chi_zero_under_perfect_estimates():
     beta = np.full((6, 2), 1e-10)
     profile = make_profile(beta, beta, n_t=1)
     cfg = ScenarioConfig(total_antennas=6, antennas_per_ap=1, num_users=2)
-    chi = zfp_chi(profile, cfg, np.random.default_rng(0), 200)
+    chi, _ = zfp_moments(profile, cfg, np.random.default_rng(0), 200)
     assert np.abs(chi.chi).max() == 0.0
 
 
@@ -175,7 +130,7 @@ def test_chi_matches_direct_interference_variance():
     profile = make_profile(beta, alpha, n_t=2)
     cfg = ScenarioConfig(total_antennas=8, antennas_per_ap=2, num_users=2)
     n = 60_000
-    chi = zfp_chi(profile, cfg, np.random.default_rng(77), n)
+    chi, _ = zfp_moments(profile, cfg, np.random.default_rng(77), n)
 
     beta_mk, alpha_mk = expand_site_to_antennas(profile)
     rng = np.random.default_rng(77)          # same precoder samples
@@ -195,14 +150,14 @@ def test_chi_symmetric_scenario():
     alpha = np.full((8, 2), 1.5)
     profile = make_profile(beta, alpha, n_t=1)
     cfg = ScenarioConfig(total_antennas=8, antennas_per_ap=1, num_users=2)
-    chi = zfp_chi(profile, cfg, np.random.default_rng(8), 10_000)
+    chi, _ = zfp_moments(profile, cfg, np.random.default_rng(8), 10_000)
     assert chi.chi.max() / chi.chi.min() == pytest.approx(1.0, abs=0.05)
 
 
 def test_chi_stderr_shrinks_with_samples():
     cfg, profile = random_profile(5, m=12, n_t=2, k=3)
-    chi_small = zfp_chi(profile, cfg, np.random.default_rng(1), 500)
-    chi_big = zfp_chi(profile, cfg, np.random.default_rng(2), 8000)
+    chi_small, _ = zfp_moments(profile, cfg, np.random.default_rng(1), 500)
+    chi_big, _ = zfp_moments(profile, cfg, np.random.default_rng(2), 8000)
     assert chi_big.stderr.mean() < chi_small.stderr.mean() / 2
 
 
@@ -222,18 +177,6 @@ def test_moments_scale_exactly_with_profile():
     assert np.allclose(chi2.chi, chi1.chi, rtol=1e-12)
 
 
-def test_moments_consistent_with_individual_ops():
-    # the shared-batch path equals the two single-purpose ops run on
-    # identically seeded generators
-    cfg, profile = random_profile(6, m=20, n_t=2, k=4)
-    chi_m, pc_m = zfp_moments(profile, cfg, np.random.default_rng(55), 300)
-    chi_s = zfp_chi(profile, cfg, np.random.default_rng(55), 300)
-    pc_s = zfp_power(profile, cfg, np.random.default_rng(55), 300)
-    assert np.array_equal(chi_m.chi, chi_s.chi)
-    assert pc_m.eta_common == pc_s.eta_common
-    assert np.array_equal(pc_m.antenna_load, pc_s.antenna_load)
-
-
 def test_zfp_power_scalar_case_is_reciprocal_load():
     # one antenna, one user: eta is the reciprocal of the sampled mean of
     # 1 / |g_hat|^2, structurally
@@ -241,7 +184,7 @@ def test_zfp_power_scalar_case_is_reciprocal_load():
     profile = make_profile(beta, beta, n_t=1)
     cfg = ScenarioConfig(total_antennas=2, antennas_per_ap=1, num_users=1)
     n = 50
-    pc = zfp_power(profile, cfg, np.random.default_rng(12), n)
+    _, pc = zfp_moments(profile, cfg, np.random.default_rng(12), n)
     g = sample_estimates(profile, np.random.default_rng(12), n)[:, :1, :]
     manual = (1.0 / np.abs(g[:, 0, 0]) ** 2).mean()
     assert pc.eta_common == pytest.approx(1.0 / manual, rel=1e-12)
@@ -249,8 +192,8 @@ def test_zfp_power_scalar_case_is_reciprocal_load():
 
 def test_zfp_power_respects_budget_on_fresh_samples():
     cfg, profile = random_profile(7, m=24, n_t=2, k=4)
-    pc = zfp_power(profile, cfg, np.random.default_rng(3), 4000)
-    fresh = zfp_power(profile, cfg, np.random.default_rng(4), 4000)
+    _, pc = zfp_moments(profile, cfg, np.random.default_rng(3), 4000)
+    _, fresh = zfp_moments(profile, cfg, np.random.default_rng(4), 4000)
     p_d = cfg.ap_per_antenna_tx_power
     audit = p_d * pc.eta_common * fresh.antenna_load
     # the most loaded antenna radiates its budget, nobody exceeds it beyond
@@ -267,7 +210,7 @@ def test_zfp_sinr_closed_cases():
     chi, pc = zfp_moments(profile, cfg, np.random.default_rng(9), 500)
     # perfect estimates: gamma = p_d eta / sigma^2 for every user
     perfect = make_profile(profile.beta, profile.beta, n_t=1)
-    chi0 = zfp_chi(perfect, cfg, np.random.default_rng(10), 200)
+    chi0, _ = zfp_moments(perfect, cfg, np.random.default_rng(10), 200)
     got = zfp_sinr_all(perfect, pc, chi0, cfg)
     assert got == pytest.approx(np.full(4, p_d * pc.eta_common / s2),
                                 rel=1e-12)
@@ -278,21 +221,21 @@ def test_zfp_sinr_closed_cases():
                           n_resampled=0)
     assert zfp_sinr_all(profile, pc0, chi, cfg) == pytest.approx(np.zeros(4))
     # more leakage can only hurt
-    base = zfp_sinr(profile, pc, chi, 1, cfg)
-    import dataclasses
+    base = zfp_sinr_all(profile, pc, chi, cfg)
     worse = dataclasses.replace(chi, chi=chi.chi * 1.5)
-    assert zfp_sinr(profile, pc, worse, 1, cfg) < base
+    assert (zfp_sinr_all(profile, pc, worse, cfg) < base).all()
 
 
 def test_zfp_sinr_validates_inputs():
     cfg, profile = random_profile(9)
     chi, pc = zfp_moments(profile, cfg, np.random.default_rng(0), 100)
+    pc_neg = dataclasses.replace(pc, eta_common=-pc.eta_common)
     with pytest.raises(ConfigError):
-        zfp_sinr(profile, pc, chi, 44, cfg)
-    bad_chi = zfp_chi(make_profile(np.ones((5, 2)), np.ones((5, 2)) * 0.5),
-                      ScenarioConfig(total_antennas=5, antennas_per_ap=1,
-                                     num_users=2),
-                      np.random.default_rng(0), 50)
+        zfp_sinr_all(profile, pc_neg, chi, cfg)
+    bad_chi, _ = zfp_moments(
+        make_profile(np.ones((5, 2)), np.ones((5, 2)) * 0.5),
+        ScenarioConfig(total_antennas=5, antennas_per_ap=1, num_users=2),
+        np.random.default_rng(0), 50)
     with pytest.raises(ConfigError):
         zfp_sinr_all(profile, pc, bad_chi, cfg)
 
@@ -301,7 +244,7 @@ def test_moment_estimation_needs_enough_antennas():
     profile = make_profile(np.ones((2, 3)), np.full((2, 3), 0.5), n_t=1)
     cfg = ScenarioConfig(total_antennas=4, antennas_per_ap=1, num_users=3)
     with pytest.raises(ConfigError):
-        zfp_chi(profile, cfg, np.random.default_rng(0), 50)
+        zfp_moments(profile, cfg, np.random.default_rng(0), 50)
 
 
 # --- the block pass --------------------------------------------------------

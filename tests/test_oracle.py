@@ -37,7 +37,7 @@ def test_uplink_terms_match_closed_forms():
     for label in UPLINK_TERMS:
         assert est.powers[label] == pytest.approx(closed[label], rel=0.03), label
     # and the composed empirical SINR against the closed form
-    gamma = uplink.uplink_sinr(profile, eta, 0, cfg)
+    gamma = uplink.uplink_sinr_all(profile, eta, cfg)[0]
     assert est.empirical_sinr == pytest.approx(gamma, rel=0.03)
 
 
@@ -69,7 +69,8 @@ def test_uplink_degenerate_perfect_csi_low_noise():
     rng = np.random.default_rng(4)
     beta = np.full((3, 1), 1e-10)
     profile = FadingProfile(beta=beta, alpha=beta.copy(), antennas_per_site=2)
-    est = simulate_uplink_terms(profile, [1.0], 0, cfg, 2000, rng)
+    est = simulate_uplink_terms(profile, uplink.UplinkPowerControl(eta=[1.0]),
+                                0, cfg, 2000, rng)
     assert est.powers["est_error"] == 0.0
     assert est.powers["inter_user"] == 0.0
     assert est.powers["noise"] < 1e-12 * est.powers["desired"]
@@ -94,7 +95,7 @@ def test_cbf_terms_and_sinr_match_closed_forms():
     cfg, profile, rng = reference_profile(6)
     pc = downlink.cbf_power(profile)
     est = simulate_downlink_cbf(profile, pc, 0, cfg, N_FAST, rng)
-    gamma = downlink.cbf_sinr(profile, pc, 0, cfg)
+    gamma = downlink.cbf_sinr_all(profile, pc, cfg)[0]
     assert est.empirical_sinr == pytest.approx(gamma, rel=0.03)
     # parts are nonzero and sum to the closed denominator (times noise)
     s2 = derive_noise_power(cfg)
@@ -119,8 +120,8 @@ def test_cbf_single_site_single_user_hand_form():
     expected = (p_d * n_t ** 2 * eta * (3e-11) ** 2
                 / (s2 + p_d * n_t * 5e-11 * eta * 3e-11))
     assert est.empirical_sinr == pytest.approx(expected, rel=0.03)
-    assert downlink.cbf_sinr(profile, pc, 0, cfg) == pytest.approx(expected,
-                                                                   rel=1e-12)
+    assert downlink.cbf_sinr_all(profile, pc, cfg)[0] == pytest.approx(
+        expected, rel=1e-12)
 
 
 def test_cbf_near_zero_power_leaves_only_noise():
@@ -137,7 +138,7 @@ def test_cbf_near_zero_power_leaves_only_noise():
 def test_zfp_oracle_matches_pipeline():
     cfg, profile, rng = reference_profile(9)
     chi, pc = downlink.zfp_moments(profile, cfg, rng, 20_000)
-    closed = downlink.zfp_sinr(profile, pc, chi, 0, cfg)
+    closed = downlink.zfp_sinr_all(profile, pc, chi, cfg)[0]
     est = simulate_downlink_zfp(profile, pc.eta_common, 0, cfg, N_FAST, rng)
     assert est.empirical_sinr == pytest.approx(closed, rel=0.05)
     # interference through the estimated channels is numerically nil
@@ -152,7 +153,7 @@ def test_zfp_oracle_perfect_csi():
     profile = fading_profile(cfg, place_topology(cfg, rng), rng)
     perfect = FadingProfile(beta=profile.beta, alpha=profile.beta.copy(),
                             antennas_per_site=profile.antennas_per_site)
-    pc = downlink.zfp_power(perfect, cfg, rng, 2000)
+    _, pc = downlink.zfp_moments(perfect, cfg, rng, 2000)
     est = simulate_downlink_zfp(perfect, pc.eta_common, 0, cfg, N_FAST, rng)
     s2 = derive_noise_power(cfg)
     expected = cfg.ap_per_antenna_tx_power * pc.eta_common / s2

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cfmimo.propagation import (FadingProfile, Topology, fading_profile,
-                                fading_to_csv, l0_constant, large_scale_gain,
-                                mmse_alpha, path_loss_db, place_topology,
-                                topology_to_csv)
+from cfmimo.propagation import (FadingProfile, fading_profile, l0_constant,
+                                large_scale_gain, mmse_alpha, path_loss_db,
+                                place_topology)
 from cfmimo.scenario import ConfigError, ScenarioConfig, derive_noise_power, \
     drop_seed
 
@@ -235,19 +234,3 @@ def test_profile_invariants_enforced():
         FadingProfile(beta=np.ones((2, 2)), alpha=np.ones((2, 3)),
                       antennas_per_site=1)
 
-
-def test_csv_exports(tmp_path):
-    cfg = ScenarioConfig(total_antennas=4, antennas_per_ap=2, num_users=3)
-    rng = np.random.default_rng(1)
-    topo = place_topology(cfg, rng)
-    profile = fading_profile(cfg, topo, rng)
-    tpath = tmp_path / "topo.csv"
-    fpath = tmp_path / "fading.csv"
-    topology_to_csv(topo, tpath)
-    fading_to_csv(profile, fpath)
-    tlines = tpath.read_text().strip().splitlines()
-    assert tlines[0] == "kind,index,x_km,y_km"
-    assert len(tlines) == 1 + 2 + 3
-    flines = fpath.read_text().strip().splitlines()
-    assert flines[0] == "site,user,beta,alpha"
-    assert len(flines) == 1 + 2 * 3

@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from cfmimo.downlink import cbf_power, cbf_sinr_all, cbf_term_variances
 from cfmimo.propagation import FadingProfile, fading_profile, place_topology
 from cfmimo.scenario import ConfigError, ScenarioConfig, derive_noise_power, \
     drop_seed
-from cfmimo.uplink import (UplinkPowerControl, composed_uplink_sinr,
-                           per_user_rate, uplink_sinr, uplink_sinr_all,
+from cfmimo.uplink import (UplinkPowerControl, per_user_rate, uplink_sinr_all,
                            uplink_term_variances)
 
 
@@ -44,7 +44,7 @@ def test_single_link_reduces_to_hand_formula():
     s2 = derive_noise_power(cfg)
     p_u = cfg.ue_tx_power
     expected = (p_u * alpha ** 2) / (p_u * alpha * beta + s2 * alpha)
-    got = uplink_sinr(profile, [1.0], 0, cfg)
+    got = uplink_sinr_all(profile, UplinkPowerControl(eta=[1.0]), cfg)[0]
     assert got == pytest.approx(expected, rel=1e-12)
     assert got == pytest.approx(p_u * alpha / (p_u * beta + s2), rel=1e-12)
 
@@ -52,25 +52,35 @@ def test_single_link_reduces_to_hand_formula():
 def test_all_zero_alpha_gives_zero_sinr_and_terms():
     cfg = ScenarioConfig(total_antennas=3, antennas_per_ap=1, num_users=2)
     profile = make_profile(np.zeros((3, 2)), np.zeros((3, 2)), n_t=1)
-    terms = uplink_term_variances(profile, [1.0, 1.0], 0, cfg)
+    eta = UplinkPowerControl(eta=[1.0, 1.0])
+    terms = uplink_term_variances(profile, eta, 0, cfg)
     assert terms.desired == 0.0
     assert terms.uncertainty == 0.0
     assert terms.estimation_error == 0.0
     assert terms.inter_user == 0.0
     assert terms.noise == 0.0
-    assert uplink_sinr(profile, [1.0, 1.0], 0, cfg) == 0.0
+    assert uplink_sinr_all(profile, eta, cfg)[0] == 0.0
 
 
 def test_terms_compose_into_the_sinr():
+    # the uncertainty part enters scaled by its user's transmit power; with
+    # that the four interference parts sum to the closed-form denominator
     for seed in range(5):
         cfg, profile = random_profile(seed)
         eta = UplinkPowerControl.full_power(cfg.num_users)
+        pc = cbf_power(profile)
+        direct_ul = uplink_sinr_all(profile, eta, cfg)
+        direct_cbf = cbf_sinr_all(profile, pc, cfg)
         for k in range(cfg.num_users):
-            terms = uplink_term_variances(profile, eta, k, cfg)
-            composed = composed_uplink_sinr(terms, cfg.ue_tx_power,
-                                            eta.eta[k])
-            direct = uplink_sinr(profile, eta, k, cfg)
-            assert composed == pytest.approx(direct, rel=1e-10)
+            t = uplink_term_variances(profile, eta, k, cfg)
+            composed = t.desired / (cfg.ue_tx_power * eta.eta[k]
+                                    * t.uncertainty + t.estimation_error
+                                    + t.inter_user + t.noise)
+            assert composed == pytest.approx(direct_ul[k], rel=1e-10)
+            c = cbf_term_variances(profile, pc, k, cfg)
+            composed = c["desired"] / (c["uncertainty"] + c["est_error"]
+                                       + c["inter_user"] + c["noise"])
+            assert composed == pytest.approx(direct_cbf[k], rel=1e-10)
 
 
 def test_term_variances_closed_forms():
@@ -79,7 +89,7 @@ def test_term_variances_closed_forms():
     beta = np.array([[4e-11, 1e-11], [2e-11, 3e-11]])
     alpha = np.array([[3e-11, 0.5e-11], [1e-11, 2e-11]])
     profile = make_profile(beta, alpha, n_t=1)
-    eta = [1.0, 0.5]
+    eta = UplinkPowerControl(eta=[1.0, 0.5])
     p_u = cfg.ue_tx_power
     s2 = derive_noise_power(cfg)
     terms = uplink_term_variances(profile, eta, 0, cfg)
@@ -124,43 +134,51 @@ def test_uniform_estimate_scaling_is_linear():
     # scaling user k's whole estimate column by c scales gamma_k by c
     cfg, profile = random_profile(11, m=30, n_t=1, k=4)
     eta = UplinkPowerControl.full_power(4)
-    base = uplink_sinr(profile, eta, 2, cfg)
+    base = uplink_sinr_all(profile, eta, cfg)[2]
     for c in (0.5, 0.9, 1.0):
         alpha2 = profile.alpha.copy()
         alpha2[:, 2] *= c
         prof2 = make_profile(profile.beta, alpha2, n_t=1)
-        assert uplink_sinr(prof2, eta, 2, cfg) == pytest.approx(c * base,
-                                                                rel=1e-12)
+        assert uplink_sinr_all(prof2, eta, cfg)[2] == pytest.approx(
+            c * base, rel=1e-12)
 
 
 def test_monotone_in_interference_and_noise():
     cfg, profile = random_profile(7, m=30, n_t=1, k=4)
     eta = np.array([1.0, 0.8, 0.6, 0.9])
-    base = uplink_sinr(profile, eta, 0, cfg)
+
+    def sinr(prof, fractions, config):
+        return uplink_sinr_all(prof, UplinkPowerControl(eta=fractions),
+                               config)[0]
+
+    base = sinr(profile, eta, cfg)
     # stronger interferer gain can only hurt
     beta2 = profile.beta.copy()
     beta2[:, 1] *= 2.0
     prof2 = make_profile(beta2, profile.alpha, n_t=1)
-    assert uplink_sinr(prof2, eta, 0, cfg) < base
+    assert sinr(prof2, eta, cfg) < base
     # higher interferer power fraction can only hurt
     eta2 = eta.copy()
     eta2[1] = 1.0
-    assert uplink_sinr(profile, eta2, 0, cfg) < base
+    assert sinr(profile, eta2, cfg) < base
     # higher own power fraction can only help
     eta3 = eta.copy()
     eta3[0] = 0.5
-    assert uplink_sinr(profile, eta3, 0, cfg) < base
+    assert sinr(profile, eta3, cfg) < base
     # more noise can only hurt
     cfg2 = dataclasses.replace(cfg, noise_figure_db=cfg.noise_figure_db + 6)
-    assert uplink_sinr(profile, eta, 0, cfg2) < base
+    assert sinr(profile, eta, cfg2) < base
 
 
 def test_eta_length_checked():
     cfg, profile = random_profile(0)
     with pytest.raises(ConfigError):
-        uplink_sinr(profile, [1.0, 1.0], 0, cfg)
+        uplink_sinr_all(profile, UplinkPowerControl(eta=[1.0, 1.0]), cfg)
     with pytest.raises(ConfigError):
-        uplink_sinr(profile, UplinkPowerControl.full_power(6), 17, cfg)
+        uplink_term_variances(profile, UplinkPowerControl(eta=[1.0]), 0, cfg)
+    with pytest.raises(ConfigError):
+        uplink_term_variances(profile, UplinkPowerControl.full_power(6), 17,
+                              cfg)
 
 
 def test_per_user_rate():
