@@ -2,14 +2,15 @@
 
 Antenna-level channels are circularly-symmetric complex Gaussians whose
 variances come from the large-scale profile: antennas on the same site
-share one gain row.  Every draw returns the true channel together with its
-estimate and the estimation error, generated jointly so that
+share one gain row.  A joint draw returns the channel estimate g_hat ~
+CN(0, alpha) and the independent estimation error g_err ~ CN(0, beta -
+alpha); the true channel is the law they satisfy,
 
-    g_true = g_hat + g_err
+    g_true = g_hat + g_err,
 
-holds exactly, with g_hat ~ CN(0, alpha) independent of g_err ~ CN(0,
-beta - alpha).  That joint construction is what the closed forms downstream
-assume, so it is the only sampling path in the package.
+which a caller forms only where it needs it.  That joint construction is
+what the closed forms downstream assume, so it is the only sampling path in
+the package.
 
 Zero-forcing needs the inverse of each estimate's Gram matrix, so the
 well-conditioned Gram batches it draws (the singularity rule, its cheap
@@ -58,7 +59,8 @@ def complex_normal(rng: np.random.Generator, variance, size) -> np.ndarray:
         raise ValueError("variance must be >= 0")
     z = rng.standard_normal(size=tuple(size) + (2,))
     z = z.view(np.complex128)[..., 0]
-    return z * np.sqrt(v / 2.0)
+    z *= np.sqrt(v / 2.0)                  # in place: no second array
+    return z
 
 
 def sample_estimates(profile: FadingProfile, rng: np.random.Generator,
@@ -73,19 +75,23 @@ def sample_estimates(profile: FadingProfile, rng: np.random.Generator,
 
 
 def sample_channel_batch(profile: FadingProfile, rng: np.random.Generator,
-                         n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batch of joint draws: (g_true, g_hat, g_err), each (n, antennas, users).
+                         n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Batch of joint draws: (g_hat, g_err), each (n, antennas, users).
 
     The estimate is drawn before the error, one block each, so a given
-    generator state always yields the same channels.
+    generator state always yields the same channels.  The true channel is
+    their sum, left to the caller.
     """
     _, alpha = expand_site_to_antennas(profile)
     err_var = _error_variance(profile)
     g_hat = complex_normal(rng, alpha, (n,) + alpha.shape)
     g_err = complex_normal(rng, err_var, (n,) + err_var.shape)
-    return g_hat + g_err, g_hat, g_err
+    return g_hat, g_err
 
 
+# channel entries per block of a blocked pass: 64k complex values (1 MB), so
+# a block's draws and the products formed from them stay within a 4 MiB L2
+BLOCK_ELEMENTS = 1 << 16
 # relative reciprocal-condition floor: a Gram matrix whose smallest singular
 # value is at most this fraction of its largest counts as singular
 RCOND_FLOOR = 1e-13
@@ -142,14 +148,58 @@ class GramBatch(NamedTuple):
     """One batch of draws whose estimate Gram matrices are all regular."""
 
     parts: tuple          # the draw's arrays; parts[0] holds the estimates
-    g_conj: np.ndarray    # conj(estimates), (b, antennas, users)
+    g_conj: np.ndarray | None   # conj(estimates) if formed whole, else None
     gram: np.ndarray      # estimates^T conj(estimates), (b, users, users)
     inv: np.ndarray       # gram^-1
     redrawn: int          # singular draws replaced so far, all batches
 
 
-def conditioned_grams(draw: Callable[[int], tuple],
-                      sizes: Iterable[int]) -> Iterator[GramBatch]:
+def _gram(g: np.ndarray, g_conj: np.ndarray) -> np.ndarray:
+    return g.transpose(0, 2, 1) @ g_conj
+
+
+def _regular_batch(draw, size: int, block: int | None, redrawn: int,
+                   budget: int, n: int) -> GramBatch:
+    parts = draw(size)
+    g = parts[0]
+    if block is None:
+        g_conj = g.conj()
+        gram = _gram(g, g_conj)
+    else:
+        g_conj = None
+        gram = np.empty((size,) + g.shape[2:] * 2, dtype=g.dtype)
+        for start in range(0, size, block):
+            sub = g[start:start + block]
+            gram[start:start + block] = _gram(sub, sub.conj())
+    inv, bad = invert_grams(gram)
+    while bad.any():
+        redrawn += int(bad.sum())
+        if redrawn > budget:
+            raise NumericalError(
+                f"more than {SINGULAR_FRACTION:.0%} of estimate draws "
+                f"gave singular Gram matrices ({redrawn} of {n} requested)")
+        idx = np.flatnonzero(bad)
+        fresh = draw(idx.size)
+        for part, new in zip(parts, fresh):
+            part[idx] = new
+        fresh_conj = fresh[0].conj()
+        if g_conj is not None:
+            g_conj[idx] = fresh_conj
+        gram[idx] = _gram(fresh[0], fresh_conj)
+        sub_inv, still = invert_grams(gram[idx])
+        if inv is not None and sub_inv is not None:
+            inv[idx] = sub_inv
+        else:
+            inv = None
+        bad = np.zeros_like(bad)
+        bad[idx[still]] = True
+    if inv is None:
+        inv = np.linalg.solve(gram, np.eye(gram.shape[-1]))
+    return GramBatch(parts, g_conj, gram, inv, redrawn)
+
+
+def conditioned_grams(draw: Callable[[int], tuple], sizes: Iterable[int],
+                      block: int | None = None) -> Iterator[GramBatch]:
     """Draw batches of the given sizes, redrawing singular estimates.
 
     ``draw(b)`` returns a tuple of arrays with ``b`` draws on axis 0, the
@@ -159,37 +209,18 @@ def conditioned_grams(draw: Callable[[int], tuple],
     the batches consume exactly the stream of one ``draw(sum(sizes))``.
     More than :data:`SINGULAR_FRACTION` of the requested draws redrawn
     raises :class:`NumericalError`.
+
+    With ``block`` set, each batch's Gram matrices are formed ``block``
+    draws at a time, so no conjugate copy of a whole batch is held, and
+    ``g_conj`` is None; the matrices are the same bits either way.  The
+    generator holds no reference to a batch while it draws the next one.
     """
     sizes = list(sizes)
     n = sum(sizes)
     budget = max(1, math.ceil(SINGULAR_FRACTION * n))
     redrawn = 0
     for size in sizes:
-        parts = draw(size)
-        g = parts[0]
-        g_conj = g.conj()
-        gram = g.transpose(0, 2, 1) @ g_conj
-        inv, bad = invert_grams(gram)
-        while bad.any():
-            redrawn += int(bad.sum())
-            if redrawn > budget:
-                raise NumericalError(
-                    f"more than {SINGULAR_FRACTION:.0%} of estimate draws "
-                    f"gave singular Gram matrices "
-                    f"({redrawn} of {n} requested)")
-            idx = np.flatnonzero(bad)
-            fresh = draw(idx.size)
-            for part, new in zip(parts, fresh):
-                part[idx] = new
-            g_conj[idx] = fresh[0].conj()
-            gram[idx] = fresh[0].transpose(0, 2, 1) @ g_conj[idx]
-            sub_inv, still = invert_grams(gram[idx])
-            if inv is not None and sub_inv is not None:
-                inv[idx] = sub_inv
-            else:
-                inv = None
-            bad = np.zeros_like(bad)
-            bad[idx[still]] = True
-        if inv is None:
-            inv = np.linalg.solve(gram, np.eye(gram.shape[-1]))
-        yield GramBatch(parts, g_conj, gram, inv, redrawn)
+        batch = _regular_batch(draw, size, block, redrawn, budget, n)
+        redrawn = batch.redrawn
+        yield batch
+        del batch

@@ -173,11 +173,11 @@ def _cmd_validate(args) -> int:
             cfg = dataclasses.replace(cfg, master_seed=args.seed)
     else:
         cfg = oracle.reference_config(args.seed if args.seed is not None else 0)
-    n = args.samples if args.samples else VALIDATE_SAMPLES
-    if args.quick:
-        n = max(1000, n // QUICK_FACTOR)
+    n = VALIDATE_SAMPLES if args.samples is None else args.samples
     if n < 2:
         raise ConfigError(f"validate needs at least 2 samples, got {n}")
+    if args.quick:
+        n = max(1000, n // QUICK_FACTOR)
     rows = oracle.validate_instance(cfg, n)
     print(oracle.rows_to_text(rows))
     if args.output:

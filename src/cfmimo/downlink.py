@@ -32,14 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NumericalError, batch_sizes, conditioned_grams, \
-    expand_site_to_antennas, sample_estimates
+from .channel import BLOCK_ELEMENTS, NumericalError, batch_sizes, \
+    conditioned_grams, expand_site_to_antennas, sample_estimates
 from .propagation import FadingProfile
 from .scenario import ConfigError, ScenarioConfig, derive_noise_power
-
-# estimate entries per block of the moment pass: 64k complex values (1 MB),
-# so a block's draws and precoders stay within a 4 MiB L2 cache
-_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -160,10 +156,10 @@ def zfp_moments(profile: FadingProfile, cfg: ScenarioConfig,
     expectation and no antenna exceeds it.  ``n_samples`` defaults to the
     config's ``chi_samples``.
 
-    The pass streams over blocks of about :data:`_BLOCK_ELEMENTS` estimate
-    entries, so each block's intermediates stay in cache.  The blocks draw
-    in turn from ``rng`` and together consume exactly the stream of one
-    ``n_samples`` batch; every draw's precoder is computed by the same
+    The pass streams over blocks of about :data:`channel.BLOCK_ELEMENTS`
+    estimate entries, so each block's intermediates stay in cache.  The
+    blocks draw in turn from ``rng`` and together consume exactly the stream
+    of one ``n_samples`` batch; every draw's precoder is computed by the same
     per-matrix products as in one batch, and the sums run draw by draw in
     draw order, so the result does not depend on the block size.  A draw
     whose Gram matrix is singular (see :func:`channel.invert_grams`) is
@@ -186,7 +182,7 @@ def zfp_moments(profile: FadingProfile, cfg: ScenarioConfig,
     load_sq_sum = np.zeros(m)
     resampled = 0
 
-    sizes = batch_sizes(n, max(1, _BLOCK_ELEMENTS // (m * k)))
+    sizes = batch_sizes(n, max(1, BLOCK_ELEMENTS // (m * k)))
 
     def draw(b):
         return (sample_estimates(profile, rng, b),)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import downlink, uplink
-from .channel import batch_sizes, complex_normal, conditioned_grams, \
-    expand_site_to_antennas, sample_channel_batch
+from .channel import BLOCK_ELEMENTS, batch_sizes, complex_normal, \
+    conditioned_grams, expand_site_to_antennas, sample_channel_batch
 from .propagation import FadingProfile, fading_profile, place_topology
 from .scenario import ConfigError, ScenarioConfig, derive_noise_power, \
     drop_seed
@@ -37,7 +37,11 @@ SINR_TOL = 0.03
 ZFP_SINR_TOL = 0.05
 ZFP_IUI_ABS_TOL = 1e-9
 
-# channel entries per oracle chunk: 4M complex values, 64 MB per array
+# channel entries per oracle chunk: 4M complex values, 64 MB per array.  A
+# chunk draws all its estimates, then all its errors, then its symbols and
+# noise, so this size fixes the draw order, and with it every bit of the
+# report; it does not set the working set, since the arithmetic on a chunk
+# runs in blocks of channel.BLOCK_ELEMENTS entries
 _CHUNK_ELEMENTS = 4_000_000
 
 
@@ -77,6 +81,17 @@ def _chunk_sizes(n: int, m: int, k: int) -> list[int]:
     return batch_sizes(n, max(1, _CHUNK_ELEMENTS // max(1, m * k)))
 
 
+def _block_draws(m: int, k: int) -> int:
+    return max(1, BLOCK_ELEMENTS // max(1, m * k))
+
+
+def _blocks(chunk: int, m: int, k: int) -> list[slice]:
+    # one chunk's draws in blocks of about BLOCK_ELEMENTS channel entries;
+    # per-draw results are the same bits whatever the block
+    per = _block_draws(m, k)
+    return [slice(start, start + per) for start in range(0, chunk, per)]
+
+
 def _accumulate(terms: dict, sums: dict, sq_sums: dict, cross: dict):
     labels = list(terms)
     for a in labels:
@@ -87,6 +102,23 @@ def _accumulate(terms: dict, sums: dict, sq_sums: dict, cross: dict):
     for i, a in enumerate(labels):
         for b in labels[i + 1:]:
             cross[f"{a}/{b}"] += complex((terms[a] * terms[b].conj()).sum())
+
+
+def _term_estimate(labels, chunk_terms, chunks: list[int],
+                   n: int) -> TermEstimate:
+    # chunk_terms(c) draws a chunk of c draws and returns its per-draw parts;
+    # the sums are taken once per chunk, in draw order
+    sums = dict.fromkeys(labels, 0.0)
+    sq_sums = dict.fromkeys(labels, 0.0)
+    cross = {f"{a}/{b}": 0j for i, a in enumerate(labels)
+             for b in labels[i + 1:]}
+    resid_sq = 0.0
+    for chunk in chunks:
+        terms = chunk_terms(chunk)
+        combined = sum(terms[t] for t in labels if t != "desired")
+        resid_sq += float((combined.real ** 2 + combined.imag ** 2).sum())
+        _accumulate(terms, sums, sq_sums, cross)
+    return _finish(sums, sq_sums, cross, resid_sq, n)
 
 
 def _finish(sums, sq_sums, cross, resid_sq, n) -> TermEstimate:
@@ -117,6 +149,10 @@ def simulate_uplink_terms(profile: FadingProfile,
     the combined sample is split exactly as the closed-form derivation
     splits it.  The parts sum to the combiner output by construction, which
     the batch asserts on every draw.
+
+    Draws come in chunks of :data:`_CHUNK_ELEMENTS` channel entries, which
+    fix the random stream; each chunk's per-draw parts are worked out in
+    cache-sized blocks, and the true channel is formed one block at a time.
     """
     if not 0 <= k < profile.num_users:
         raise ConfigError(f"user index {k} out of range")
@@ -133,37 +169,42 @@ def simulate_uplink_terms(profile: FadingProfile,
     amp = np.sqrt(p_u * eta_vec)
     others = np.delete(np.arange(n_users), k)
 
-    sums = {t: 0.0 for t in UPLINK_TERMS}
-    sq_sums = {t: 0.0 for t in UPLINK_TERMS}
-    cross = {f"{a}/{b}": 0j for i, a in enumerate(UPLINK_TERMS)
-             for b in UPLINK_TERMS[i + 1:]}
-    resid_sq = 0.0
-
-    for chunk in _chunk_sizes(n_samples, m, n_users):
-        g_true, g_hat, g_err = sample_channel_batch(profile, rng, chunk)
+    def chunk_terms(chunk):
+        # only chunk-length per-draw vectors outlive this call
+        g_hat, g_err = sample_channel_batch(profile, rng, chunk)
         x = complex_normal(rng, 1.0, (chunk, n_users))
         w = complex_normal(rng, sigma_n2, (chunk, m))
-        comb = g_hat[:, :, k].conj()                       # (chunk, antennas)
-        gain = (comb * g_hat[:, :, k]).sum(axis=1).real    # |g_hat_k|^2
-        proj = np.einsum("cm,cmi->ci", comb, g_true)
-        terms = {
+        gain = np.empty(chunk)
+        err_k = np.empty(chunk, dtype=complex)
+        noise = np.empty(chunk, dtype=complex)
+        proj = np.empty((chunk, n_users), dtype=complex)
+        for sl in _blocks(chunk, m, n_users):
+            hat = g_hat[sl]
+            comb = hat[:, :, k].conj()                     # (block, antennas)
+            gain[sl] = (comb * hat[:, :, k]).sum(axis=1).real  # |g_hat_k|^2
+            proj[sl] = np.einsum("cm,cmi->ci", comb, hat + g_err[sl])
+            err_k[sl] = (comb * g_err[sl, :, k]).sum(axis=1)
+            noise[sl] = (comb * w[sl]).sum(axis=1)
+        return {
             "desired": scale_k * a_k * x[:, k],
             "uncertainty": scale_k * (gain - a_k) * x[:, k],
-            "est_error": scale_k * (comb * g_err[:, :, k]).sum(axis=1) * x[:, k],
+            "est_error": scale_k * err_k * x[:, k],
             "inter_user": (amp[others] * proj[:, others] * x[:, others]).sum(axis=1),
-            "noise": (comb * w).sum(axis=1),
+            "noise": noise,
         }
-        combined = sum(terms[t] for t in UPLINK_TERMS if t != "desired")
-        resid_sq += float((combined.real ** 2 + combined.imag ** 2).sum())
-        _accumulate(terms, sums, sq_sums, cross)
 
-    return _finish(sums, sq_sums, cross, resid_sq, n_samples)
+    return _term_estimate(UPLINK_TERMS, chunk_terms,
+                          _chunk_sizes(n_samples, m, n_users), n_samples)
 
 
 def simulate_downlink_cbf(profile: FadingProfile, pc: downlink.CbfPowerControl,
                           k: int, cfg: ScenarioConfig, n_samples: int,
                           rng: np.random.Generator) -> TermEstimate:
-    """Brute-force the CBF downlink parts for user ``k``."""
+    """Brute-force the CBF downlink parts for user ``k``.
+
+    Chunked and blocked like :func:`simulate_uplink_terms`; only user k's
+    column of the true channel is formed.
+    """
     if not 0 <= k < profile.num_users:
         raise ConfigError(f"user index {k} out of range")
     _, alpha_mk = expand_site_to_antennas(profile)
@@ -176,33 +217,36 @@ def simulate_downlink_cbf(profile: FadingProfile, pc: downlink.CbfPowerControl,
     coherent = float((sqrt_eta_m * alpha_mk[:, k]).sum())
     others = np.delete(np.arange(n_users), k)
 
-    sums = {t: 0.0 for t in CBF_TERMS}
-    sq_sums = {t: 0.0 for t in CBF_TERMS}
-    cross = {f"{a}/{b}": 0j for i, a in enumerate(CBF_TERMS)
-             for b in CBF_TERMS[i + 1:]}
-    resid_sq = 0.0
-
-    for chunk in _chunk_sizes(n_samples, m, n_users):
-        g_true, g_hat, g_err = sample_channel_batch(profile, rng, chunk)
+    def chunk_terms(chunk):
+        # only chunk-length per-draw vectors outlive this call
+        g_hat, g_err = sample_channel_batch(profile, rng, chunk)
         u = complex_normal(rng, 1.0, (chunk, n_users))
         w = complex_normal(rng, sigma_n2, (chunk,))
-        hat_k = g_hat[:, :, k]
-        gain = ((hat_k.real ** 2 + hat_k.imag ** 2) * sqrt_eta_m).sum(axis=1)
-        weighted = g_hat.conj() * sqrt_eta_m[None, :, None]
-        proj = np.einsum("cm,cmi->ci", g_true[:, :, k], weighted)
-        terms = {
+        gain = np.empty(chunk)
+        err_k = np.empty(chunk, dtype=complex)
+        proj = np.empty((chunk, n_users), dtype=complex)
+        for sl in _blocks(chunk, m, n_users):
+            hat = g_hat[sl]
+            hat_k = hat[:, :, k]
+            gain[sl] = ((hat_k.real ** 2 + hat_k.imag ** 2)
+                        * sqrt_eta_m).sum(axis=1)
+            weighted = hat.conj() * sqrt_eta_m[None, :, None]
+            true_k = hat_k + g_err[sl, :, k]
+            proj[sl] = np.einsum("cm,cmi->ci", true_k, weighted)
+            # conj(g_hat) * g_err, in this operand order: a complex
+            # product's rounding depends on it under fused multiply-add
+            err_k[sl] = (hat_k.conj() * g_err[sl, :, k]
+                         * sqrt_eta_m).sum(axis=1)
+        return {
             "desired": sp * coherent * u[:, k],
             "uncertainty": sp * (gain - coherent) * u[:, k],
-            "est_error": sp * (g_err[:, :, k] * hat_k.conj()
-                               * sqrt_eta_m).sum(axis=1) * u[:, k],
+            "est_error": sp * err_k * u[:, k],
             "inter_user": sp * (proj[:, others] * u[:, others]).sum(axis=1),
             "noise": w,
         }
-        combined = sum(terms[t] for t in CBF_TERMS if t != "desired")
-        resid_sq += float((combined.real ** 2 + combined.imag ** 2).sum())
-        _accumulate(terms, sums, sq_sums, cross)
 
-    return _finish(sums, sq_sums, cross, resid_sq, n_samples)
+    return _term_estimate(CBF_TERMS, chunk_terms,
+                          _chunk_sizes(n_samples, m, n_users), n_samples)
 
 
 def simulate_downlink_zfp(profile: FadingProfile, eta_common: float, k: int,
@@ -215,6 +259,9 @@ def simulate_downlink_zfp(profile: FadingProfile, eta_common: float, k: int,
     pseudo-inverse; ``max_est_iui`` reports the worst off-diagonal of the
     estimated-channel response as a numerical audit.  Singular estimate
     draws are redrawn like the moment estimators do.
+
+    Chunked and blocked like :func:`simulate_uplink_terms`; the precoder
+    exists one block at a time and the true channel is never formed.
     """
     if not 0 <= k < profile.num_users:
         raise ConfigError(f"user index {k} out of range")
@@ -239,25 +286,35 @@ def simulate_downlink_zfp(profile: FadingProfile, eta_common: float, k: int,
     resampled = 0
 
     def draw(b):
-        return sample_channel_batch(profile, rng, b)[1:]   # (g_hat, g_err)
+        return sample_channel_batch(profile, rng, b)
 
-    for batch in conditioned_grams(draw, _chunk_sizes(n_samples, m, n_users)):
+    def chunk_draws(batch):
+        # only chunk-length per-draw vectors outlive this call
         (g_hat, g_err), gram, inv = batch.parts, batch.gram, batch.inv
         chunk = len(gram)
-        resampled = batch.redrawn
-        w_mat = batch.g_conj @ inv                     # unscaled precoder
         u = complex_normal(rng, 1.0, (chunk, n_users))
         w_noise = complex_normal(rng, sigma_n2, (chunk,))
+        leak = np.empty((chunk, n_users), dtype=complex)
+        iui = np.empty(chunk)
+        for sl in _blocks(chunk, m, n_users):
+            w_mat = g_hat[sl].conj() @ inv[sl]         # unscaled precoder
+            leak[sl] = np.einsum("cm,cmi->ci", g_err[sl, :, k], w_mat)
+            response = gram[sl] @ inv[sl] - eye        # estimated-channel IUI
+            iui[sl] = np.abs(response).max(axis=(1, 2))
+        desired = sqrt_pe * u[:, k]
+        resid = math.sqrt(p_d) * math.sqrt(eta_common) \
+            * (leak * u).sum(axis=1)
+        return desired, resid, w_noise, float(iui.max())
 
-        response = gram @ inv - eye                    # estimated-channel IUI
-        this_max = float(np.abs(response).max()) * math.sqrt(eta_common)
+    sizes = _chunk_sizes(n_samples, m, n_users)
+    for batch in conditioned_grams(draw, sizes, _block_draws(m, n_users)):
+        resampled = batch.redrawn
+        desired, resid, w_noise, iui = chunk_draws(batch)
+        del batch                 # let the chunk go before the next is drawn
+        this_max = iui * math.sqrt(eta_common)
         if this_max > max_iui:
             max_iui = this_max
 
-        desired = sqrt_pe * u[:, k]
-        leak = np.einsum("cm,cmi->ci", g_err[:, :, k], w_mat)
-        resid = math.sqrt(p_d) * math.sqrt(eta_common) \
-            * (leak * u).sum(axis=1)
         dp = desired.real ** 2 + desired.imag ** 2
         rp = resid.real ** 2 + resid.imag ** 2
         wp = w_noise.real ** 2 + w_noise.imag ** 2

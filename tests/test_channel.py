@@ -36,10 +36,13 @@ def test_expand_replicates_site_rows_in_order():
 
 def test_sample_decomposition_is_exact():
     profile = make_profile(np.full((4, 3), 2.0), np.full((4, 3), 1.5), n_t=2)
-    g_true, g_hat, g_err = sample_channel_batch(
-        profile, np.random.default_rng(0), 5)
-    assert g_true.shape == g_hat.shape == g_err.shape == (5, 8, 3)
-    assert np.array_equal(g_true, g_hat + g_err)
+    g_hat, g_err = sample_channel_batch(profile, np.random.default_rng(0), 5)
+    assert g_hat.shape == g_err.shape == (5, 8, 3)
+    # the estimate is drawn first, one block each, from CN(0, alpha) and
+    # CN(0, beta - alpha): the true channel g_hat + g_err has variance beta
+    rng = np.random.default_rng(0)
+    assert np.array_equal(g_hat, complex_normal(rng, 1.5, (5, 8, 3)))
+    assert np.array_equal(g_err, complex_normal(rng, 0.5, (5, 8, 3)))
 
 
 def test_sample_reproducible():
@@ -53,10 +56,9 @@ def test_sample_reproducible():
 def test_perfect_estimates_leave_no_error():
     beta = np.array([[1.0, 2.0]] * 4)
     profile = make_profile(beta, beta, n_t=1)
-    g_true, g_hat, g_err = sample_channel_batch(
-        profile, np.random.default_rng(1), 3)
+    g_hat, g_err = sample_channel_batch(profile, np.random.default_rng(1), 3)
     assert np.abs(g_err).max() == 0.0
-    assert np.array_equal(g_true, g_hat)
+    assert np.array_equal(g_hat + g_err, g_hat)
 
 
 def test_moments_match_profile():
@@ -64,8 +66,8 @@ def test_moments_match_profile():
     beta = np.array([[3.0, 0.8], [1.5, 2.0]])
     alpha = np.array([[2.0, 0.5], [1.0, 1.2]])
     profile = make_profile(beta, alpha, n_t=2)
-    g_true, g_hat, g_err = sample_channel_batch(
-        profile, np.random.default_rng(9), n)
+    g_hat, g_err = sample_channel_batch(profile, np.random.default_rng(9), n)
+    g_true = g_hat + g_err
     beta_mk, alpha_mk = expand_site_to_antennas(profile)
     assert np.allclose((np.abs(g_hat) ** 2).mean(axis=0), alpha_mk, rtol=0.02)
     assert np.allclose((np.abs(g_true) ** 2).mean(axis=0), beta_mk, rtol=0.02)
@@ -79,8 +81,7 @@ def test_moments_match_profile():
 def test_estimate_and_error_uncorrelated():
     n = 100_000
     profile = make_profile([[2.0]], [[0.7]], n_t=1)
-    _, g_hat, g_err = sample_channel_batch(profile,
-                                           np.random.default_rng(3), n)
+    g_hat, g_err = sample_channel_batch(profile, np.random.default_rng(3), n)
     cross = (g_hat[:, 0, 0] * g_err[:, 0, 0].conj()).mean()
     norm = np.sqrt((np.abs(g_hat) ** 2).mean() * (np.abs(g_err) ** 2).mean())
     assert abs(cross) / norm < 0.01
@@ -211,3 +212,28 @@ def test_conditioned_grams_redraw_every_part_and_respect_the_budget():
     with pytest.raises(NumericalError) as err:
         list(conditioned_grams(singular, [50, 50]))
     assert "more than 1%" in str(err.value)
+
+
+def test_conditioned_grams_in_blocks_form_the_same_batches():
+    # Grams formed two draws at a time, a redraw included, are the same bits
+    def batches(block):
+        rng = np.random.default_rng(11)
+        calls = []
+
+        def draw(b):
+            g = complex_normal(rng, 1.0, (b, 6, 2))
+            if not calls:
+                g[4] = 0.0                 # one singular draw in batch 0
+            calls.append(b)
+            return g, np.arange(b) + 100 * len(calls)
+
+        return list(conditioned_grams(draw, [9, 9, 5], block))
+
+    for whole, blocked in zip(batches(None), batches(2)):
+        assert np.array_equal(whole.g_conj, whole.parts[0].conj())
+        assert blocked.g_conj is None
+        for a, b in zip(whole.parts, blocked.parts):
+            assert np.array_equal(a, b)
+        assert np.array_equal(whole.gram, blocked.gram)
+        assert np.array_equal(whole.inv, blocked.inv)
+        assert whole.redrawn == blocked.redrawn == 1

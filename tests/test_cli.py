@@ -152,6 +152,13 @@ def test_validate_custom_samples(capsys):
     assert "4000" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("quick", [[], ["--quick"]])
+def test_validate_rejects_zero_samples(capsys, quick):
+    # an explicit 0 is a request, not "use the default"
+    assert main(["validate", "--samples", "0"] + quick) == 1
+    assert "at least 2 samples, got 0" in capsys.readouterr().err
+
+
 def test_validate_takes_zf_draws_from_the_config(tmp_path, capsys):
     # the ZF closed form's moment draws come from the config's chi_samples
     closed = {}

@@ -250,7 +250,7 @@ def test_moment_estimation_needs_enough_antennas():
 # --- the block pass --------------------------------------------------------
 
 def block_draws(m, k):
-    return downlink._BLOCK_ELEMENTS // (m * k)
+    return downlink.BLOCK_ELEMENTS // (m * k)
 
 
 def test_zfp_moments_match_per_draw_pseudo_inverse():

@@ -1,11 +1,13 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cfmimo import downlink, uplink
-from cfmimo.oracle import (CBF_TERMS, UPLINK_TERMS, reference_config,
-                           rows_to_csv, rows_to_text, simulate_downlink_cbf,
+from cfmimo import downlink, oracle, uplink
+from cfmimo.oracle import (CBF_TERMS, REFERENCE_SAMPLES, UPLINK_TERMS,
+                           reference_config, rows_to_csv, rows_to_text,
+                           simulate_downlink_cbf,
                            simulate_downlink_zfp, simulate_uplink_terms,
                            validate_instance)
 from cfmimo.propagation import FadingProfile, fading_profile, place_topology
@@ -176,3 +178,74 @@ def test_validation_report_passes_and_serializes(tmp_path):
     assert lines[0] == ("term,closed_form,empirical,rel_error,tolerance,"
                        "samples,passed")
     assert len(lines) == 1 + len(rows)
+
+
+# --- chunks, blocks and memory ----------------------------------------------
+
+PASSES = ("uplink", "cbf", "zfp")
+# any common ZF scale: these tests look at memory and bits, not at the SINR
+ZF_ETA = 3e10
+# with 1700 samples: chunks of 700, 700 and 300 draws
+CHUNK_DRAWS = 700
+N_CHUNKED = 1700
+
+
+def run_pass(which, cfg, profile, n, rng):
+    if which == "uplink":
+        eta = uplink.UplinkPowerControl.full_power(cfg.num_users)
+        return simulate_uplink_terms(profile, eta, 0, cfg, n, rng)
+    if which == "cbf":
+        return simulate_downlink_cbf(profile, downlink.cbf_power(profile), 0,
+                                     cfg, n, rng)
+    return simulate_downlink_zfp(profile, ZF_ETA, 0, cfg, n, rng)
+
+
+@pytest.mark.parametrize("which", PASSES)
+def test_oracle_pass_holds_about_one_chunk_of_channels(which):
+    # 100k reference samples are four chunks of 25 000 draws; one chunk's
+    # estimates and errors take 128 MB, and the pass may add half of that
+    cfg, profile, rng = reference_profile(0)
+    entries = cfg.total_antennas * cfg.num_users
+    chunk_bytes = 2 * 16 * (oracle._CHUNK_ELEMENTS // entries) * entries
+    tracemalloc.start()
+    try:
+        run_pass(which, cfg, profile, REFERENCE_SAMPLES, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * chunk_bytes, f"{peak / 1e6:.0f} MB"
+
+
+@pytest.mark.parametrize("which", PASSES)
+def test_blocks_do_not_change_a_bit(monkeypatch, which):
+    # the default blocks, blocks of a few draws and of one draw, and one
+    # block per chunk (no blocking) give the same estimate, bit for bit
+    cfg, profile, _ = reference_profile(11)
+    entries = cfg.total_antennas * cfg.num_users
+    monkeypatch.setattr(oracle, "_CHUNK_ELEMENTS", CHUNK_DRAWS * entries)
+    seen = set()
+    for draws in (None, 3, 1, CHUNK_DRAWS):
+        if draws is not None:
+            monkeypatch.setattr(oracle, "BLOCK_ELEMENTS", draws * entries)
+        est = run_pass(which, cfg, profile, N_CHUNKED,
+                       np.random.default_rng(5))
+        seen.add(repr(est))            # repr tells every float bit apart
+    assert len(seen) == 1
+
+
+@pytest.mark.parametrize("which", PASSES)
+def test_passes_draw_exactly_their_chunk_plan(monkeypatch, which):
+    # estimates, errors, symbols, noise: chunk by chunk, nothing else
+    cfg, profile, _ = reference_profile(12)
+    m, k = cfg.total_antennas, cfg.num_users
+    monkeypatch.setattr(oracle, "_CHUNK_ELEMENTS", CHUNK_DRAWS * m * k)
+    monkeypatch.setattr(oracle, "BLOCK_ELEMENTS", 64 * m * k)
+    rng = np.random.default_rng(6)
+    run_pass(which, cfg, profile, N_CHUNKED, rng)
+    direct = np.random.default_rng(6)
+    for c in (CHUNK_DRAWS, CHUNK_DRAWS, N_CHUNKED - 2 * CHUNK_DRAWS):
+        direct.standard_normal((c, m, k, 2))
+        direct.standard_normal((c, m, k, 2))
+        direct.standard_normal((c, k, 2))
+        direct.standard_normal((c, m, 2) if which == "uplink" else (c, 2))
+    assert rng.bit_generator.state == direct.bit_generator.state
