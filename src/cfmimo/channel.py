@@ -9,8 +9,11 @@ alpha); the true channel is the law they satisfy,
     g_true = g_hat + g_err,
 
 which a caller forms only where it needs it.  That joint construction is
-what the closed forms downstream assume, so it is the only sampling path in
-the package.
+what the closed forms downstream assume, and the link-level oracle draws it
+whole.  The zero-forcing moment pass reads the estimates only through each
+site's Gram matrix, so :func:`sample_estimates` draws rows with that Gram's
+law: the antennas themselves, or each site's Bartlett factor when a site
+has at least as many antennas as there are users.
 
 Zero-forcing needs the inverse of each estimate's Gram matrix, so the
 well-conditioned Gram batches it draws (the singularity rule, its cheap
@@ -48,30 +51,89 @@ def _error_variance(profile: FadingProfile) -> np.ndarray:
     return np.maximum(err, 0.0)
 
 
-def complex_normal(rng: np.random.Generator, variance, size) -> np.ndarray:
+def complex_normal(rng: np.random.Generator, variance, size,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """CN(0, variance) draws of the given shape.
 
     ``variance`` broadcasts against ``size``; real and imaginary parts each
-    carry half of it.
+    carry half of it.  ``out``, a C-contiguous complex array of shape
+    ``size``, receives the draws in place of a new array, the same bits.
     """
     v = np.asarray(variance, dtype=float)
     if (v < 0).any():
         raise ValueError("variance must be >= 0")
-    z = rng.standard_normal(size=tuple(size) + (2,))
-    z = z.view(np.complex128)[..., 0]
+    if out is None:
+        z = rng.standard_normal(size=tuple(size) + (2,))
+        z = z.view(np.complex128)[..., 0]
+    else:
+        rng.standard_normal(out=out.view(float).reshape(tuple(size) + (2,)))
+        z = out
     z *= np.sqrt(v / 2.0)                  # in place: no second array
     return z
 
 
-def sample_estimates(profile: FadingProfile, rng: np.random.Generator,
-                     n: int) -> np.ndarray:
-    """Batch of channel-estimate matrices, (n, antennas, users).
+def bartlett_diagonal(profile: FadingProfile, rng: np.random.Generator,
+                      n: int) -> np.ndarray:
+    """Diagonals of ``n`` draws of every site's Bartlett factor, (n, sites, users).
 
-    Cheaper than full joint draws when only the estimate statistics matter
-    (precoder moments); uses the same variance expansion as the joint path.
+    Entry j is sqrt(Gamma(n_t - j, 1)), the j-th diagonal entry of the
+    lower-triangular factor L of a complex Wishart W_K(n_t, I) = L L^H.
+    Needs n_t >= users.
     """
-    _, alpha = expand_site_to_antennas(profile)
-    return complex_normal(rng, alpha, (n,) + alpha.shape)
+    n_t, k = profile.antennas_per_site, profile.num_users
+    if n_t < k:
+        raise ValueError(f"a Bartlett factor needs n_t >= users, got "
+                         f"n_t={n_t} for {k} users")
+    shape = n_t - np.arange(k, dtype=float)
+    return np.sqrt(rng.standard_gamma(shape, size=(n, profile.num_sites, k)))
+
+
+def sample_estimates(profile: FadingProfile, rng: np.random.Generator,
+                     n: int, diagonal: np.ndarray | None = None,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Batch of estimate rows whose site Grams have the estimates' law.
+
+    Returns (n, sites * r, users) with r = min(n_t, users); rows
+    ``q * r`` to ``q * r + r - 1`` belong to site q.  Zero-forcing moments
+    depend on a draw only through the site Grams S_q = F_q^T conj(F_q) of
+    these rows, and each S_q has the law of site q's estimate Gram
+    G_q^T conj(G_q), with G_q the n_t x users estimates of its antennas:
+
+    * n_t < users: F_q = G_q, the antenna-level estimates themselves, each
+      entry CN(0, alpha_qk), drawn as one ``complex_normal`` block.
+    * n_t >= users: F_q = L_q^T D_q^(1/2), the users x users Bartlett
+      factor, with D_q = diag(alpha_q.) and L_q lower-triangular: L_jj =
+      sqrt(Gamma(n_t - j, 1)) and L_ij ~ CN(0, 1) for i > j.  So the rows
+      of F_q are not antennas.  The diagonals of all n draws come first in
+      the stream (:func:`bartlett_diagonal`, unless ``diagonal`` passes
+      them in), then the strictly triangular entries, draw by draw, so a
+      batch split into blocks that share one up-front ``diagonal`` draws
+      the same bits.
+
+    ``out``, a C-contiguous complex array of the result's shape, receives
+    the rows in place of a new array.
+    """
+    n_t, k = profile.antennas_per_site, profile.num_users
+    if n_t < k:
+        if diagonal is not None:
+            raise ValueError("antenna-level estimates take no diagonal")
+        _, alpha = expand_site_to_antennas(profile)
+        return complex_normal(rng, alpha, (n,) + alpha.shape, out)
+    if diagonal is None:
+        diagonal = bartlett_diagonal(profile, rng, n)
+    q = profile.num_sites
+    row, col = np.triu_indices(k, 1)
+    strict = complex_normal(rng, profile.alpha[:, col], (n, q, row.size))
+    if out is None:
+        out = np.empty((n, q * k, k), dtype=complex)
+    out.fill(0.0)
+    f = out.reshape(n, q, k, k)
+    start = 0
+    for a in range(k - 1):                 # row a: columns a + 1 to k - 1
+        f[:, :, a, a + 1:] = strict[:, :, start:start + k - 1 - a]
+        start += k - 1 - a
+    f.reshape(n, q, k * k)[:, :, ::k + 1] = diagonal * np.sqrt(profile.alpha)
+    return out
 
 
 def sample_channel_batch(profile: FadingProfile, rng: np.random.Generator,
@@ -158,13 +220,17 @@ def _gram(g: np.ndarray, g_conj: np.ndarray) -> np.ndarray:
     return g.transpose(0, 2, 1) @ g_conj
 
 
-def _regular_batch(draw, size: int, block: int | None, redrawn: int,
-                   budget: int, n: int) -> GramBatch:
+def _regular_batch(draw, redraw, size: int, block: int | None, redrawn: int,
+                   budget: int, n: int, buffers: dict) -> GramBatch:
     parts = draw(size)
     g = parts[0]
     if block is None:
-        g_conj = g.conj()
-        gram = _gram(g, g_conj)
+        if len(buffers.get("gram", ())) < size:
+            buffers["g_conj"] = np.empty_like(g)
+            buffers["gram"] = np.empty((size,) + g.shape[2:] * 2, g.dtype)
+        g_conj = np.conjugate(g, out=buffers["g_conj"][:size])
+        gram = np.matmul(g.transpose(0, 2, 1), g_conj,
+                         out=buffers["gram"][:size])
     else:
         g_conj = None
         gram = np.empty((size,) + g.shape[2:] * 2, dtype=g.dtype)
@@ -179,7 +245,7 @@ def _regular_batch(draw, size: int, block: int | None, redrawn: int,
                 f"more than {SINGULAR_FRACTION:.0%} of estimate draws "
                 f"gave singular Gram matrices ({redrawn} of {n} requested)")
         idx = np.flatnonzero(bad)
-        fresh = draw(idx.size)
+        fresh = redraw(idx.size)
         for part, new in zip(parts, fresh):
             part[idx] = new
         fresh_conj = fresh[0].conj()
@@ -199,28 +265,35 @@ def _regular_batch(draw, size: int, block: int | None, redrawn: int,
 
 
 def conditioned_grams(draw: Callable[[int], tuple], sizes: Iterable[int],
-                      block: int | None = None) -> Iterator[GramBatch]:
+                      block: int | None = None,
+                      redraw: Callable[[int], tuple] | None = None
+                      ) -> Iterator[GramBatch]:
     """Draw batches of the given sizes, redrawing singular estimates.
 
     ``draw(b)`` returns a tuple of arrays with ``b`` draws on axis 0, the
-    channel estimates (b, antennas, users) first.  A draw whose Gram matrix
+    channel estimates (b, rows, users) first.  A draw whose Gram matrix
     :func:`invert_grams` flags is replaced, in every part, by a fresh draw
-    from the same ``draw`` before the batch is yielded, so without redraws
-    the batches consume exactly the stream of one ``draw(sum(sizes))``.
+    from ``redraw`` (by default ``draw``) before the batch is yielded, so
+    without redraws the batches consume exactly the stream of one
+    ``draw(sum(sizes))``.
     More than :data:`SINGULAR_FRACTION` of the requested draws redrawn
     raises :class:`NumericalError`.
 
     With ``block`` set, each batch's Gram matrices are formed ``block``
     draws at a time, so no conjugate copy of a whole batch is held, and
-    ``g_conj`` is None; the matrices are the same bits either way.  The
+    ``g_conj`` is None; the matrices are the same bits either way, and the
     generator holds no reference to a batch while it draws the next one.
+    Without it, ``g_conj`` and ``gram`` live in buffers that the next
+    batch overwrites, so no fresh pages are faulted in per batch.
     """
     sizes = list(sizes)
     n = sum(sizes)
     budget = max(1, math.ceil(SINGULAR_FRACTION * n))
     redrawn = 0
+    buffers: dict = {}
     for size in sizes:
-        batch = _regular_batch(draw, size, block, redrawn, budget, n)
+        batch = _regular_batch(draw, redraw or draw, size, block, redrawn,
+                               budget, n, buffers)
         redrawn = batch.redrawn
         yield batch
         del batch

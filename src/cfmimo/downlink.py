@@ -10,7 +10,7 @@ power budget exactly in expectation, and the per-user SINR is
 
 Zero-forcing (ZFP) inverts the estimated channel, so its interference
 statistics depend on the inverse Gram matrix and have no closed form.  The
-two second moments the SINR needs, the per-antenna precoder load and the
+two second moments the SINR needs, the per-site precoder load and the
 estimation-error leakage through the pseudo-inverse, are estimated by
 Monte-Carlo over channel estimates; with those numbers the SINR for user k
 under a common power scale eta is
@@ -19,6 +19,20 @@ under a common power scale eta is
 
 where chi[k, i] is the mean leaked power of user k's estimation error into
 the stream of user i.
+
+Both moments depend on a draw only through the site Gram matrices.  With
+G_q the n_t x K estimates of site q, S_q = G_q^T conj(G_q), A = sum_q S_q
+and X = A^-1, the precoder is W = conj(G) X, site q's load of stream i is
+sum_{m in q} |W_mi|^2 = [X^H S_q X]_ii, and
+
+    chi[k, i] = E sum_q (beta_qk - alpha_qk) [X^H S_q X]_ii.
+
+So any rows F_q whose Gram F_q^T conj(F_q) has the law of S_q give moments
+of the same law.  For n_t >= K each site draws the K rows of its Bartlett
+factor (K^2 reals instead of 2 n_t K); below that, its antennas.  The
+common scale is eta = 1 / max_q (E[site load of q] / n_t): antennas of one
+site share one expected load, so pooling them first avoids the upward bias
+of a maximum over M noisy per-antenna loads.
 
 The Monte-Carlo pass runs in cache-sized blocks of estimate draws that
 together consume the generator's stream exactly as one batch of all draws
@@ -32,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BLOCK_ELEMENTS, NumericalError, batch_sizes, \
-    conditioned_grams, expand_site_to_antennas, sample_estimates
+from .channel import BLOCK_ELEMENTS, NumericalError, bartlett_diagonal, \
+    batch_sizes, conditioned_grams, expand_site_to_antennas, sample_estimates
 from .propagation import FadingProfile
 from .scenario import ConfigError, ScenarioConfig, derive_noise_power
 
@@ -49,9 +63,10 @@ class CbfPowerControl:
 class ZfpPowerControl:
     """Common ZFP power scale with the audit trail of its estimation.
 
-    ``antenna_load`` is the estimated mean precoder energy per antenna
-    (summed over users) that the scale was normalized against, with its
-    per-antenna standard error in ``load_stderr``.
+    ``antenna_load`` (antennas,) is the estimated mean precoder energy per
+    antenna (summed over users) that the scale was normalized against:
+    each antenna holds its site's pooled load over n_t.  ``load_stderr``
+    is the standard error of that per-draw site mean.
     """
 
     eta_common: float
@@ -59,6 +74,12 @@ class ZfpPowerControl:
     load_stderr: np.ndarray
     n_samples: int
     n_resampled: int
+
+    @property
+    def peak_load_rel_se(self) -> float:
+        """Relative standard error of the peak load, which sets the scale."""
+        hot = int(np.argmax(self.antenna_load))
+        return float(self.load_stderr[hot] / self.antenna_load[hot])
 
 
 @dataclass(frozen=True)
@@ -147,65 +168,92 @@ def zfp_moments(profile: FadingProfile, cfg: ScenarioConfig,
                 n_samples: int | None = None) -> tuple[ChiMatrix, ZfpPowerControl]:
     """Both ZFP moment estimates from one Monte-Carlo pass over estimate draws.
 
-    ``chi[k, i]`` is the mean of ``sum_m (beta_mk - alpha_mk) |W_mi|^2``
-    over estimate draws, with W the unscaled pseudo-inverse precoder: the
-    power of user k's estimation error leaking into stream i.  Perfect
-    estimates give an exactly zero matrix.  The common power scale
-    normalizes against the most loaded antenna, eta = 1 / max_m sum_i
-    E|W_mi|^2, so that antenna radiates its per-antenna budget exactly in
-    expectation and no antenna exceeds it.  ``n_samples`` defaults to the
-    config's ``chi_samples``.
+    ``chi[k, i]`` is the mean over draws of sum_q (beta_qk - alpha_qk)
+    [X^H S_q X]_ii, site q's load of stream i weighted by user k's
+    estimation-error variance there (see the module docstring): the power
+    of user k's estimation error leaking into stream i.  Perfect estimates
+    give an exactly zero matrix.  Only the site Grams S_q enter, so the
+    pass draws the rows of :func:`channel.sample_estimates`: the antennas
+    for n_t < users, each site's Bartlett factor from n_t = users on.  The
+    common power scale normalizes against the most loaded site, eta = 1 /
+    max_q (E[site load] / n_t): its antennas share one expected load, so
+    each radiates its per-antenna budget exactly in expectation and no
+    antenna exceeds it.  Each antenna's ``antenna_load`` is its site's mean
+    load per antenna, and ``load_stderr`` that mean's standard error.
+    ``n_samples`` defaults to the config's ``chi_samples``.
 
     The pass streams over blocks of about :data:`channel.BLOCK_ELEMENTS`
-    estimate entries, so each block's intermediates stay in cache.  The
-    blocks draw in turn from ``rng`` and together consume exactly the stream
-    of one ``n_samples`` batch; every draw's precoder is computed by the same
-    per-matrix products as in one batch, and the sums run draw by draw in
-    draw order, so the result does not depend on the block size.  A draw
-    whose Gram matrix is singular (see :func:`channel.invert_grams`) is
-    redrawn from the same stream right after its block's draws; more than
-    one percent of such draws aborts with :class:`NumericalError`.
+    estimate entries, so each block's intermediates stay in cache, and
+    every block reuses one set of buffers (draw, conjugate, Gram, W, |W|^2
+    and the sum stack), so no block faults in fresh pages.  The blocks draw
+    in turn from ``rng`` (the Bartlett diagonals of all draws first) and
+    together consume exactly the stream of one ``n_samples`` batch; every
+    draw's precoder is computed by the same per-matrix products as in one
+    batch, and the sums run draw by draw in draw order, so the result does
+    not depend on the block size.  A draw whose Gram matrix is singular
+    (see :func:`channel.invert_grams`) is redrawn whole, from the same
+    stream, right after its block's draws; more than one percent of such
+    draws aborts with :class:`NumericalError`.
     """
     n = cfg.chi_samples if n_samples is None else n_samples
     if n < 1:
         raise ConfigError(f"n_samples must be >= 1, got {n}")
-    beta_mk, alpha_mk = expand_site_to_antennas(profile)
-    m, k = beta_mk.shape
-    if m < k:
+    n_t = profile.antennas_per_site
+    q, k = profile.beta.shape
+    if q * n_t < k:
         raise ConfigError(f"zero-forcing needs at least as many antennas as "
-                          f"users, got {m} antennas for {k} users")
-    err_var_t = np.ascontiguousarray((beta_mk - alpha_mk).T)  # (users, antennas)
+                          f"users, got {q * n_t} antennas for {k} users")
+    r = min(n_t, k)             # rows per site of sample_estimates
+    err_var_t = np.ascontiguousarray((profile.beta - profile.alpha).T)
 
     chi_sum = np.zeros((k, k))
     chi_sq_sum = np.zeros((k, k))
-    delta_sum = np.zeros((m, k))
-    load_sq_sum = np.zeros(m)
+    site_sum = np.zeros((q, k))
+    load_sq_sum = np.zeros(q)
     resampled = 0
 
-    sizes = batch_sizes(n, max(1, BLOCK_ELEMENTS // (m * k)))
+    sizes = batch_sizes(n, max(1, BLOCK_ELEMENTS // (q * r * k)))
+    # Bartlett diagonals of all draws come first in the stream
+    diagonal = bartlett_diagonal(profile, rng, n) if n_t >= k else None
+    # one set of block buffers for the whole pass
+    g_buf = np.empty((sizes[0], q * r, k), dtype=complex)
+    w_buf = np.empty_like(g_buf)
+    w2_buf = np.empty((2,) + g_buf.shape)
+    stack_buf = np.empty((sizes[0] + 1, q, k))
+    taken = 0
 
     def draw(b):
+        nonlocal taken
+        part = None if diagonal is None else diagonal[taken:taken + b]
+        taken += b
+        return (sample_estimates(profile, rng, b, part, g_buf[:b]),)
+
+    def redraw(b):
         return (sample_estimates(profile, rng, b),)
 
-    for batch in conditioned_grams(draw, sizes):
-        w = batch.g_conj @ batch.inv                    # (block, antennas, users)
-        # |W|^2 is written under the running delta sum, as _add_in_order
-        # would stack it, without copying the block
-        stack = np.empty((len(w) + 1, m, k))
-        stack[0] = delta_sum
-        w2 = stack[1:]
+    for batch in conditioned_grams(draw, sizes, redraw=redraw):
+        b = len(batch.inv)
+        w = np.matmul(batch.g_conj, batch.inv, out=w_buf[:b])
+        w2, imag2 = w2_buf[:, :b]
         np.square(w.real, out=w2)
-        w2 += w.imag ** 2
-        delta_sum = stack.sum(axis=0)
-        load_sq_sum = _add_in_order(load_sq_sum, w2.sum(axis=2) ** 2)
-        chi_block = err_var_t @ w2                      # (block, users, users)
+        w2 += np.square(w.imag, out=imag2)
+        # |W|^2 summed over each site's rows, written under the running sum
+        # as _add_in_order would stack it
+        stack = stack_buf[:b + 1]
+        stack[0] = site_sum
+        np.sum(w2.reshape(b, q, r, k), axis=2, out=stack[1:])
+        site_sum = stack.sum(axis=0)
+        site_block = stack[1:]
+        load_sq_sum = _add_in_order(load_sq_sum,
+                                    (site_block.sum(axis=2) / n_t) ** 2)
+        chi_block = err_var_t @ site_block              # (block, users, users)
         chi_sum = _add_in_order(chi_sum, chi_block)
         chi_sq_sum = _add_in_order(chi_sq_sum, chi_block ** 2)
         resampled = batch.redrawn
 
     chi = chi_sum / n
-    # delta[m, i] = E|W_mi|^2, the per-antenna per-stream precoder energy
-    load = (delta_sum / n).sum(axis=1)
+    # per-antenna mean load of each site: sum_i E[site load of stream i] / n_t
+    load = (site_sum / n).sum(axis=1) / n_t
     if n > 1:
         var = np.maximum(chi_sq_sum - n * chi ** 2, 0.0) / (n - 1)
         stderr = np.sqrt(var / n)
@@ -213,14 +261,15 @@ def zfp_moments(profile: FadingProfile, cfg: ScenarioConfig,
         load_se = np.sqrt(load_var / n)
     else:
         stderr = np.full((k, k), np.nan)
-        load_se = np.full(m, np.nan)
+        load_se = np.full(q, np.nan)
     peak = float(load.max())
     if not peak > 0:
         raise NumericalError("estimated precoder load is zero everywhere")
     return (ChiMatrix(chi=chi, stderr=stderr, n_samples=n,
                       n_resampled=resampled),
-            ZfpPowerControl(eta_common=1.0 / peak, antenna_load=load,
-                            load_stderr=load_se, n_samples=n,
+            ZfpPowerControl(eta_common=1.0 / peak,
+                            antenna_load=np.repeat(load, n_t),
+                            load_stderr=np.repeat(load_se, n_t), n_samples=n,
                             n_resampled=resampled))
 
 

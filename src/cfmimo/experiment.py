@@ -40,11 +40,18 @@ DEFAULT_COST_RATIOS = (0.05, 0.1, 0.25, 0.5)
 
 @dataclass(frozen=True)
 class RateReport:
-    """Per-user spectral efficiencies of one scheme on one drop."""
+    """Per-user spectral efficiencies of one scheme on one drop.
+
+    A zero-forcing report also carries its moment pass's diagnostics: the
+    singular draws redrawn and the relative standard error of the peak
+    site's load, which sets the power scale.  Other schemes leave them None.
+    """
 
     scheme: str
     drop_index: int
     per_user_se: np.ndarray      # bit/s/Hz, shape (users,)
+    n_resampled: int | None = None
+    peak_load_rel_se: float | None = None
 
     @property
     def sum_rate(self) -> float:
@@ -68,6 +75,8 @@ class SweepRecord:
     cost_total: float
     gamma_ce: float
     master_seed: int
+    redraws: int | None = None            # ZF only: total over drops
+    peak_load_rel_se: float | None = None  # ZF only: worst over drops
 
 
 def run_drop(cfg: ScenarioConfig, drop_index: int) -> tuple[RateReport, ...]:
@@ -96,7 +105,9 @@ def run_drop(cfg: ScenarioConfig, drop_index: int) -> tuple[RateReport, ...]:
 
     return (RateReport("mrc-ul", drop_index, se_ul),
             RateReport("cbf-dl", drop_index, se_cbf),
-            RateReport("zfp-dl", drop_index, se_zfp))
+            RateReport("zfp-dl", drop_index, se_zfp,
+                       n_resampled=pc_zfp.n_resampled,
+                       peak_load_rel_se=pc_zfp.peak_load_rel_se))
 
 
 def percentile(values, p: float) -> float:
@@ -175,6 +186,12 @@ def sweep(cfg: ScenarioConfig, nt_list=None, cv_ratios=None, jobs: int = 1,
                 if len(sums) > 1 else 0.0
             p05 = percentile(pooled, 0.05)
             p50 = percentile(pooled, 0.50)
+            diagnostics = {}
+            if scheme == "zfp-dl":
+                diagnostics = {
+                    "redraws": sum(t[s].n_resampled for t in triples),
+                    "peak_load_rel_se": max(t[s].peak_load_rel_se
+                                            for t in triples)}
             for ratio in cv_ratios:
                 model = CostModel.aggregated(fixed_per_site=1.0,
                                              per_antenna=ratio)
@@ -185,7 +202,7 @@ def sweep(cfg: ScenarioConfig, nt_list=None, cv_ratios=None, jobs: int = 1,
                     sum_rate_stderr=stderr, se_p05=p05, se_p50=p50,
                     cv_cf_ratio=ratio, cost_total=cost,
                     gamma_ce=cost_effectiveness(mean, model, n_ap, n_t),
-                    master_seed=sub.master_seed))
+                    master_seed=sub.master_seed, **diagnostics))
     return records
 
 
@@ -215,12 +232,19 @@ def write_metadata(csv_path, cfg: ScenarioConfig, nt_list, cv_ratios,
                    jobs: int = 1) -> None:
     """JSON sidecar: config, grids, seeds, sample sizes and run statistics.
 
-    Content is a pure function of the run inputs and outputs (no
-    timestamps), so reruns of the same experiment produce identical files.
+    Per antenna count it records the sum-rate standard error of each scheme
+    and the ZF moment diagnostics: ``zf_redraws``, the singular draws
+    redrawn over all drops, and ``zf_peak_load_rel_se``, the worst relative
+    standard error of a drop's peak site load.  Content is a pure function
+    of the run inputs and outputs (no timestamps), so reruns of the same
+    experiment produce identical files.
     """
-    stderr = {}
+    stderr, redraws, load_rel_se = {}, {}, {}
     for r in records:
         stderr.setdefault(r.scheme, {})[str(r.n_t)] = float(r.sum_rate_stderr)
+        if r.redraws is not None:
+            redraws[str(r.n_t)] = r.redraws
+            load_rel_se[str(r.n_t)] = r.peak_load_rel_se
     meta = {
         "version": __version__,
         "config": config_to_dict(cfg),
@@ -233,6 +257,8 @@ def write_metadata(csv_path, cfg: ScenarioConfig, nt_list, cv_ratios,
         "quick": bool(quick),
         "jobs": int(jobs),
         "sum_rate_stderr": stderr,
+        "zf_redraws": redraws,
+        "zf_peak_load_rel_se": load_rel_se,
     }
     with open(metadata_path(csv_path), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

@@ -193,3 +193,20 @@ def test_cost_section_is_rejected(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "config error" in err and "'cost' section" in err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_sweep_sidecar_carries_zf_diagnostics_for_any_worker_count(
+        tmp_path, tiny_config):
+    metas = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.csv"
+        assert main(["sweep", "--config", tiny_config, "--nt", "1,2,3",
+                     "--ratios", "0.1", "--jobs", jobs,
+                     "--output", str(out)]) == 0
+        metas.append(json.loads((tmp_path / f"jobs{jobs}.csv.meta.json")
+                                .read_text()))
+    for key in ("zf_redraws", "zf_peak_load_rel_se"):
+        assert set(metas[0][key]) == {"1", "2", "3"}
+        assert metas[0][key] == metas[1][key]
+    assert all(v == 0 for v in metas[0]["zf_redraws"].values())
+    assert all(0 < v < 1 for v in metas[0]["zf_peak_load_rel_se"].values())

@@ -123,21 +123,22 @@ def test_chi_zero_under_perfect_estimates():
 
 def test_chi_matches_direct_interference_variance():
     # two estimators on shared precoder samples: the closed conditional
-    # expectation against a fresh error draw per sample
+    # expectation against a fresh error draw per sample; four two-antenna
+    # sites written as eight single-antenna ones (the same antenna-level
+    # law), so the pass draws the antennas themselves
     rng0 = np.random.default_rng(123)
-    beta = 10 ** rng0.uniform(-1, 1, size=(4, 2))
-    alpha = beta * rng0.uniform(0.3, 0.9, size=beta.shape)
-    profile = make_profile(beta, alpha, n_t=2)
-    cfg = ScenarioConfig(total_antennas=8, antennas_per_ap=2, num_users=2)
+    beta = np.repeat(10 ** rng0.uniform(-1, 1, size=(4, 2)), 2, axis=0)
+    alpha = beta * np.repeat(rng0.uniform(0.3, 0.9, size=(4, 2)), 2, axis=0)
+    profile = make_profile(beta, alpha, n_t=1)
+    cfg = ScenarioConfig(total_antennas=8, antennas_per_ap=1, num_users=2)
     n = 60_000
     chi, _ = zfp_moments(profile, cfg, np.random.default_rng(77), n)
 
-    beta_mk, alpha_mk = expand_site_to_antennas(profile)
     rng = np.random.default_rng(77)          # same precoder samples
     g = sample_estimates(profile, rng, n)
     w = g.conj() @ np.linalg.solve(g.transpose(0, 2, 1) @ g.conj(), np.eye(2))
-    g_err = complex_normal(np.random.default_rng(999),
-                           beta_mk - alpha_mk, (n,) + beta_mk.shape)
+    g_err = complex_normal(np.random.default_rng(999), beta - alpha,
+                           (n, 8, 2))
     for k in range(2):
         leak = np.einsum("cm,cmi->ci", g_err[:, :, k], w)
         direct = (np.abs(leak) ** 2).mean(axis=0)
@@ -253,6 +254,12 @@ def block_draws(m, k):
     return downlink.BLOCK_ELEMENTS // (m * k)
 
 
+def site_loads(w2, n_t):
+    """Per-draw load of each site per antenna: (draws, sites)."""
+    n, m, _ = w2.shape
+    return w2.sum(axis=2).reshape(n, m // n_t, n_t).sum(axis=2) / n_t
+
+
 def test_zfp_moments_match_per_draw_pseudo_inverse():
     # plain per-draw numpy on an identically seeded generator, over three
     # blocks and a remainder
@@ -263,20 +270,46 @@ def test_zfp_moments_match_per_draw_pseudo_inverse():
     beta_mk, alpha_mk = expand_site_to_antennas(profile)
     g = sample_estimates(profile, np.random.default_rng(4), n)
     chi_d = np.empty((n, 4, 4))
-    load_d = np.empty((n, 40))
+    w2 = np.empty((n, 40, 4))
     for d in range(n):
-        w2 = np.abs(np.linalg.pinv(g[d].T)) ** 2        # (antennas, users)
-        chi_d[d] = (beta_mk - alpha_mk).T @ w2
-        load_d[d] = w2.sum(axis=1)
+        w2[d] = np.abs(np.linalg.pinv(g[d].T)) ** 2     # (antennas, users)
+        chi_d[d] = (beta_mk - alpha_mk).T @ w2[d]
+    load_d = site_loads(w2, 2)
     load = load_d.mean(axis=0)
     assert np.allclose(chi.chi, chi_d.mean(axis=0), rtol=1e-12, atol=0)
     assert np.allclose(chi.stderr, chi_d.std(axis=0, ddof=1) / np.sqrt(n),
                        rtol=1e-12, atol=0)
-    assert np.allclose(pc.antenna_load, load, rtol=1e-12, atol=0)
-    assert np.allclose(pc.load_stderr, load_d.std(axis=0, ddof=1)
-                       / np.sqrt(n), rtol=1e-12, atol=0)
+    assert np.allclose(pc.antenna_load, np.repeat(load, 2), rtol=1e-12,
+                       atol=0)
+    assert np.allclose(pc.load_stderr, np.repeat(
+        load_d.std(axis=0, ddof=1) / np.sqrt(n), 2), rtol=1e-12, atol=0)
     assert pc.eta_common == pytest.approx(1.0 / load.max(), rel=1e-12)
     assert chi.n_resampled == pc.n_resampled == 0
+
+
+def one_batch_moments(profile, g):
+    """The pass's arithmetic on all draws ``g`` at once."""
+    n, rows, k = g.shape
+    q, n_t = profile.num_sites, profile.antennas_per_site
+    gram = g.transpose(0, 2, 1) @ g.conj()
+    w = g.conj() @ np.linalg.solve(gram, np.eye(k))
+    w2 = w.real ** 2 + w.imag ** 2
+    site = w2.reshape(n, q, rows // q, k).sum(axis=2)
+    chi_d = np.ascontiguousarray((profile.beta - profile.alpha).T) @ site
+    chi = chi_d.sum(axis=0) / n
+    load = (site.sum(axis=0) / n).sum(axis=1) / n_t
+    chi_var = (chi_d ** 2).sum(axis=0) - n * chi ** 2
+    load_var = ((site.sum(axis=2) / n_t) ** 2).sum(axis=0) - n * load ** 2
+    return (chi, np.sqrt(np.maximum(chi_var, 0) / (n - 1) / n),
+            np.repeat(load, n_t),
+            np.repeat(np.sqrt(np.maximum(load_var, 0) / (n - 1) / n), n_t))
+
+
+def assert_pass_equals(chi, pc, want):
+    got = (chi.chi, chi.stderr, pc.antenna_load, pc.load_stderr)
+    for name, a, b in zip(("chi", "chi stderr", "load", "load stderr"),
+                          got, want):
+        assert np.array_equal(a, b), name
 
 
 def test_block_pass_equals_one_batch_bit_for_bit():
@@ -284,30 +317,108 @@ def test_block_pass_equals_one_batch_bit_for_bit():
     cfg, profile = random_profile(16, m=40, n_t=2, k=4)
     n = 2 * block_draws(40, 4) + 11
     chi, pc = zfp_moments(profile, cfg, np.random.default_rng(9), n)
-
-    beta_mk, alpha_mk = expand_site_to_antennas(profile)
     g = sample_estimates(profile, np.random.default_rng(9), n)
-    gram = g.transpose(0, 2, 1) @ g.conj()
-    w = g.conj() @ np.linalg.solve(gram, np.eye(4))
-    w2 = w.real ** 2 + w.imag ** 2
-    chi_d = np.ascontiguousarray((beta_mk - alpha_mk).T) @ w2
-    load = (w2.sum(axis=0) / n).sum(axis=1)
-    assert np.array_equal(chi.chi, chi_d.sum(axis=0) / n)
-    assert np.array_equal(pc.antenna_load, load)
-    chi_var = (chi_d ** 2).sum(axis=0) - n * chi.chi ** 2
-    assert np.array_equal(chi.stderr,
-                          np.sqrt(np.maximum(chi_var, 0) / (n - 1) / n))
-    load_var = ((w2.sum(axis=2) ** 2).sum(axis=0) - n * load ** 2)
-    assert np.array_equal(pc.load_stderr,
-                          np.sqrt(np.maximum(load_var, 0) / (n - 1) / n))
+    assert_pass_equals(chi, pc, one_batch_moments(profile, g))
+
+
+@pytest.mark.parametrize("elements", [None, 1, 3 * 24 * 4, 10 ** 6])
+def test_bartlett_pass_equals_one_batch_at_any_block_size(monkeypatch,
+                                                          elements):
+    # n_t >= users: all diagonals come first, so blocks of one draw, of
+    # three draws, the default and one block all equal one batch, and the
+    # pass leaves the generator where the batch does
+    cfg, profile = random_profile(17, m=48, n_t=6, k=4)
+    if elements is not None:
+        monkeypatch.setattr(downlink, "BLOCK_ELEMENTS", elements)
+    n = 301
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    chi, pc = zfp_moments(profile, cfg, rng, n)
+    g = sample_estimates(profile, ref, n)
+    assert g.shape == (n, 8 * 4, 4)
+    assert_pass_equals(chi, pc, one_batch_moments(profile, g))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_pass_below_the_user_count_draws_the_antenna_stream():
+    # n_t < users keeps the antenna-level draw: the pass consumes exactly
+    # one complex_normal batch over the expanded estimate variances
+    cfg, profile = random_profile(18, m=40, n_t=2, k=4)
+    n = 2 * block_draws(40, 4) + 5
+    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+    zfp_moments(profile, cfg, rng, n)
+    _, alpha_mk = expand_site_to_antennas(profile)
+    complex_normal(ref, alpha_mk, (n, 40, 4))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def cholesky_rows(g, n_t):
+    """Bartlett-shaped rows with exactly the site Grams of full draws ``g``."""
+    n, m, k = g.shape
+    q = m // n_t
+    s = np.einsum("dqak,dqai->dqki", g.reshape(n, q, n_t, k),
+                  g.reshape(n, q, n_t, k).conj())
+    # S = C C^H with C lower triangular, so F = C^T has F^T conj(F) = S
+    return np.linalg.cholesky(s).transpose(0, 1, 3, 2).reshape(n, q * k, k)
+
+
+@pytest.mark.parametrize("n_t", [1, 2, 4, 6])
+def test_site_loads_are_antenna_loads_summed_per_site(monkeypatch, n_t):
+    # one full draw: the pass's site loads and chi equal the per-antenna
+    # |W|^2 summed over each site, whether it reads the antennas (n_t <
+    # users) or only rows with the same site Grams (n_t >= users)
+    cfg, profile = random_profile(19, m=24, n_t=n_t, k=4)
+    g = complex_normal(np.random.default_rng(2),
+                       expand_site_to_antennas(profile)[1], (1, 24, 4))
+    rows = g if n_t < 4 else cholesky_rows(g, n_t)
+    monkeypatch.setattr(downlink, "sample_estimates",
+                        lambda profile, rng, n, diagonal=None, out=None:
+                        rows.copy())
+    chi, pc = zfp_moments(profile, cfg, np.random.default_rng(0), 1)
+
+    w = np.linalg.pinv(g[0].T)                          # (antennas, users)
+    w2 = np.abs(w) ** 2
+    beta_mk, alpha_mk = expand_site_to_antennas(profile)
+    assert np.allclose(chi.chi, (beta_mk - alpha_mk).T @ w2, rtol=1e-12,
+                       atol=0)
+    per_antenna = np.repeat(site_loads(w2[None], n_t)[0], n_t)
+    assert np.allclose(pc.antenna_load, per_antenna, rtol=1e-12, atol=0)
+    assert pc.eta_common == pytest.approx(1 / per_antenna.max(), rel=1e-12)
+
+
+def full_draw_moments(profile, rng, n):
+    """Mean and standard error of chi and site loads over full draws."""
+    beta_mk, alpha_mk = expand_site_to_antennas(profile)
+    g = complex_normal(rng, alpha_mk, (n,) + alpha_mk.shape)
+    w = g.conj() @ np.linalg.inv(g.transpose(0, 2, 1) @ g.conj())
+    w2 = np.abs(w) ** 2
+    chi_d = (beta_mk - alpha_mk).T @ w2
+    load_d = site_loads(w2, profile.antennas_per_site)
+    return [(x.mean(axis=0), x.std(axis=0, ddof=1) / np.sqrt(n))
+            for x in (chi_d, load_d)]
+
+
+@pytest.mark.parametrize("n_t", [3, 7])
+def test_bartlett_moments_match_full_draws(n_t):
+    # same law: the pass's Bartlett moments against plain full draws
+    cfg, profile = random_profile(20, m=4 * n_t, n_t=n_t, k=3)
+    n = 20_000
+    chi, pc = zfp_moments(profile, cfg, np.random.default_rng(1), n)
+    (chi_f, chi_se), (load_f, load_se) = full_draw_moments(
+        profile, np.random.default_rng(2), n)
+    z_chi = (chi.chi - chi_f) / np.hypot(chi.stderr, chi_se)
+    site = slice(None, None, n_t)
+    z_load = (pc.antenna_load[site] - load_f) \
+        / np.hypot(pc.load_stderr[site], load_se)
+    assert np.abs(z_chi).max() <= 4
+    assert np.abs(z_load).max() <= 4
 
 
 def inject_singular(monkeypatch, at):
     """Zero the estimate draws numbered ``at`` in the pass's draw sequence."""
     seen = [0]
 
-    def patched(profile, rng, n):
-        g = sample_estimates(profile, rng, n)
+    def patched(profile, rng, n, diagonal=None, out=None):
+        g = sample_estimates(profile, rng, n, diagonal, out)
         for i in range(n):
             if seen[0] + i in at:
                 g[i] = 0.0
@@ -341,3 +452,33 @@ def test_singular_draws_beyond_the_budget_raise(monkeypatch):
     with pytest.raises(NumericalError) as err:
         zfp_moments(profile, cfg, np.random.default_rng(6), n)
     assert "7 of" in str(err.value)
+
+
+def test_singular_bartlett_draws_follow_the_same_rule(monkeypatch):
+    # n_t >= users: a singular draw is redrawn whole (a fresh diagonal
+    # included) right after its block, under the same 1% budget
+    cfg, profile = random_profile(21, m=48, n_t=6, k=4)
+    b = block_draws(8 * 4, 4)
+    n = 2 * b + 30
+    clean = zfp_moments(profile, cfg, np.random.default_rng(5), n)
+    seen = inject_singular(monkeypatch, {b - 1, b + 1})
+    calls = []
+    injected = downlink.sample_estimates
+
+    def spy(profile, rng, n, diagonal=None, out=None):
+        calls.append((n, diagonal is None))
+        return injected(profile, rng, n, diagonal, out)
+
+    monkeypatch.setattr(downlink, "sample_estimates", spy)
+    chi, pc = zfp_moments(profile, cfg, np.random.default_rng(5), n)
+    assert chi.n_resampled == pc.n_resampled == 2
+    assert seen[0] == n + 2
+    assert calls == [(b, False), (1, True), (b, False), (1, True),
+                     (30, False)]
+    assert np.isfinite(chi.chi).all() and np.isfinite(pc.antenna_load).all()
+    assert pc.eta_common == pytest.approx(clean[1].eta_common, rel=0.05)
+
+    inject_singular(monkeypatch, set(range(0, 2 * b, 2)))
+    with pytest.raises(NumericalError) as err:
+        zfp_moments(profile, cfg, np.random.default_rng(6), n)
+    assert "more than 1%" in str(err.value)

@@ -166,6 +166,21 @@ def test_csv_floats_have_six_significant_digits(tmp_path):
         assert len(mantissa.split("e")[0]) <= 6
 
 
+def test_zf_report_carries_its_moment_diagnostics():
+    mrc, cbf, zfp = run_drop(SMALL, 0)
+    assert mrc.n_resampled is None and cbf.peak_load_rel_se is None
+    assert zfp.n_resampled == 0
+    # 60 draws: the peak site's load is known to some percent
+    assert 0 < zfp.peak_load_rel_se < 0.5
+    records = sweep(SMALL, nt_list=[2], cv_ratios=[0.1, 0.25])
+    zf = [r for r in records if r.scheme == "zfp-dl"]
+    assert {r.redraws for r in zf} == {0}
+    worst = max(run_drop(dataclasses.replace(SMALL, antennas_per_ap=2),
+                         d)[2].peak_load_rel_se for d in range(SMALL.drops))
+    assert {r.peak_load_rel_se for r in zf} == {worst}
+    assert all(r.redraws is None for r in records if r.scheme != "zfp-dl")
+
+
 def test_rate_report_sum():
     rep = RateReport("mrc-ul", 0, np.array([1.0, 2.5]))
     assert rep.sum_rate == 3.5

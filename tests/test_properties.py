@@ -1,5 +1,6 @@
 """Properties checked over generated inputs (skipped without hypothesis)."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,10 +10,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from cfmimo import downlink  # noqa: E402
-from cfmimo.propagation import fading_profile, path_loss_db, \
-    place_topology  # noqa: E402
+from cfmimo import channel, downlink, uplink  # noqa: E402
+from cfmimo.propagation import FadingProfile, fading_profile, \
+    path_loss_db, place_topology  # noqa: E402
 from cfmimo.scenario import ScenarioConfig, drop_seed  # noqa: E402
+from test_channel import svd_rule  # noqa: E402
 
 # few examples each: the whole file stays within a few seconds
 FEW = settings(max_examples=40, deadline=None)
@@ -99,3 +101,70 @@ def test_cbf_spends_each_antenna_budget_exactly(cfg, index):
     # expected radiated power of any antenna on site q over its budget
     ratio = pc.eta_site * profile.alpha.sum(axis=1)
     assert np.abs(ratio - 1.0).max() <= 1e-12
+
+
+def closed_form_sinrs(profile, cfg, chi):
+    """Uplink MRC, CBF and ZFP SINRs of every user, ZF scale fixed at 1e9."""
+    eta_ul = uplink.UplinkPowerControl.full_power(profile.num_users)
+    pc_z = downlink.ZfpPowerControl(
+        eta_common=1e9, antenna_load=np.ones(cfg.total_antennas),
+        load_stderr=np.zeros(cfg.total_antennas), n_samples=1,
+        n_resampled=0)
+    return {"mrc": uplink.uplink_sinr_all(profile, eta_ul, cfg),
+            "cbf": downlink.cbf_sinr_all(profile, downlink.cbf_power(profile),
+                                         cfg),
+            "zfp": downlink.zfp_sinr_all(profile, pc_z, chi, cfg)}
+
+
+def leakage(profile, seed):
+    k = profile.num_users
+    chi = np.random.default_rng(seed).uniform(0.0, 1e-9, size=(k, k))
+    return downlink.ChiMatrix(chi=chi, stderr=np.zeros((k, k)),
+                              n_samples=1, n_resampled=0)
+
+
+@FEW
+@given(small_configs(), indices, st.floats(0.0, 20.0),
+       st.floats(0.0, 3.0), st.integers(0, 2 ** 32 - 1))
+def test_sinr_never_rises_with_noise_or_interference(cfg, index, extra_db,
+                                                     extra_gain, seed):
+    profile = drawn_profile(cfg, index)
+    if not (profile.alpha.sum(axis=1) > 0).all():
+        return                       # a dead site is rejected, not scaled
+    chi = leakage(profile, seed)
+    base = closed_form_sinrs(profile, cfg, chi)
+    # more receiver noise
+    noisy = closed_form_sinrs(profile, dataclasses.replace(
+        cfg, noise_figure_db=cfg.noise_figure_db + extra_db), chi)
+    # more interference: every gain beta grows with the estimates fixed
+    # (MRC and CBF), and every leakage moment grows (ZFP)
+    rng = np.random.default_rng(seed)
+    louder = FadingProfile(
+        beta=profile.beta * (1 + extra_gain * rng.uniform(size=profile.beta.shape)),
+        alpha=profile.alpha, antennas_per_site=profile.antennas_per_site)
+    more = dataclasses.replace(chi, chi=chi.chi * (1 + extra_gain))
+    interfered = closed_form_sinrs(louder, cfg, more)
+    for scheme, sinr in base.items():
+        slack = 1e-12 * sinr
+        assert (noisy[scheme] <= sinr + slack).all(), scheme
+        assert (interfered[scheme] <= sinr + slack).all(), scheme
+
+
+@FEW
+@given(st.integers(1, 6), st.lists(st.floats(0.0, 17.0), min_size=1,
+                                   max_size=6),
+       st.integers(0, 2 ** 32 - 1))
+def test_invert_grams_screen_flags_what_the_svd_rule_flags(k, log_conds,
+                                                           seed):
+    # Hermitian Grams U diag(s) U^H with condition numbers 1 to 1e17,
+    # across the 1e13 floor, screened in one batch
+    rng = np.random.default_rng(seed)
+    grams = []
+    for log_cond in log_conds:
+        z = channel.complex_normal(rng, 1.0, (k, k))
+        u, _ = np.linalg.qr(z)
+        s = np.logspace(0.0, -log_cond, k) if k > 1 else np.ones(1)
+        grams.append((u * s) @ u.conj().T)
+    grams = np.stack(grams)
+    _, bad = channel.invert_grams(grams)
+    assert bad.tolist() == [svd_rule(a) for a in grams]
