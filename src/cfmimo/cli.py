@@ -14,7 +14,6 @@ import dataclasses
 import sys
 
 from . import __version__, experiment, oracle
-from .cost import CostModelError
 from .channel import NumericalError
 from .scenario import ConfigError, ScenarioConfig, config_to_dict, load_config
 
@@ -98,21 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path) -> ScenarioConfig:
-    cfg, cost = load_config(path)
-    if cost is not None:
-        # no command consumes an itemized cost model yet: refuse it rather
-        # than run with the section silently ignored
-        raise ConfigError(f"{path}: the 'cost' section is not supported by "
-                          f"the command line; remove it")
-    return cfg
-
-
 def _resolve_config(args) -> ScenarioConfig:
-    if args.config:
-        cfg = _load_config(args.config)
-    else:
-        cfg = ScenarioConfig()
+    cfg = load_config(args.config) if args.config else ScenarioConfig()
     changes = {}
     if args.seed is not None:
         changes["master_seed"] = args.seed
@@ -168,7 +154,7 @@ def _cmd_drop(args) -> int:
 
 def _cmd_validate(args) -> int:
     if args.config:
-        cfg = _load_config(args.config)
+        cfg = load_config(args.config)
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, master_seed=args.seed)
     else:
@@ -207,7 +193,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"cfmimo: error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, CostModelError) as exc:
+    except ConfigError as exc:
         print(f"cfmimo: config error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

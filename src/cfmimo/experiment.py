@@ -10,6 +10,11 @@ The sweep varies antennas per site at a fixed antenna total, crosses the
 resulting rates with per-antenna/per-site cost ratios, and writes one CSV
 row per (scheme, antenna count, cost ratio) plus a JSON sidecar recording
 exactly how the run was produced.
+
+Costs are counted in units of the cost of one site, so a cost ratio is the
+price of one antenna in those units.  Splitting the antennas into ``n_ap``
+sites of ``n_t`` each costs ``n_ap * (1 + n_t * ratio)``, and the
+cost-effectiveness ``gamma_ce`` is the sum rate in bit/s/Hz per cost unit.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .cost import CostModel, cost_effectiveness, total_cost
 from .downlink import cbf_power, cbf_sinr_all, zfp_moments, zfp_sinr_all
 from .propagation import fading_profile, place_topology
 from .scenario import ConfigError, ScenarioConfig, config_to_dict, \
@@ -77,6 +81,14 @@ class SweepRecord:
     master_seed: int
     redraws: int | None = None            # ZF only: total over drops
     peak_load_rel_se: float | None = None  # ZF only: worst over drops
+
+
+def deployment_cost(n_ap: int, n_t: int, ratio: float) -> float:
+    """Cost of ``n_ap`` sites of ``n_t`` antennas, in units of one site.
+
+    Each site costs 1 unit plus ``ratio`` per antenna it carries.
+    """
+    return n_ap * (1.0 + n_t * ratio)
 
 
 def run_drop(cfg: ScenarioConfig, drop_index: int) -> tuple[RateReport, ...]:
@@ -149,9 +161,8 @@ def sweep(cfg: ScenarioConfig, nt_list=None, cv_ratios=None, jobs: int = 1,
     """Antenna-split sweep at a fixed antenna budget.
 
     Every entry of ``nt_list`` must divide the config's antenna total; that
-    is checked up front so a bad grid fails before any computation.  Costs
-    are in units of the per-site fixed cost: a cost ratio is the
-    per-antenna cost, with 1 unit per site.
+    is checked up front so a bad grid fails before any computation.  Each
+    cost ratio prices the split through :func:`deployment_cost`.
     """
     nt_list = list(DEFAULT_NT_SWEEP if nt_list is None else nt_list)
     cv_ratios = list(DEFAULT_COST_RATIOS if cv_ratios is None else cv_ratios)
@@ -193,15 +204,13 @@ def sweep(cfg: ScenarioConfig, nt_list=None, cv_ratios=None, jobs: int = 1,
                     "peak_load_rel_se": max(t[s].peak_load_rel_se
                                             for t in triples)}
             for ratio in cv_ratios:
-                model = CostModel.aggregated(fixed_per_site=1.0,
-                                             per_antenna=ratio)
-                cost = total_cost(model, n_ap, n_t)
+                cost = deployment_cost(n_ap, n_t, ratio)
                 records.append(SweepRecord(
                     scheme=scheme, n_t=n_t, n_ap=n_ap, k=sub.num_users,
                     drops=sub.drops, sum_rate_mean=mean,
                     sum_rate_stderr=stderr, se_p05=p05, se_p50=p50,
                     cv_cf_ratio=ratio, cost_total=cost,
-                    gamma_ce=cost_effectiveness(mean, model, n_ap, n_t),
+                    gamma_ce=mean / cost,
                     master_seed=sub.master_seed, **diagnostics))
     return records
 

@@ -156,6 +156,8 @@ def place_topology(cfg: ScenarioConfig, rng: np.random.Generator) -> Topology:
     are reproducible regardless of the site mode.  ``ap_placement="grid"``
     swaps the random sites for a deterministic lattice; ``fixed_ap`` draws
     the sites once from a reserved seed so every drop shares one layout.
+    The lattice is already shared by every drop, so the config rejects
+    ``fixed_ap`` together with grid placement.
     """
     n_ap = derive_site_count(cfg)
     side = cfg.area_side_km

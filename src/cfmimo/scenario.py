@@ -16,8 +16,6 @@ import math
 import os
 from dataclasses import asdict, dataclass, fields
 
-from .cost import CostModel, cost_model_from_dict
-
 _U64_MASK = (1 << 64) - 1
 # Odd Weyl increment; together with the finalizer below it makes the
 # index -> seed map injective for any fixed master seed.
@@ -134,6 +132,11 @@ def _validate(cfg: ScenarioConfig) -> list[str]:
                  f"got {cfg.ap_placement!r}")
     if not isinstance(cfg.fixed_ap, bool):
         p.append(f"fixed_ap must be a bool, got {cfg.fixed_ap!r}")
+    elif cfg.fixed_ap and cfg.ap_placement == "grid":
+        # a lattice is the same in every drop already, so the flag could
+        # not change anything
+        p.append("fixed_ap has no effect under ap_placement 'grid'; "
+                 "leave it false")
 
     return p
 
@@ -198,12 +201,11 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
     return asdict(cfg)
 
 
-def load_config(path) -> tuple[ScenarioConfig, CostModel | None]:
+def load_config(path) -> ScenarioConfig:
     """Read a JSON config file.
 
     The file is one object whose keys are exactly the ScenarioConfig field
-    names (all optional, defaults apply), plus an optional ``cost`` object
-    understood by the cost model parser.  Unknown keys are an error, never
+    names (all optional, defaults apply).  Unknown keys are an error, never
     silently dropped.
     """
     if not os.path.exists(path):
@@ -217,12 +219,7 @@ def load_config(path) -> tuple[ScenarioConfig, CostModel | None]:
         raise ConfigError(f"config file {path} must hold a JSON object")
 
     known = {f.name for f in fields(ScenarioConfig)}
-    unknown = sorted(set(raw) - known - {"cost"})
+    unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-
-    cost_model = None
-    scenario_kwargs = {k: v for k, v in raw.items() if k != "cost"}
-    if "cost" in raw:
-        cost_model = cost_model_from_dict(raw["cost"])
-    return ScenarioConfig(**scenario_kwargs), cost_model
+    return ScenarioConfig(**raw)

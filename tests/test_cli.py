@@ -183,6 +183,7 @@ def test_validate_rejects_drops(capsys):
 @pytest.mark.parametrize("command", [["sweep", "--nt", "2"], ["drop"],
                                      ["show-config"], ["validate"]])
 def test_cost_section_is_rejected(tmp_path, capsys, command):
+    # costs come from --ratios alone; a cost section is an unknown key
     path = tmp_path / "cost.json"
     path.write_text(json.dumps(dict(TINY, cost={"fixed_per_site": 7,
                                                 "per_antenna": 3})))
@@ -191,7 +192,7 @@ def test_cost_section_is_rejected(tmp_path, capsys, command):
         argv += ["--output", str(tmp_path / "x.csv")]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert "config error" in err and "'cost' section" in err
+    assert "config error: unknown config keys: cost" in err
     assert not (tmp_path / "x.csv").exists()
 
 

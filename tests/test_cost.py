@@ -1,115 +1,36 @@
-import numpy as np
+"""The deployment cost formula, in units of the cost of one site."""
+
 import pytest
 
-from cfmimo.cost import (CostModel, CostModelError, aggregated_costs,
-                         cost_effectiveness, cost_model_from_dict, total_cost)
+from cfmimo.experiment import deployment_cost
 
 
 def test_aggregated_reference_value():
-    # 300 sites, 1 antenna each, fixed 1 per site, 0.05 per antenna
-    model = CostModel.aggregated(fixed_per_site=1.0, per_antenna=0.05)
-    assert total_cost(model, 300, 1) == pytest.approx(315.0, rel=1e-12)
-    # 6 sites of 50 antennas at the same prices
-    assert total_cost(model, 6, 50) == pytest.approx(21.0, rel=1e-12)
+    # 300 sites of 1 antenna at 0.05 per antenna
+    assert deployment_cost(300, 1, 0.05) == pytest.approx(315.0, rel=1e-12)
+    # 6 sites of 50 antennas at the same price
+    assert deployment_cost(6, 50, 0.05) == pytest.approx(21.0, rel=1e-12)
 
 
 def test_total_cost_scales_linearly_in_sites():
-    model = CostModel.aggregated(fixed_per_site=2.0, per_antenna=0.5)
-    assert total_cost(model, 20, 4) == pytest.approx(2 * total_cost(model, 10, 4))
-
-
-def test_itemized_matches_aggregated_fold():
-    rng = np.random.default_rng(17)
-    for _ in range(1000):
-        items = {k: float(v) for k, v in zip(
-            ("c_ls", "c_cpu", "c_mo", "c_sc", "c_ps", "c_fb", "c_bb",
-             "c_ant", "c_rf"), rng.uniform(0.0, 10.0, size=9))}
-        model = CostModel.itemized(**items)
-        n_ap = int(rng.integers(1, 50))
-        n_t = int(rng.integers(1, 20))
-        direct = (items["c_ls"] + items["c_cpu"] + items["c_mo"]
-                  + n_ap * (items["c_sc"] + items["c_ps"] + items["c_fb"]
-                            + items["c_bb"]
-                            + n_t * (items["c_ant"] + items["c_rf"])))
-        assert total_cost(model, n_ap, n_t) == pytest.approx(direct, rel=1e-9)
-        fixed, per_antenna = aggregated_costs(model, n_ap)
-        assert n_ap * (fixed + n_t * per_antenna) == pytest.approx(direct,
-                                                                   rel=1e-9)
-
-
-def test_itemized_fixed_share_depends_on_site_count():
-    model = CostModel.itemized(c_ls=30.0, c_sc=1.0)
-    fixed_10, _ = aggregated_costs(model, 10)
-    fixed_30, _ = aggregated_costs(model, 30)
-    assert fixed_10 == pytest.approx(4.0)
-    assert fixed_30 == pytest.approx(2.0)
+    assert deployment_cost(20, 4, 0.5) == pytest.approx(
+        2 * deployment_cost(10, 4, 0.5))
 
 
 def test_cost_monotone_in_antennas_per_site():
-    model = CostModel.aggregated(fixed_per_site=1.0, per_antenna=0.25)
-    costs = [total_cost(model, 10, n_t) for n_t in (1, 2, 4, 8)]
-    assert costs == sorted(costs)
+    costs = [deployment_cost(10, n_t, 0.25) for n_t in (1, 2, 4, 8)]
     assert all(c2 > c1 for c1, c2 in zip(costs, costs[1:]))
 
 
 def test_cost_effectiveness_reference():
-    model = CostModel.aggregated(fixed_per_site=1.0, per_antenna=0.05)
     # 63 bit/s/Hz over a 315-unit deployment
-    assert cost_effectiveness(63.0, model, 300, 1) == pytest.approx(0.2,
-                                                                    rel=1e-12)
-    with pytest.raises(CostModelError):
-        cost_effectiveness(-1.0, model, 300, 1)
+    assert 63.0 / deployment_cost(300, 1, 0.05) == pytest.approx(0.2,
+                                                                 rel=1e-12)
 
 
 def test_cost_effectiveness_fixed_budget_tradeoff():
     # same antenna budget split differently: fewer, larger sites are cheaper,
     # so equal sum rate favors them
-    model = CostModel.aggregated(fixed_per_site=1.0, per_antenna=0.1)
-    dense = cost_effectiveness(50.0, model, 300, 1)
-    concentrated = cost_effectiveness(50.0, model, 30, 10)
+    dense = 50.0 / deployment_cost(300, 1, 0.1)
+    concentrated = 50.0 / deployment_cost(30, 10, 0.1)
     assert concentrated > dense
-
-
-def test_model_validation():
-    with pytest.raises(CostModelError):
-        CostModel()
-    with pytest.raises(CostModelError):
-        CostModel(fixed_per_site=1.0, per_antenna=0.1, items={"c_ls": 1.0})
-    with pytest.raises(CostModelError):
-        CostModel(fixed_per_site=1.0)               # half an aggregated model
-    with pytest.raises(CostModelError):
-        CostModel.aggregated(fixed_per_site=0.0, per_antenna=0.1)
-    with pytest.raises(CostModelError):
-        CostModel.aggregated(fixed_per_site=1.0, per_antenna=-0.1)
-    with pytest.raises(CostModelError):
-        CostModel.itemized(c_ls=1.0, c_widget=2.0)  # unknown item
-    with pytest.raises(CostModelError):
-        CostModel.itemized(c_ls=-1.0)
-    with pytest.raises(CostModelError):
-        CostModel.itemized(c_ls=0.0)                # sums to zero
-
-
-def test_total_cost_rejects_bad_counts():
-    model = CostModel.aggregated(fixed_per_site=1.0, per_antenna=0.1)
-    with pytest.raises(CostModelError):
-        total_cost(model, 0, 1)
-    with pytest.raises(CostModelError):
-        total_cost(model, 5, 0)
-
-
-def test_from_dict_modes():
-    agg = cost_model_from_dict({"fixed_per_site": 1.0, "per_antenna": 0.05})
-    assert agg.mode == "aggregated"
-    item = cost_model_from_dict({"items": {"c_ls": 1.0, "c_rf": 0.2}})
-    assert item.mode == "itemized"
-    with pytest.raises(CostModelError):
-        cost_model_from_dict({"fixed_per_site": 1.0, "per_antenna": 0.05,
-                              "items": {"c_ls": 1.0}})
-    with pytest.raises(CostModelError):
-        cost_model_from_dict({"fixed": 1.0})
-    with pytest.raises(CostModelError):
-        cost_model_from_dict({})
-    with pytest.raises(CostModelError):
-        cost_model_from_dict({"fixed_per_site": 1.0})
-    with pytest.raises(CostModelError):
-        cost_model_from_dict([1.0])

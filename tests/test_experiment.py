@@ -181,6 +181,61 @@ def test_zf_report_carries_its_moment_diagnostics():
     assert all(r.redraws is None for r in records if r.scheme != "zfp-dl")
 
 
+# A small area puts user-site distances on both sides of both path-loss
+# breakpoints, so every propagation constant reaches the rates.
+FIELD_BASE = ScenarioConfig(total_antennas=24, antennas_per_ap=2,
+                            num_users=3, area_side_km=0.1, drops=2,
+                            chi_samples=20, master_seed=4)
+
+# one alternative value per ScenarioConfig field
+FIELD_ALTERNATIVES = {
+    "total_antennas": 30,
+    "antennas_per_ap": 4,
+    "num_users": 4,
+    "area_side_km": 0.2,
+    "ue_tx_power": 0.1,
+    "ap_per_antenna_tx_power": 0.1,
+    "noise_density_dbm_hz": -170.0,
+    "noise_figure_db": 6.0,
+    "bandwidth_hz": 20e6,
+    "carrier_freq_mhz": 2600.0,
+    "ap_height_m": 10.0,
+    "ue_height_m": 2.0,
+    "shadowing_sigma_db": 4.0,
+    "breakpoint_d0_km": 0.02,
+    "breakpoint_d1_km": 0.08,
+    "drops": 3,
+    "chi_samples": 30,
+    "master_seed": 5,
+    "ap_placement": "grid",
+    "fixed_ap": True,
+}
+
+
+def test_every_config_field_has_an_alternative():
+    assert set(FIELD_ALTERNATIVES) == {
+        f.name for f in dataclasses.fields(ScenarioConfig)}
+
+
+def _output(cfg: ScenarioConfig, path) -> str:
+    # the CSV, not the sidecar: the sidecar echoes the config
+    write_records_csv(sweep(cfg, nt_list=[2], cv_ratios=[0.1]), path)
+    return path.read_text()
+
+
+@pytest.mark.parametrize("field,value", sorted(FIELD_ALTERNATIVES.items()))
+def test_every_config_field_changes_the_output(field, value, tmp_path):
+    changed = dataclasses.replace(FIELD_BASE, **{field: value})
+    if field == "antennas_per_ap":
+        # the sweep takes antennas per site from its n_t grid; the field
+        # acts where one split is run
+        base, alt = run_drop(FIELD_BASE, 0), run_drop(changed, 0)
+        assert not np.array_equal(base[0].per_user_se, alt[0].per_user_se)
+        return
+    assert _output(changed, tmp_path / "alt.csv") \
+        != _output(FIELD_BASE, tmp_path / "base.csv")
+
+
 def test_rate_report_sum():
     rep = RateReport("mrc-ul", 0, np.array([1.0, 2.5]))
     assert rep.sum_rate == 3.5

@@ -10,7 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from cfmimo import channel, downlink, uplink  # noqa: E402
+from cfmimo import channel, downlink, experiment, uplink  # noqa: E402
 from cfmimo.propagation import FadingProfile, fading_profile, \
     path_loss_db, place_topology  # noqa: E402
 from cfmimo.scenario import ScenarioConfig, drop_seed  # noqa: E402
@@ -168,3 +168,13 @@ def test_invert_grams_screen_flags_what_the_svd_rule_flags(k, log_conds,
     grams = np.stack(grams)
     _, bad = channel.invert_grams(grams)
     assert bad.tolist() == [svd_rule(a) for a in grams]
+
+
+@settings(max_examples=5, deadline=None)
+@given(small_configs(), st.integers(1, 3), st.integers(8, 40))
+def test_sweep_records_do_not_depend_on_the_worker_count(cfg, drops,
+                                                         chi_samples):
+    cfg = dataclasses.replace(cfg, drops=drops, chi_samples=chi_samples)
+    nt_list = sorted({1, cfg.antennas_per_ap})
+    assert experiment.sweep(cfg, nt_list, [0.1], jobs=1) \
+        == experiment.sweep(cfg, nt_list, [0.1], jobs=2)

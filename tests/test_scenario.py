@@ -7,7 +7,6 @@ import pytest
 from cfmimo.scenario import (ConfigError, ScenarioConfig, ap_layout_seed,
                              config_to_dict, derive_noise_power,
                              derive_site_count, drop_seed, load_config)
-from cfmimo.cost import CostModel
 
 
 def test_defaults_are_valid():
@@ -92,6 +91,7 @@ def test_site_count_rejects_non_divisor():
     {"master_seed": 2 ** 64},
     {"ap_placement": "hexagonal"},
     {"fixed_ap": "yes"},
+    {"ap_placement": "grid", "fixed_ap": True},  # a lattice is fixed already
     {"total_antennas": 7.5},
     {"ue_tx_power": "strong"},
 ])
@@ -150,8 +150,8 @@ def test_load_config_round_trip(tmp_path):
     path.write_text(json.dumps({"total_antennas": 60, "antennas_per_ap": 3,
                                 "num_users": 5, "master_seed": 9,
                                 "drops": 12}))
-    cfg, cost = load_config(path)
-    assert cost is None
+    cfg = load_config(path)
+    assert isinstance(cfg, ScenarioConfig)
     assert cfg.total_antennas == 60
     assert cfg.antennas_per_ap == 3
     assert cfg.master_seed == 9
@@ -188,11 +188,11 @@ def test_load_config_bad_json(tmp_path):
 
 
 def test_load_config_with_cost_section(tmp_path):
+    # there is one cost formula and no cost section: it is an unknown key
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
         "total_antennas": 60, "num_users": 5,
         "cost": {"fixed_per_site": 2.0, "per_antenna": 0.5}}))
-    cfg, cost = load_config(path)
-    assert isinstance(cost, CostModel)
-    assert cost.mode == "aggregated"
-    assert cost.fixed_per_site == 2.0
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == "unknown config keys: cost"
