@@ -17,8 +17,10 @@ has at least as many antennas as there are users.
 
 Zero-forcing needs the inverse of each estimate's Gram matrix, so the
 well-conditioned Gram batches it draws (the singularity rule, its cheap
-screen and the redraw budget) live here too, shared by the moment pass and
-the link-level oracle.
+screen and the redraw budget) live here too.  The moment pass and the
+link-level oracle share one pass, :func:`conditioned_grams`: each batch is
+a cache-sized block whose conjugate, Gram matrix and inverse it forms once,
+redrawing singular draws right after their block.
 """
 
 from __future__ import annotations
@@ -210,33 +212,16 @@ class GramBatch(NamedTuple):
     """One batch of draws whose estimate Gram matrices are all regular."""
 
     parts: tuple          # the draw's arrays; parts[0] holds the estimates
-    g_conj: np.ndarray | None   # conj(estimates) if formed whole, else None
+    g_conj: np.ndarray    # conj(estimates)
     gram: np.ndarray      # estimates^T conj(estimates), (b, users, users)
     inv: np.ndarray       # gram^-1
     redrawn: int          # singular draws replaced so far, all batches
 
 
-def _gram(g: np.ndarray, g_conj: np.ndarray) -> np.ndarray:
-    return g.transpose(0, 2, 1) @ g_conj
-
-
-def _regular_batch(draw, redraw, size: int, block: int | None, redrawn: int,
-                   budget: int, n: int, buffers: dict) -> GramBatch:
-    parts = draw(size)
-    g = parts[0]
-    if block is None:
-        if len(buffers.get("gram", ())) < size:
-            buffers["g_conj"] = np.empty_like(g)
-            buffers["gram"] = np.empty((size,) + g.shape[2:] * 2, g.dtype)
-        g_conj = np.conjugate(g, out=buffers["g_conj"][:size])
-        gram = np.matmul(g.transpose(0, 2, 1), g_conj,
-                         out=buffers["gram"][:size])
-    else:
-        g_conj = None
-        gram = np.empty((size,) + g.shape[2:] * 2, dtype=g.dtype)
-        for start in range(0, size, block):
-            sub = g[start:start + block]
-            gram[start:start + block] = _gram(sub, sub.conj())
+def _regular_inverse(parts, g_conj, gram, redraw, redrawn: int, budget: int,
+                     n: int) -> tuple[np.ndarray, int]:
+    # inverts gram, first replacing each singular draw in parts, g_conj and
+    # gram by a fresh one; returns the inverse and the running redraw count
     inv, bad = invert_grams(gram)
     while bad.any():
         redrawn += int(bad.sum())
@@ -249,9 +234,8 @@ def _regular_batch(draw, redraw, size: int, block: int | None, redrawn: int,
         for part, new in zip(parts, fresh):
             part[idx] = new
         fresh_conj = fresh[0].conj()
-        if g_conj is not None:
-            g_conj[idx] = fresh_conj
-        gram[idx] = _gram(fresh[0], fresh_conj)
+        g_conj[idx] = fresh_conj
+        gram[idx] = fresh[0].transpose(0, 2, 1) @ fresh_conj
         sub_inv, still = invert_grams(gram[idx])
         if inv is not None and sub_inv is not None:
             inv[idx] = sub_inv
@@ -261,11 +245,10 @@ def _regular_batch(draw, redraw, size: int, block: int | None, redrawn: int,
         bad[idx[still]] = True
     if inv is None:
         inv = np.linalg.solve(gram, np.eye(gram.shape[-1]))
-    return GramBatch(parts, g_conj, gram, inv, redrawn)
+    return inv, redrawn
 
 
 def conditioned_grams(draw: Callable[[int], tuple], sizes: Iterable[int],
-                      block: int | None = None,
                       redraw: Callable[[int], tuple] | None = None
                       ) -> Iterator[GramBatch]:
     """Draw batches of the given sizes, redrawing singular estimates.
@@ -273,27 +256,31 @@ def conditioned_grams(draw: Callable[[int], tuple], sizes: Iterable[int],
     ``draw(b)`` returns a tuple of arrays with ``b`` draws on axis 0, the
     channel estimates (b, rows, users) first.  A draw whose Gram matrix
     :func:`invert_grams` flags is replaced, in every part, by a fresh draw
-    from ``redraw`` (by default ``draw``) before the batch is yielded, so
-    without redraws the batches consume exactly the stream of one
-    ``draw(sum(sizes))``.
+    from ``redraw`` (by default ``draw``) right after its batch, before the
+    batch is yielded, so without redraws the batches consume exactly the
+    stream of one ``draw(sum(sizes))``.
     More than :data:`SINGULAR_FRACTION` of the requested draws redrawn
     raises :class:`NumericalError`.
 
-    With ``block`` set, each batch's Gram matrices are formed ``block``
-    draws at a time, so no conjugate copy of a whole batch is held, and
-    ``g_conj`` is None; the matrices are the same bits either way, and the
-    generator holds no reference to a batch while it draws the next one.
-    Without it, ``g_conj`` and ``gram`` live in buffers that the next
-    batch overwrites, so no fresh pages are faulted in per batch.
+    Each batch is one compute block: its ``g_conj`` and ``gram`` live in
+    buffers allocated once, for the largest batch, that the next batch
+    overwrites, so no fresh pages are faulted in per batch.  The generator
+    holds no reference to a batch's parts while it draws the next one.
     """
     sizes = list(sizes)
     n = sum(sizes)
     budget = max(1, math.ceil(SINGULAR_FRACTION * n))
     redrawn = 0
-    buffers: dict = {}
+    conj_buf = gram_buf = None
     for size in sizes:
-        batch = _regular_batch(draw, redraw or draw, size, block, redrawn,
-                               budget, n, buffers)
-        redrawn = batch.redrawn
-        yield batch
-        del batch
+        parts = draw(size)
+        g = parts[0]
+        if gram_buf is None:
+            conj_buf = np.empty((max(sizes),) + g.shape[1:], g.dtype)
+            gram_buf = np.empty((max(sizes),) + g.shape[2:] * 2, g.dtype)
+        g_conj = np.conjugate(g, out=conj_buf[:size])
+        gram = np.matmul(g.transpose(0, 2, 1), g_conj, out=gram_buf[:size])
+        inv, redrawn = _regular_inverse(parts, g_conj, gram, redraw or draw,
+                                        redrawn, budget, n)
+        yield GramBatch(parts, g_conj, gram, inv, redrawn)
+        del parts, g

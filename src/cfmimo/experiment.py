@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,22 +139,16 @@ def _run_drop_star(args) -> tuple[RateReport, ...]:
 
 def _collect_drops(cfg: ScenarioConfig, jobs: int, progress=None):
     """All drops of one config, in index order regardless of worker count."""
-    indices = range(cfg.drops)
-    if jobs <= 1:
+    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    with pool or nullcontext():
+        triples = (pool.map if pool else map)(
+            _run_drop_star, [(cfg, i) for i in range(cfg.drops)])
         results = []
-        for i in indices:
-            results.append(run_drop(cfg, i))
-            if progress:
-                progress(i + 1, cfg.drops)
-        return results
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = []
-        for i, triple in enumerate(pool.map(_run_drop_star,
-                                            [(cfg, i) for i in indices])):
+        for done, triple in enumerate(triples, 1):
             results.append(triple)
             if progress:
-                progress(i + 1, cfg.drops)
-        return results
+                progress(done, cfg.drops)
+    return results
 
 
 def sweep(cfg: ScenarioConfig, nt_list=None, cv_ratios=None, jobs: int = 1,

@@ -40,8 +40,10 @@ ZFP_IUI_ABS_TOL = 1e-9
 # channel entries per oracle chunk: 4M complex values, 64 MB per array.  A
 # chunk draws all its estimates, then all its errors, then its symbols and
 # noise, so this size fixes the draw order, and with it every bit of the
-# report; it does not set the working set, since the arithmetic on a chunk
-# runs in blocks of channel.BLOCK_ELEMENTS entries
+# report; the ZF pass then redraws a singular estimate draw (estimate and
+# error) right after its block, before the next chunk.  The size does not
+# set the working set, since the arithmetic on a chunk runs in blocks of
+# channel.BLOCK_ELEMENTS entries
 _CHUNK_ELEMENTS = 4_000_000
 
 
@@ -81,15 +83,19 @@ def _chunk_sizes(n: int, m: int, k: int) -> list[int]:
     return batch_sizes(n, max(1, _CHUNK_ELEMENTS // max(1, m * k)))
 
 
-def _block_draws(m: int, k: int) -> int:
-    return max(1, BLOCK_ELEMENTS // max(1, m * k))
-
-
 def _blocks(chunk: int, m: int, k: int) -> list[slice]:
     # one chunk's draws in blocks of about BLOCK_ELEMENTS channel entries;
     # per-draw results are the same bits whatever the block
-    per = _block_draws(m, k)
-    return [slice(start, start + per) for start in range(0, chunk, per)]
+    per = max(1, BLOCK_ELEMENTS // max(1, m * k))
+    return [slice(start, min(start + per, chunk))
+            for start in range(0, chunk, per)]
+
+
+def _new_sums(labels) -> tuple[dict, dict, dict]:
+    # the running sums that _accumulate adds to, all zero
+    return (dict.fromkeys(labels, 0.0), dict.fromkeys(labels, 0.0),
+            {f"{a}/{b}": 0j for i, a in enumerate(labels)
+             for b in labels[i + 1:]})
 
 
 def _accumulate(terms: dict, sums: dict, sq_sums: dict, cross: dict):
@@ -108,10 +114,7 @@ def _term_estimate(labels, chunk_terms, chunks: list[int],
                    n: int) -> TermEstimate:
     # chunk_terms(c) draws a chunk of c draws and returns its per-draw parts;
     # the sums are taken once per chunk, in draw order
-    sums = dict.fromkeys(labels, 0.0)
-    sq_sums = dict.fromkeys(labels, 0.0)
-    cross = {f"{a}/{b}": 0j for i, a in enumerate(labels)
-             for b in labels[i + 1:]}
+    sums, sq_sums, cross = _new_sums(labels)
     resid_sq = 0.0
     for chunk in chunks:
         terms = chunk_terms(chunk)
@@ -260,8 +263,14 @@ def simulate_downlink_zfp(profile: FadingProfile, eta_common: float, k: int,
     estimated-channel response as a numerical audit.  Singular estimate
     draws are redrawn like the moment estimators do.
 
-    Chunked and blocked like :func:`simulate_uplink_terms`; the precoder
-    exists one block at a time and the true channel is never formed.
+    Each chunk of :data:`_CHUNK_ELEMENTS` channel entries is drawn whole,
+    as in :func:`simulate_uplink_terms`: estimates, errors, symbols, noise.
+    One :func:`channel.conditioned_grams` pass over all ``n_samples`` draws
+    then takes the chunk's blocks in turn, so a singular draw is redrawn
+    (estimate and error, in place in the chunk) right after its block and
+    the redraw budget covers the whole pass.  Each block's precoder is its
+    conjugate estimates times its inverse Gram, so the precoder exists one
+    block at a time and the true channel is never formed.
     """
     if not 0 <= k < profile.num_users:
         raise ConfigError(f"user index {k} out of range")
@@ -276,59 +285,58 @@ def simulate_downlink_zfp(profile: FadingProfile, eta_common: float, k: int,
     sigma_n2 = derive_noise_power(cfg)
     eye = np.eye(n_users)
     sqrt_pe = math.sqrt(p_d * eta_common)
-
-    desired_sq = 0.0
-    desired_quad = 0.0
-    resid_sq = 0.0
-    resid_quad = 0.0
-    noise_sq = 0.0
+    sums, sq_sums, cross = _new_sums(("desired", "residual", "noise"))
     max_iui = 0.0
     resampled = 0
 
+    chunks = _chunk_sizes(n_samples, m, n_users)
+    blocks = [sl.stop - sl.start for c in chunks
+              for sl in _blocks(c, m, n_users)]
+    next_chunk = iter(chunks)
+    chunk = {"size": 0, "taken": 0}    # the chunk handed out block by block
+
     def draw(b):
+        if chunk["taken"] == chunk["size"]:
+            size = next(next_chunk)
+            chunk.clear()          # let the last chunk go before the next
+            g_hat, g_err = sample_channel_batch(profile, rng, size)
+            chunk.update(size=size, taken=0, g_hat=g_hat, g_err=g_err,
+                         u=complex_normal(rng, 1.0, (size, n_users)),
+                         noise=complex_normal(rng, sigma_n2, (size,)),
+                         leak=np.empty((size, n_users), dtype=complex),
+                         iui=np.empty(size))
+        sl = slice(chunk["taken"], chunk["taken"] + b)
+        chunk["taken"] = sl.stop
+        return chunk["g_hat"][sl], chunk["g_err"][sl]
+
+    def redraw(b):
         return sample_channel_batch(profile, rng, b)
 
-    def chunk_draws(batch):
-        # only chunk-length per-draw vectors outlive this call
-        (g_hat, g_err), gram, inv = batch.parts, batch.gram, batch.inv
-        chunk = len(gram)
-        u = complex_normal(rng, 1.0, (chunk, n_users))
-        w_noise = complex_normal(rng, sigma_n2, (chunk,))
-        leak = np.empty((chunk, n_users), dtype=complex)
-        iui = np.empty(chunk)
-        for sl in _blocks(chunk, m, n_users):
-            w_mat = g_hat[sl].conj() @ inv[sl]         # unscaled precoder
-            leak[sl] = np.einsum("cm,cmi->ci", g_err[sl, :, k], w_mat)
-            response = gram[sl] @ inv[sl] - eye        # estimated-channel IUI
-            iui[sl] = np.abs(response).max(axis=(1, 2))
-        desired = sqrt_pe * u[:, k]
-        resid = math.sqrt(p_d) * math.sqrt(eta_common) \
-            * (leak * u).sum(axis=1)
-        return desired, resid, w_noise, float(iui.max())
-
-    sizes = _chunk_sizes(n_samples, m, n_users)
-    for batch in conditioned_grams(draw, sizes, _block_draws(m, n_users)):
+    for batch in conditioned_grams(draw, blocks, redraw):
+        end = chunk["taken"]
+        sl = slice(end - len(batch.inv), end)
+        w_mat = batch.g_conj @ batch.inv               # unscaled precoder
+        chunk["leak"][sl] = np.einsum("cm,cmi->ci", batch.parts[1][:, :, k],
+                                      w_mat)
+        response = batch.gram @ batch.inv - eye        # estimated-channel IUI
+        chunk["iui"][sl] = np.abs(response).max(axis=(1, 2))
         resampled = batch.redrawn
-        desired, resid, w_noise, iui = chunk_draws(batch)
         del batch                 # let the chunk go before the next is drawn
-        this_max = iui * math.sqrt(eta_common)
-        if this_max > max_iui:
-            max_iui = this_max
-
-        dp = desired.real ** 2 + desired.imag ** 2
-        rp = resid.real ** 2 + resid.imag ** 2
-        wp = w_noise.real ** 2 + w_noise.imag ** 2
-        desired_sq += float(dp.sum())
-        desired_quad += float((dp ** 2).sum())
-        resid_sq += float(rp.sum())
-        resid_quad += float((rp ** 2).sum())
-        noise_sq += float(wp.sum())
+        if end < chunk["size"]:
+            continue
+        u = chunk["u"]
+        resid = math.sqrt(p_d) * math.sqrt(eta_common) \
+            * (chunk["leak"] * u).sum(axis=1)
+        _accumulate({"desired": sqrt_pe * u[:, k], "residual": resid,
+                     "noise": chunk["noise"]}, sums, sq_sums, cross)
+        max_iui = max(max_iui, float(chunk["iui"].max())
+                      * math.sqrt(eta_common))
 
     n = n_samples
-    desired_power = desired_sq / n
-    residual_power = resid_sq / n
-    noise_power = noise_sq / n
-    resid_var = max(resid_quad / n - residual_power ** 2, 0.0)
+    desired_power = sums["desired"] / n
+    residual_power = sums["residual"] / n
+    noise_power = sums["noise"] / n
+    resid_var = max(sq_sums["residual"] / n - residual_power ** 2, 0.0)
     denom = residual_power + noise_power
     sinr = desired_power / denom if denom > 0 else math.inf
     return ZfpEstimate(empirical_sinr=sinr, desired_power=desired_power,

@@ -75,13 +75,14 @@ def _validate(cfg: ScenarioConfig) -> list[str]:
     """Collect every violation instead of stopping at the first."""
     p: list[str] = []
 
-    for name in ("total_antennas", "antennas_per_ap", "num_users", "drops",
-                 "chi_samples"):
+    # ZF moments need two draws for a standard error
+    for name, least in (("total_antennas", 1), ("antennas_per_ap", 1),
+                        ("num_users", 1), ("drops", 1), ("chi_samples", 2)):
         v = getattr(cfg, name)
         if not _is_int(v):
             p.append(f"{name} must be an integer, got {v!r}")
-        elif v < 1:
-            p.append(f"{name} must be >= 1, got {v}")
+        elif v < least:
+            p.append(f"{name} must be >= {least}, got {v}")
 
     if not _is_int(cfg.master_seed):
         p.append(f"master_seed must be an integer, got {cfg.master_seed!r}")

@@ -217,6 +217,7 @@ def test_criterion_5_power_budgets(reference_instance, acceptance_record):
     assert ok, detail
 
 
+@pytest.mark.slow
 def test_criterion_6_sum_rate_shape(full_scale_sweep, quick_scale_sweep,
                                     acceptance_record):
     records, elapsed = full_scale_sweep
@@ -289,6 +290,7 @@ def test_criterion_7_median_peak(acceptance_record):
     assert ok, detail
 
 
+@pytest.mark.slow
 def test_criterion_8_cost_effectiveness_decreases(full_scale_sweep,
                                                   acceptance_record):
     records, _ = full_scale_sweep

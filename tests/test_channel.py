@@ -249,12 +249,15 @@ def test_conditioned_grams_keep_the_stream_without_redraws():
     profile = make_profile([[1.0, 2.0, 0.5]] * 4, [[0.5, 1.0, 0.25]] * 4,
                            n_t=2)
     rng = np.random.default_rng(8)
-    # the next batch overwrites a batch's Gram buffer: keep copies
-    batches = [b._replace(gram=b.gram.copy()) for b in conditioned_grams(
-        lambda b: (sample_estimates(profile, rng, b),), [7, 7, 3])]
+    # the next batch overwrites a batch's conj and Gram buffers: keep copies
+    batches = [b._replace(g_conj=b.g_conj.copy(), gram=b.gram.copy())
+               for b in conditioned_grams(
+                   lambda b: (sample_estimates(profile, rng, b),), [7, 7, 3])]
     whole = sample_estimates(profile, np.random.default_rng(8), 17)
     g = np.concatenate([b.parts[0] for b in batches])
     assert np.array_equal(g, whole)
+    assert np.array_equal(np.concatenate([b.g_conj for b in batches]),
+                          np.conj(whole))
     gram = np.concatenate([b.gram for b in batches])
     assert np.array_equal(gram, whole.transpose(0, 2, 1) @ whole.conj())
     assert np.array_equal(np.concatenate([b.inv for b in batches]),
@@ -273,11 +276,16 @@ def test_conditioned_grams_redraw_every_part_and_respect_the_budget():
         calls.append(b)
         return g, np.arange(b) + 100 * len(calls)
 
-    batches = list(conditioned_grams(draw, [4, 4] + [4] * 23))
+    batches = [b._replace(g_conj=b.g_conj.copy(), gram=b.gram.copy())
+               for b in conditioned_grams(draw, [4, 4] + [4] * 23)]
     assert calls[:2] == [4, 1]             # the redraw follows its batch
     assert batches[0].redrawn == batches[-1].redrawn == 1
     assert batches[0].parts[1].tolist() == [100, 200, 102, 103]
     assert np.abs(batches[0].parts[0][1]).min() > 0
+    for b in batches:                      # the redrawn draw's conj included
+        assert np.array_equal(b.g_conj, np.conj(b.parts[0]))
+        assert np.array_equal(b.gram, b.parts[0].transpose(0, 2, 1)
+                              @ b.parts[0].conj())
 
     def singular(b):
         return (np.zeros((b, 6, 2), dtype=complex),)
@@ -286,31 +294,3 @@ def test_conditioned_grams_redraw_every_part_and_respect_the_budget():
     with pytest.raises(NumericalError) as err:
         list(conditioned_grams(singular, [50, 50]))
     assert "more than 1%" in str(err.value)
-
-
-def test_conditioned_grams_in_blocks_form_the_same_batches():
-    # Grams formed two draws at a time, a redraw included, are the same bits
-    def batches(block):
-        rng = np.random.default_rng(11)
-        calls = []
-
-        def draw(b):
-            g = complex_normal(rng, 1.0, (b, 6, 2))
-            if not calls:
-                g[4] = 0.0                 # one singular draw in batch 0
-            calls.append(b)
-            return g, np.arange(b) + 100 * len(calls)
-
-        # the next batch overwrites a whole batch's conj and Gram buffers
-        return [b._replace(gram=b.gram.copy(), g_conj=None if b.g_conj is None
-                           else b.g_conj.copy())
-                for b in conditioned_grams(draw, [9, 9, 5], block)]
-
-    for whole, blocked in zip(batches(None), batches(2)):
-        assert np.array_equal(whole.g_conj, whole.parts[0].conj())
-        assert blocked.g_conj is None
-        for a, b in zip(whole.parts, blocked.parts):
-            assert np.array_equal(a, b)
-        assert np.array_equal(whole.gram, blocked.gram)
-        assert np.array_equal(whole.inv, blocked.inv)
-        assert whole.redrawn == blocked.redrawn == 1

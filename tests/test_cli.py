@@ -41,6 +41,26 @@ def test_sweep_cli_flags_override_config(tmp_path, tiny_config):
     assert row[11] == "99"        # master seed
 
 
+def test_sweep_sidecar_is_strict_json_at_the_fewest_zf_draws(tmp_path,
+                                                             capsys):
+    # one ZF draw has no standard error: it is rejected, not written as NaN
+    def strict(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    for n, code in ((1, 1), (2, 0)):
+        path = tmp_path / f"chi{n}.json"
+        path.write_text(json.dumps({"total_antennas": 24, "num_users": 3,
+                                    "chi_samples": n}))
+        assert main(["sweep", "--config", str(path), "--drops", "2",
+                     "--nt", "1,4", "--output",
+                     str(tmp_path / f"chi{n}.csv")]) == code
+    assert "chi_samples must be >= 2, got 1" in capsys.readouterr().err
+    assert not (tmp_path / "chi1.csv").exists()
+    meta = json.loads((tmp_path / "chi2.csv.meta.json").read_text(),
+                      parse_constant=strict)
+    assert set(meta["zf_peak_load_rel_se"]) == {"1", "4"}
+
+
 def test_sweep_deterministic_across_worker_counts(tmp_path, tiny_config):
     digests = {}
     for jobs in ("1", "2"):

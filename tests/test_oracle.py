@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cfmimo import downlink, oracle, uplink
+from cfmimo import channel, downlink, oracle, uplink
 from cfmimo.oracle import (CBF_TERMS, REFERENCE_SAMPLES, UPLINK_TERMS,
                            reference_config, rows_to_csv, rows_to_text,
                            simulate_downlink_cbf,
@@ -249,3 +249,84 @@ def test_passes_draw_exactly_their_chunk_plan(monkeypatch, which):
         direct.standard_normal((c, k, 2))
         direct.standard_normal((c, m, 2) if which == "uplink" else (c, 2))
     assert rng.bit_generator.state == direct.bit_generator.state
+
+
+def singular_zf_pass(monkeypatch, zeroed):
+    # a chunked ZF pass whose chunk c draws zero estimates at the indices
+    # zeroed[c]; returns the estimate (or the error raised), every channel
+    # draw and a log of the draws and of the Gram inversions, in call order
+    cfg, profile, _ = reference_profile(12)
+    entries = cfg.total_antennas * cfg.num_users
+    monkeypatch.setattr(oracle, "_CHUNK_ELEMENTS", CHUNK_DRAWS * entries)
+    monkeypatch.setattr(oracle, "BLOCK_ELEMENTS", 64 * entries)
+    real_draw, real_invert = oracle.sample_channel_batch, channel.invert_grams
+    draws, log = {}, []
+
+    def draw(profile, rng, b):
+        g_hat, g_err = real_draw(profile, rng, b)
+        kind = "chunk" if b in (CHUNK_DRAWS, N_CHUNKED % CHUNK_DRAWS) \
+            else "redraw"
+        if kind == "chunk":
+            g_hat[zeroed.get(sum(e[0] == "chunk" for e in log), [])] = 0.0
+        draws.setdefault(kind, []).append((g_hat, g_err))
+        log.append((kind, b))
+        return g_hat, g_err
+
+    def invert(gram):
+        log.append(("invert", len(gram)))
+        return real_invert(gram)
+
+    monkeypatch.setattr(oracle, "sample_channel_batch", draw)
+    monkeypatch.setattr(channel, "invert_grams", invert)
+    try:
+        est = run_pass("zfp", cfg, profile, N_CHUNKED,
+                       np.random.default_rng(6))
+    except channel.NumericalError as exc:
+        est = exc
+    return est, draws, log, cfg, profile
+
+
+def test_zf_pass_redraws_a_singular_draw_right_after_its_block(monkeypatch):
+    # one singular draw in chunk 0's first block, one in chunk 2's second
+    est, draws, log, cfg, profile = singular_zf_pass(monkeypatch,
+                                                     {0: [1], 2: [100]})
+    assert est.n_resampled == 2
+    chunk_at = [i for i, e in enumerate(log) if e[0] == "chunk"]
+    assert [log[i] for i in chunk_at] == [("chunk", 700), ("chunk", 700),
+                                          ("chunk", 300)]
+    first, last = chunk_at[0], chunk_at[2]
+    # chunk, its first block's inversion, the redraw, then its inversion
+    assert log[first + 1:first + 4] == [("invert", 64), ("redraw", 1),
+                                        ("invert", 1)]
+    assert log[first + 4] == ("invert", 64)
+    assert log[last + 1:last + 5] == [("invert", 64), ("invert", 64),
+                                      ("redraw", 1), ("invert", 1)]
+    # both parts of each singular draw are replaced in place by the redraw
+    chunks, redraws = draws["chunk"], draws["redraw"]
+    for (hat, err), index, (new_hat, new_err) in zip(
+            [chunks[0], chunks[2]], [1, 100], redraws):
+        assert np.array_equal(hat[index], new_hat[0])
+        assert np.array_equal(err[index], new_err[0])
+        assert np.abs(new_hat[0]).min() > 0
+    # in the stream, the first redraw follows chunk 0's symbols and noise
+    direct = np.random.default_rng(6)
+    m, k = cfg.total_antennas, cfg.num_users
+    for shape in ((700, m, k), (700, m, k), (700, k), (700,)):
+        direct.standard_normal(shape + (2,))
+    new_hat, new_err = oracle.sample_channel_batch(profile, direct, 1)
+    assert np.array_equal(new_hat, redraws[0][0])
+    assert np.array_equal(new_err, redraws[0][1])
+
+
+@pytest.mark.parametrize("extra, fails", [([], False), ([0], True)])
+def test_zf_redraw_budget_covers_the_whole_pass(monkeypatch, extra, fails):
+    # 1700 draws allow 17 redraws; chunk 0 alone takes 10, more than 1% of
+    # its 700 draws, and one redraw beyond 17 aborts the pass
+    zeroed = {0: list(range(0, 700, 70)), 1: list(range(0, 700, 100)),
+              2: extra}
+    est, *_ = singular_zf_pass(monkeypatch, zeroed)
+    if fails:
+        assert isinstance(est, channel.NumericalError)
+        assert "18 of 1700" in str(est)
+    else:
+        assert est.n_resampled == 17

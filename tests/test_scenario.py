@@ -74,6 +74,7 @@ def test_site_count_rejects_non_divisor():
     {"num_users": 0},
     {"drops": 0},
     {"chi_samples": -5},
+    {"chi_samples": 1},                       # no standard error from one draw
     {"ue_tx_power": 0.0},
     {"ue_tx_power": -0.1},
     {"ap_per_antenna_tx_power": 0.0},
