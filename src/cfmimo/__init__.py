@@ -1,9 +1,10 @@
 """Cell-free massive MIMO rate and cost-effectiveness simulator.
 
 The package walks one pipeline: a scenario config fixes the deployment, a
-drop places sites and users and draws large-scale fading, closed forms (or
-Monte-Carlo moments for zero-forcing) turn that into per-user spectral
-efficiencies, and a sweep crosses the rates with a deployment cost.
+drop places sites and users and draws large-scale fading, closed forms
+(with zero-forcing moments from a deterministic equivalent, or Monte-Carlo
+where it does not hold) turn that into per-user spectral efficiencies, and
+a sweep crosses the rates with a deployment cost.
 A brute-force link-level oracle lives alongside to validate every closed
 form it relies on.
 

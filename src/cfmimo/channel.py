@@ -10,10 +10,9 @@ alpha); the true channel is the law they satisfy,
 
 which a caller forms only where it needs it.  That joint construction is
 what the closed forms downstream assume, and the link-level oracle draws it
-whole.  The zero-forcing moment pass reads the estimates only through each
-site's Gram matrix, so :func:`sample_estimates` draws rows with that Gram's
-law: the antennas themselves, or each site's Bartlett factor when a site
-has at least as many antennas as there are users.
+whole.  The zero-forcing moment pass, which runs only on drops where the
+deterministic equivalent of :mod:`downlink` does not hold, reads the
+estimates alone, so :func:`sample_estimates` draws just those.
 
 Zero-forcing needs the inverse of each estimate's Gram matrix, so the
 well-conditioned Gram batches it draws (the singularity rule, its cheap
@@ -74,68 +73,17 @@ def complex_normal(rng: np.random.Generator, variance, size,
     return z
 
 
-def bartlett_diagonal(profile: FadingProfile, rng: np.random.Generator,
-                      n: int) -> np.ndarray:
-    """Diagonals of ``n`` draws of every site's Bartlett factor, (n, sites, users).
-
-    Entry j is sqrt(Gamma(n_t - j, 1)), the j-th diagonal entry of the
-    lower-triangular factor L of a complex Wishart W_K(n_t, I) = L L^H.
-    Needs n_t >= users.
-    """
-    n_t, k = profile.antennas_per_site, profile.num_users
-    if n_t < k:
-        raise ValueError(f"a Bartlett factor needs n_t >= users, got "
-                         f"n_t={n_t} for {k} users")
-    shape = n_t - np.arange(k, dtype=float)
-    return np.sqrt(rng.standard_gamma(shape, size=(n, profile.num_sites, k)))
-
-
 def sample_estimates(profile: FadingProfile, rng: np.random.Generator,
-                     n: int, diagonal: np.ndarray | None = None,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """Batch of estimate rows whose site Grams have the estimates' law.
+                     n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Batch of antenna-level channel estimates, (n, antennas, users).
 
-    Returns (n, sites * r, users) with r = min(n_t, users); rows
-    ``q * r`` to ``q * r + r - 1`` belong to site q.  Zero-forcing moments
-    depend on a draw only through the site Grams S_q = F_q^T conj(F_q) of
-    these rows, and each S_q has the law of site q's estimate Gram
-    G_q^T conj(G_q), with G_q the n_t x users estimates of its antennas:
-
-    * n_t < users: F_q = G_q, the antenna-level estimates themselves, each
-      entry CN(0, alpha_qk), drawn as one ``complex_normal`` block.
-    * n_t >= users: F_q = L_q^T D_q^(1/2), the users x users Bartlett
-      factor, with D_q = diag(alpha_q.) and L_q lower-triangular: L_jj =
-      sqrt(Gamma(n_t - j, 1)) and L_ij ~ CN(0, 1) for i > j.  So the rows
-      of F_q are not antennas.  The diagonals of all n draws come first in
-      the stream (:func:`bartlett_diagonal`, unless ``diagonal`` passes
-      them in), then the strictly triangular entries, draw by draw, so a
-      batch split into blocks that share one up-front ``diagonal`` draws
-      the same bits.
-
-    ``out``, a C-contiguous complex array of the result's shape, receives
-    the rows in place of a new array.
+    Entry (m, k) is CN(0, alpha_mk), drawn as one ``complex_normal`` block
+    over the expanded estimate variances, so a batch split into blocks
+    draws the same bits.  ``out``, a C-contiguous complex array of the
+    result's shape, receives the draws in place of a new array.
     """
-    n_t, k = profile.antennas_per_site, profile.num_users
-    if n_t < k:
-        if diagonal is not None:
-            raise ValueError("antenna-level estimates take no diagonal")
-        _, alpha = expand_site_to_antennas(profile)
-        return complex_normal(rng, alpha, (n,) + alpha.shape, out)
-    if diagonal is None:
-        diagonal = bartlett_diagonal(profile, rng, n)
-    q = profile.num_sites
-    row, col = np.triu_indices(k, 1)
-    strict = complex_normal(rng, profile.alpha[:, col], (n, q, row.size))
-    if out is None:
-        out = np.empty((n, q * k, k), dtype=complex)
-    out.fill(0.0)
-    f = out.reshape(n, q, k, k)
-    start = 0
-    for a in range(k - 1):                 # row a: columns a + 1 to k - 1
-        f[:, :, a, a + 1:] = strict[:, :, start:start + k - 1 - a]
-        start += k - 1 - a
-    f.reshape(n, q, k * k)[:, :, ::k + 1] = diagonal * np.sqrt(profile.alpha)
-    return out
+    _, alpha = expand_site_to_antennas(profile)
+    return complex_normal(rng, alpha, (n,) + alpha.shape, out)
 
 
 def sample_channel_batch(profile: FadingProfile, rng: np.random.Generator,

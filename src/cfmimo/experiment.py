@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .downlink import cbf_power, cbf_sinr_all, zfp_moments, zfp_sinr_all
+from .downlink import EQUIVALENT_SHARE_LIMIT, cbf_power, cbf_sinr_all, \
+    zfp_equivalent, zfp_moments, zfp_sinr_all
 from .propagation import fading_profile, place_topology
 from .scenario import ConfigError, ScenarioConfig, config_to_dict, \
     derive_site_count, drop_seed
@@ -47,9 +48,13 @@ DEFAULT_COST_RATIOS = (0.05, 0.1, 0.25, 0.5)
 class RateReport:
     """Per-user spectral efficiencies of one scheme on one drop.
 
-    A zero-forcing report also carries its moment pass's diagnostics: the
-    singular draws redrawn and the relative standard error of the peak
-    site's load, which sets the power scale.  Other schemes leave them None.
+    A zero-forcing report also carries the diagnostics of its moments: the
+    largest single-antenna share of the deterministic equivalent (None when
+    its fixed point did not converge) and, for sampled moments, the singular
+    draws redrawn and the relative standard error of the peak site's load,
+    which sets the power scale.  Moments from the equivalent have no
+    Monte-Carlo error, so their ``peak_load_rel_se`` is None and their
+    ``n_resampled`` 0.  Other schemes leave all three None.
     """
 
     scheme: str
@@ -57,6 +62,12 @@ class RateReport:
     per_user_se: np.ndarray      # bit/s/Hz, shape (users,)
     n_resampled: int | None = None
     peak_load_rel_se: float | None = None
+    antenna_share: float | None = None
+
+    @property
+    def sampled(self) -> bool:
+        """True for a zero-forcing report whose moments were sampled."""
+        return self.peak_load_rel_se is not None
 
     @property
     def sum_rate(self) -> float:
@@ -80,8 +91,14 @@ class SweepRecord:
     cost_total: float
     gamma_ce: float
     master_seed: int
-    redraws: int | None = None            # ZF only: total over drops
-    peak_load_rel_se: float | None = None  # ZF only: worst over drops
+    # ZF only, else None: singular draws redrawn over all drops, drops
+    # whose moments were sampled, the worst peak-load relative standard
+    # error over those (None when every drop took the deterministic
+    # equivalent) and the worst single-antenna share over the drops
+    redraws: int | None = None
+    sampled_drops: int | None = None
+    peak_load_rel_se: float | None = None
+    antenna_share: float | None = None
 
 
 def deployment_cost(n_ap: int, n_t: int, ratio: float) -> float:
@@ -96,8 +113,11 @@ def run_drop(cfg: ScenarioConfig, drop_index: int) -> tuple[RateReport, ...]:
     """Evaluate all three schemes on drop ``drop_index``.
 
     Randomness comes only from the drop's own substream; the draw order is
-    topology, shadowing, then the ZFP moment batch, so results depend on
-    nothing outside (cfg, drop_index).
+    topology, shadowing, then, where the ZFP moments are sampled, their
+    batch, so results depend on nothing outside (cfg, drop_index).  The
+    ZFP moments come from :func:`downlink.zfp_equivalent` when its
+    single-antenna share is below :data:`downlink.EQUIVALENT_SHARE_LIMIT`,
+    and from the sampled :func:`downlink.zfp_moments` otherwise.
     """
     try:
         rng = np.random.default_rng(drop_seed(cfg.master_seed, drop_index))
@@ -110,7 +130,12 @@ def run_drop(cfg: ScenarioConfig, drop_index: int) -> tuple[RateReport, ...]:
         pc_cbf = cbf_power(profile)
         se_cbf = per_user_rate(cbf_sinr_all(profile, pc_cbf, cfg))
 
-        chi, pc_zfp = zfp_moments(profile, cfg, rng)
+        equivalent = zfp_equivalent(profile)
+        share = None if equivalent is None else equivalent[2]
+        if share is not None and share < EQUIVALENT_SHARE_LIMIT:
+            chi, pc_zfp, _ = equivalent
+        else:
+            chi, pc_zfp = zfp_moments(profile, cfg, rng)
         se_zfp = per_user_rate(zfp_sinr_all(profile, pc_zfp, chi, cfg))
     except (ValueError, RuntimeError) as exc:
         # tag the failing drop but keep the error class for exit codes
@@ -120,7 +145,9 @@ def run_drop(cfg: ScenarioConfig, drop_index: int) -> tuple[RateReport, ...]:
             RateReport("cbf-dl", drop_index, se_cbf),
             RateReport("zfp-dl", drop_index, se_zfp,
                        n_resampled=pc_zfp.n_resampled,
-                       peak_load_rel_se=pc_zfp.peak_load_rel_se))
+                       peak_load_rel_se=pc_zfp.peak_load_rel_se
+                       if pc_zfp.n_samples else None,
+                       antenna_share=share))
 
 
 def percentile(values, p: float) -> float:
@@ -137,17 +164,21 @@ def _run_drop_star(args) -> tuple[RateReport, ...]:
     return run_drop(*args)
 
 
-def _collect_drops(cfg: ScenarioConfig, jobs: int, progress=None):
-    """All drops of one config, in index order regardless of worker count."""
+def _collect_drops(pairs: list, jobs: int, progress=None) -> list:
+    """``run_drop`` over (config, drop index) pairs, in the pairs' order.
+
+    One pool serves every pair, so a worker that finishes cheap drops takes
+    the next pair whatever its config.  ``progress(n_t, done, drops)`` is
+    called as each result arrives in order.
+    """
     pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
     with pool or nullcontext():
-        triples = (pool.map if pool else map)(
-            _run_drop_star, [(cfg, i) for i in range(cfg.drops)])
+        triples = (pool.map if pool else map)(_run_drop_star, pairs)
         results = []
-        for done, triple in enumerate(triples, 1):
+        for (sub, index), triple in zip(pairs, triples):
             results.append(triple)
             if progress:
-                progress(done, cfg.drops)
+                progress(sub.antennas_per_ap, index + 1, sub.drops)
     return results
 
 
@@ -176,14 +207,13 @@ def sweep(cfg: ScenarioConfig, nt_list=None, cv_ratios=None, jobs: int = 1,
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
 
+    subs = [dataclasses.replace(cfg, antennas_per_ap=n_t) for n_t in nt_list]
+    reports = _collect_drops([(sub, i) for sub in subs
+                              for i in range(cfg.drops)], jobs, progress)
     records: list[SweepRecord] = []
-    for n_t in nt_list:
-        sub = dataclasses.replace(cfg, antennas_per_ap=n_t)
+    for j, (n_t, sub) in enumerate(zip(nt_list, subs)):
         n_ap = derive_site_count(sub)
-        triples = _collect_drops(sub, jobs,
-                                 progress=(lambda d, t, n_t=n_t:
-                                           progress(n_t, d, t))
-                                 if progress else None)
+        triples = reports[j * cfg.drops:(j + 1) * cfg.drops]
         for s, scheme in enumerate(SCHEMES):
             sums = np.array([t[s].sum_rate for t in triples])
             pooled = np.concatenate([t[s].per_user_se for t in triples])
@@ -194,10 +224,15 @@ def sweep(cfg: ScenarioConfig, nt_list=None, cv_ratios=None, jobs: int = 1,
             p50 = percentile(pooled, 0.50)
             diagnostics = {}
             if scheme == "zfp-dl":
+                zf = [t[s] for t in triples]
+                rel_se = [r.peak_load_rel_se for r in zf if r.sampled]
                 diagnostics = {
-                    "redraws": sum(t[s].n_resampled for t in triples),
-                    "peak_load_rel_se": max(t[s].peak_load_rel_se
-                                            for t in triples)}
+                    "redraws": sum(r.n_resampled for r in zf),
+                    "sampled_drops": len(rel_se),
+                    "peak_load_rel_se": max(rel_se, default=None),
+                    "antenna_share": max((r.antenna_share for r in zf
+                                          if r.antenna_share is not None),
+                                         default=None)}
             for ratio in cv_ratios:
                 cost = deployment_cost(n_ap, n_t, ratio)
                 records.append(SweepRecord(
@@ -237,18 +272,28 @@ def write_metadata(csv_path, cfg: ScenarioConfig, nt_list, cv_ratios,
     """JSON sidecar: config, grids, seeds, sample sizes and run statistics.
 
     Per antenna count it records the sum-rate standard error of each scheme
-    and the ZF moment diagnostics: ``zf_redraws``, the singular draws
-    redrawn over all drops, and ``zf_peak_load_rel_se``, the worst relative
-    standard error of a drop's peak site load.  Content is a pure function
-    of the run inputs and outputs (no timestamps), so reruns of the same
-    experiment produce identical files.
+    and the ZF moment diagnostics: ``zf_equivalent_drops`` and
+    ``zf_sampled_drops``, how many drops took their moments from the
+    deterministic equivalent and how many sampled them;
+    ``zf_max_antenna_share``, the worst single-antenna share of the
+    equivalent seen (null if its fixed point never converged);
+    ``zf_redraws``, the singular draws redrawn over the sampled drops; and
+    ``zf_peak_load_rel_se``, the worst relative standard error of a sampled
+    drop's peak site load, null when no drop sampled.  Content is a pure
+    function of the run inputs and outputs (no timestamps), so reruns of
+    the same experiment produce identical files.
     """
-    stderr, redraws, load_rel_se = {}, {}, {}
+    stderr, zf = {}, {}
     for r in records:
         stderr.setdefault(r.scheme, {})[str(r.n_t)] = float(r.sum_rate_stderr)
         if r.redraws is not None:
-            redraws[str(r.n_t)] = r.redraws
-            load_rel_se[str(r.n_t)] = r.peak_load_rel_se
+            for key, value in (
+                    ("zf_redraws", r.redraws),
+                    ("zf_equivalent_drops", r.drops - r.sampled_drops),
+                    ("zf_sampled_drops", r.sampled_drops),
+                    ("zf_max_antenna_share", r.antenna_share),
+                    ("zf_peak_load_rel_se", r.peak_load_rel_se)):
+                zf.setdefault(key, {})[str(r.n_t)] = value
     meta = {
         "version": __version__,
         "config": config_to_dict(cfg),
@@ -261,8 +306,7 @@ def write_metadata(csv_path, cfg: ScenarioConfig, nt_list, cv_ratios,
         "quick": bool(quick),
         "jobs": int(jobs),
         "sum_rate_stderr": stderr,
-        "zf_redraws": redraws,
-        "zf_peak_load_rel_se": load_rel_se,
+        **zf,
     }
     with open(metadata_path(csv_path), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

@@ -52,7 +52,7 @@ class ScenarioConfig:
     breakpoint_d0_km: float = 0.01     # inner path-loss breakpoint
     breakpoint_d1_km: float = 0.05     # outer path-loss breakpoint
     drops: int = 200                   # Monte-Carlo topology draws
-    chi_samples: int = 500             # channel draws per drop for precoder moments
+    chi_samples: int = 500             # ZF moment draws per drop, where sampled
     master_seed: int = 0               # root of every random stream, u64
     ap_placement: str = "uniform"      # "uniform" or "grid"
     fixed_ap: bool = False             # reuse one site layout across all drops

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cfmimo.channel import (RCOND_FLOOR, NumericalError, bartlett_diagonal,
+from cfmimo.channel import (RCOND_FLOOR, NumericalError,
                             batch_sizes, complex_normal, conditioned_grams,
                             expand_site_to_antennas, invert_grams,
                             sample_channel_batch, sample_estimates)
@@ -88,33 +88,23 @@ def test_estimate_and_error_uncorrelated():
 
 
 def test_sample_estimates_statistics_and_determinism():
-    # below the user count the rows are the antennas: CN(0, alpha) entries
-    profile = make_profile([[1.0, 4.0, 2.0]], [[0.5, 3.0, 1.0]], n_t=2)
-    a = sample_estimates(profile, np.random.default_rng(5), 50_000)
-    assert a.shape == (50_000, 2, 3)
-    _, alpha_mk = expand_site_to_antennas(profile)
-    assert np.allclose((np.abs(a) ** 2).mean(axis=0), alpha_mk, rtol=0.03)
-    b = sample_estimates(profile, np.random.default_rng(5), 50_000)
-    assert np.array_equal(a, b)
-    # from the user count on, each site gives users rows of an upper
-    # triangular Bartlett factor F_q whose Gram has mean n_t D_q
-    profile = make_profile([[1.0, 4.0]] * 2, [[0.5, 3.0], [0.25, 1.0]],
-                           n_t=5)
-    a = sample_estimates(profile, np.random.default_rng(5), 50_000)
-    assert a.shape == (50_000, 4, 2)
-    assert (a[:, 1::2, 0] == 0).all()
-    for q in range(2):
-        f = a[:, 2 * q:2 * q + 2]
-        gram = (f.transpose(0, 2, 1) @ f.conj()).mean(axis=0)
-        assert np.allclose(gram, 5 * np.diag(profile.alpha[q]), rtol=0.03,
-                           atol=0.03 * profile.alpha[q].max())
-    b = sample_estimates(profile, np.random.default_rng(5), 50_000)
-    assert np.array_equal(a, b)
+    # the rows are the antennas, below the user count and from it on:
+    # CN(0, alpha) entries
+    for beta, alpha, n_t in (([[1.0, 4.0, 2.0]], [[0.5, 3.0, 1.0]], 2),
+                             ([[1.0, 4.0]] * 2, [[0.5, 3.0], [0.25, 1.0]], 5)):
+        profile = make_profile(beta, alpha, n_t=n_t)
+        a = sample_estimates(profile, np.random.default_rng(5), 50_000)
+        _, alpha_mk = expand_site_to_antennas(profile)
+        assert a.shape == (50_000,) + alpha_mk.shape
+        assert np.allclose((np.abs(a) ** 2).mean(axis=0), alpha_mk,
+                           rtol=0.03)
+        b = sample_estimates(profile, np.random.default_rng(5), 50_000)
+        assert np.array_equal(a, b)
 
 
 def test_antenna_rows_are_the_antenna_level_stream():
-    # n_t < users: one complex_normal block over the expanded alpha, so the
-    # draws and the generator state match the antenna-level batch exactly
+    # one complex_normal block over the expanded alpha, so the draws and
+    # the generator state match the antenna-level batch exactly
     profile = make_profile([[1.0, 2.0, 3.0]] * 4, [[0.5, 1.0, 2.5]] * 4,
                            n_t=2)
     rng, ref = np.random.default_rng(4), np.random.default_rng(4)
@@ -126,48 +116,6 @@ def test_antenna_rows_are_the_antenna_level_stream():
     assert sample_estimates(profile, rng, 9, out=out) is out
     assert np.array_equal(out, complex_normal(ref, alpha_mk, (9, 8, 3)))
     assert rng.bit_generator.state == ref.bit_generator.state
-    with pytest.raises(ValueError):
-        sample_estimates(profile, rng, 2, np.ones((2, 4, 3)))
-    with pytest.raises(ValueError):
-        bartlett_diagonal(profile, rng, 2)
-
-
-def test_bartlett_rows_share_one_up_front_diagonal_across_blocks():
-    profile = make_profile([[1.0, 2.0, 3.0]] * 4, [[0.5, 1.0, 2.5]] * 4,
-                           n_t=3)
-    rng, ref = np.random.default_rng(6), np.random.default_rng(6)
-    whole = sample_estimates(profile, ref, 17)
-    diagonal = bartlett_diagonal(profile, rng, 17)
-    buf = np.full((7, 12, 3), np.nan, dtype=complex)    # reused, dirty
-    blocks = [sample_estimates(profile, rng, b, diagonal[s:s + b],
-                               buf[:b]).copy()
-              for s, b in ((0, 7), (7, 7), (14, 3))]
-    assert np.array_equal(np.concatenate(blocks), whole)
-    assert rng.bit_generator.state == ref.bit_generator.state
-    # the factor of site q, draw d: F = L^T D^(1/2), L_jj^2 ~ Gamma(n_t - j)
-    rng = np.random.default_rng(6)
-    diag = np.sqrt(rng.standard_gamma([3.0, 2.0, 1.0], size=(17, 4, 3)))
-    f = whole.reshape(17, 4, 3, 3)
-    assert np.array_equal(np.diagonal(f, axis1=2, axis2=3),
-                          diag * np.sqrt(profile.alpha))
-    assert (np.tril(f, -1) == 0).all()
-
-
-def test_bartlett_gram_has_the_wishart_moments():
-    # S = F^T conj(F) ~ D^(1/2) W_K(n_t, I) D^(1/2): E S = n_t D,
-    # Var S_jj = n_t a_j^2 and E|S_ij|^2 = n_t a_i a_j off the diagonal
-    alpha = np.array([[0.5, 2.0, 1.0]])
-    profile = make_profile(2 * alpha, alpha, n_t=4)
-    n = 40_000
-    f = sample_estimates(profile, np.random.default_rng(12), n)
-    s = f.transpose(0, 2, 1) @ f.conj()
-    a = alpha[0]
-    want = {"mean": 4 * np.diag(a), "second": 4 * np.outer(a, a)
-            + np.diag(16 * a ** 2)}   # E|S_ij|^2, with (E S_jj)^2 added
-    for name, sample in (("mean", s), ("second", np.abs(s) ** 2)):
-        se = sample.std(axis=0) / np.sqrt(n)
-        z = (sample.mean(axis=0) - want[name]) / np.where(se > 0, se, 1)
-        assert np.abs(z).max() <= 4, name
 
 
 def test_complex_normal_basics():

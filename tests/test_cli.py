@@ -218,16 +218,30 @@ def test_cost_section_is_rejected(tmp_path, capsys, command):
 
 def test_sweep_sidecar_carries_zf_diagnostics_for_any_worker_count(
         tmp_path, tiny_config):
+    def strict(constant):
+        raise ValueError(f"{constant} is not JSON")
+
     metas = []
     for jobs in ("1", "2"):
         out = tmp_path / f"jobs{jobs}.csv"
-        assert main(["sweep", "--config", tiny_config, "--nt", "1,2,3",
+        assert main(["sweep", "--config", tiny_config, "--nt", "1,2,3,6",
                      "--ratios", "0.1", "--jobs", jobs,
                      "--output", str(out)]) == 0
         metas.append(json.loads((tmp_path / f"jobs{jobs}.csv.meta.json")
-                                .read_text()))
-    for key in ("zf_redraws", "zf_peak_load_rel_se"):
-        assert set(metas[0][key]) == {"1", "2", "3"}
+                                .read_text(), parse_constant=strict))
+    for key in ("zf_redraws", "zf_equivalent_drops", "zf_sampled_drops",
+                "zf_max_antenna_share", "zf_peak_load_rel_se"):
+        assert set(metas[0][key]) == {"1", "2", "3", "6"}
         assert metas[0][key] == metas[1][key]
-    assert all(v == 0 for v in metas[0]["zf_redraws"].values())
-    assert all(0 < v < 1 for v in metas[0]["zf_peak_load_rel_se"].values())
+    meta = metas[0]
+    assert all(v == 0 for v in meta["zf_redraws"].values())
+    # n_t = 3 has shares 0.97, 0.48, 0.49 and 0.73; n_t = 6 is bounded by
+    # 1 / (6 - 3) and never samples
+    assert meta["zf_sampled_drops"] == {"1": 4, "2": 4, "3": 2, "6": 0}
+    assert meta["zf_equivalent_drops"] == {"1": 0, "2": 0, "3": 2, "6": 4}
+    shares = meta["zf_max_antenna_share"]
+    assert shares["3"] == pytest.approx(0.974, abs=1e-3)
+    assert 0 < shares["6"] <= 1 / 3
+    rel_se = meta["zf_peak_load_rel_se"]
+    assert rel_se["6"] is None
+    assert all(0 < rel_se[n] < 1 for n in ("1", "2", "3"))

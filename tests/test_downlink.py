@@ -7,7 +7,8 @@ from cfmimo import downlink
 from cfmimo.channel import (complex_normal, expand_site_to_antennas,
                             sample_estimates)
 from cfmimo.downlink import (CbfPowerControl, NumericalError, cbf_power,
-                             cbf_sinr_all, zfp_moments, zfp_sinr_all)
+                             cbf_sinr_all, zfp_equivalent, zfp_moments,
+                             zfp_sinr_all)
 from cfmimo.propagation import FadingProfile, fading_profile, place_topology
 from cfmimo.scenario import ConfigError, ScenarioConfig, derive_noise_power, \
     drop_seed
@@ -246,6 +247,84 @@ def test_moment_estimation_needs_enough_antennas():
     cfg = ScenarioConfig(total_antennas=4, antennas_per_ap=1, num_users=3)
     with pytest.raises(ConfigError):
         zfp_moments(profile, cfg, np.random.default_rng(0), 50)
+    with pytest.raises(ConfigError):
+        zfp_equivalent(profile)
+
+
+# --- the deterministic equivalent ------------------------------------------
+
+def full_scale_profile(n_t, drop=0):
+    cfg = ScenarioConfig(total_antennas=300, antennas_per_ap=n_t,
+                         num_users=16, master_seed=0)
+    rng = np.random.default_rng(drop_seed(0, drop))
+    return cfg, fading_profile(cfg, place_topology(cfg, rng), rng)
+
+
+@pytest.mark.parametrize("n_t", [1, 4, 20])
+def test_equivalent_loads_of_a_stream_sum_to_its_fixed_point(n_t):
+    # with beta - alpha = 1 everywhere, chi[k, i] = sum_q L_qi, which must
+    # equal t_i exactly; so chi's rows are t, and t solves the fixed point
+    _, drawn = full_scale_profile(n_t)
+    alpha = drawn.alpha
+    profile = make_profile(alpha + 1.0, alpha, n_t=n_t)
+    chi, pc, share = zfp_equivalent(profile)
+    t = chi.chi[0]
+    assert np.allclose(chi.chi, t, rtol=1e-12, atol=0)
+    delta = alpha @ t
+    fixed = 1.0 / (n_t * (alpha.T @ (1.0 / (1.0 + delta))))
+    assert np.allclose(t, fixed, rtol=1e-12, atol=0)
+    assert share == pytest.approx((alpha * t).max(), rel=1e-12)
+    # no Monte-Carlo error, and n_samples 0 says so
+    assert chi.n_samples == pc.n_samples == 0
+    assert not chi.stderr.any() and not pc.load_stderr.any()
+
+
+def test_equivalent_is_exact_for_identical_gains():
+    # alpha = a everywhere: the Gram is a complex Wishart W_K(M, a I), so
+    # E[X_ii] = 1 / (a (M - K)) and each antenna carries 1 / M of it
+    m, k, n_t, a, b = 60, 5, 3, 0.4, 0.7
+    profile = make_profile(np.full((m // n_t, k), b),
+                           np.full((m // n_t, k), a), n_t=n_t)
+    chi, pc, share = zfp_equivalent(profile)
+    assert np.allclose(chi.chi, (b - a) / (a * (m - k)), rtol=1e-12, atol=0)
+    assert np.allclose(pc.antenna_load, k / (a * m * (m - k)), rtol=1e-12,
+                       atol=0)
+    assert pc.eta_common == pytest.approx(a * m * (m - k) / k, rel=1e-12)
+    assert share == pytest.approx(1.0 / (m - k), rel=1e-12)
+
+
+def row_sum_stderr(chi):
+    # the entries' errors are correlated, so bound the row sum's by theirs
+    return chi.stderr.sum(axis=1)
+
+
+@pytest.mark.parametrize("n_t", [4, 10, 20])
+def test_equivalent_matches_sampled_moments_at_full_scale(n_t):
+    cfg, profile = full_scale_profile(n_t)
+    chi, pc, share = zfp_equivalent(profile)
+    assert share < downlink.EQUIVALENT_SHARE_LIMIT
+    n = 20_000
+    ref_chi, ref_pc = zfp_moments(profile, cfg, np.random.default_rng(61), n)
+    rows, ref_rows = chi.chi.sum(axis=1), ref_chi.chi.sum(axis=1)
+    assert (np.abs(rows - ref_rows) <= 4 * row_sum_stderr(ref_chi)).all()
+    # the equivalent's finite-size bias grows with the share: at n_t = 4
+    # its eta is 0.6% (about 4 standard errors of this reference) above
+    # the sampled one.  It must stay within one standard error of the
+    # default chi_samples pass it stands in for.
+    default_rel_se = ref_pc.peak_load_rel_se * np.sqrt(n / cfg.chi_samples)
+    assert pc.eta_common == pytest.approx(ref_pc.eta_common,
+                                          rel=default_rel_se)
+
+
+def test_equivalent_gives_up_without_a_converged_fixed_point(monkeypatch):
+    _, profile = random_profile(22, m=40, n_t=4, k=4)
+    assert zfp_equivalent(profile) is not None
+    # a user no antenna hears has t = inf
+    alpha = profile.alpha.copy()
+    alpha[:, 1] = 0.0
+    assert zfp_equivalent(make_profile(profile.beta, alpha, n_t=4)) is None
+    monkeypatch.setattr(downlink, "FIXED_POINT_ITERATIONS", 2)
+    assert zfp_equivalent(profile) is None
 
 
 # --- the block pass --------------------------------------------------------
@@ -321,12 +400,11 @@ def test_block_pass_equals_one_batch_bit_for_bit():
     assert_pass_equals(chi, pc, one_batch_moments(profile, g))
 
 
-@pytest.mark.parametrize("elements", [None, 1, 3 * 24 * 4, 10 ** 6])
-def test_bartlett_pass_equals_one_batch_at_any_block_size(monkeypatch,
-                                                          elements):
-    # n_t >= users: all diagonals come first, so blocks of one draw, of
-    # three draws, the default and one block all equal one batch, and the
-    # pass leaves the generator where the batch does
+@pytest.mark.parametrize("elements", [None, 1, 3 * 48 * 4, 10 ** 6])
+def test_pass_equals_one_batch_at_any_block_size(monkeypatch, elements):
+    # n_t >= users draws antennas too: blocks of one draw, of three draws,
+    # the default and one block all equal one batch, and the pass leaves
+    # the generator where the batch does
     cfg, profile = random_profile(17, m=48, n_t=6, k=4)
     if elements is not None:
         monkeypatch.setattr(downlink, "BLOCK_ELEMENTS", elements)
@@ -334,7 +412,7 @@ def test_bartlett_pass_equals_one_batch_at_any_block_size(monkeypatch,
     rng, ref = np.random.default_rng(3), np.random.default_rng(3)
     chi, pc = zfp_moments(profile, cfg, rng, n)
     g = sample_estimates(profile, ref, n)
-    assert g.shape == (n, 8 * 4, 4)
+    assert g.shape == (n, 48, 4)
     assert_pass_equals(chi, pc, one_batch_moments(profile, g))
     assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -351,28 +429,15 @@ def test_pass_below_the_user_count_draws_the_antenna_stream():
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def cholesky_rows(g, n_t):
-    """Bartlett-shaped rows with exactly the site Grams of full draws ``g``."""
-    n, m, k = g.shape
-    q = m // n_t
-    s = np.einsum("dqak,dqai->dqki", g.reshape(n, q, n_t, k),
-                  g.reshape(n, q, n_t, k).conj())
-    # S = C C^H with C lower triangular, so F = C^T has F^T conj(F) = S
-    return np.linalg.cholesky(s).transpose(0, 1, 3, 2).reshape(n, q * k, k)
-
-
 @pytest.mark.parametrize("n_t", [1, 2, 4, 6])
 def test_site_loads_are_antenna_loads_summed_per_site(monkeypatch, n_t):
-    # one full draw: the pass's site loads and chi equal the per-antenna
-    # |W|^2 summed over each site, whether it reads the antennas (n_t <
-    # users) or only rows with the same site Grams (n_t >= users)
+    # one draw: the pass's site loads and chi equal the per-antenna |W|^2
+    # summed over each site, below the user count and from it on
     cfg, profile = random_profile(19, m=24, n_t=n_t, k=4)
     g = complex_normal(np.random.default_rng(2),
                        expand_site_to_antennas(profile)[1], (1, 24, 4))
-    rows = g if n_t < 4 else cholesky_rows(g, n_t)
     monkeypatch.setattr(downlink, "sample_estimates",
-                        lambda profile, rng, n, diagonal=None, out=None:
-                        rows.copy())
+                        lambda profile, rng, n, out=None: g.copy())
     chi, pc = zfp_moments(profile, cfg, np.random.default_rng(0), 1)
 
     w = np.linalg.pinv(g[0].T)                          # (antennas, users)
@@ -385,40 +450,12 @@ def test_site_loads_are_antenna_loads_summed_per_site(monkeypatch, n_t):
     assert pc.eta_common == pytest.approx(1 / per_antenna.max(), rel=1e-12)
 
 
-def full_draw_moments(profile, rng, n):
-    """Mean and standard error of chi and site loads over full draws."""
-    beta_mk, alpha_mk = expand_site_to_antennas(profile)
-    g = complex_normal(rng, alpha_mk, (n,) + alpha_mk.shape)
-    w = g.conj() @ np.linalg.inv(g.transpose(0, 2, 1) @ g.conj())
-    w2 = np.abs(w) ** 2
-    chi_d = (beta_mk - alpha_mk).T @ w2
-    load_d = site_loads(w2, profile.antennas_per_site)
-    return [(x.mean(axis=0), x.std(axis=0, ddof=1) / np.sqrt(n))
-            for x in (chi_d, load_d)]
-
-
-@pytest.mark.parametrize("n_t", [3, 7])
-def test_bartlett_moments_match_full_draws(n_t):
-    # same law: the pass's Bartlett moments against plain full draws
-    cfg, profile = random_profile(20, m=4 * n_t, n_t=n_t, k=3)
-    n = 20_000
-    chi, pc = zfp_moments(profile, cfg, np.random.default_rng(1), n)
-    (chi_f, chi_se), (load_f, load_se) = full_draw_moments(
-        profile, np.random.default_rng(2), n)
-    z_chi = (chi.chi - chi_f) / np.hypot(chi.stderr, chi_se)
-    site = slice(None, None, n_t)
-    z_load = (pc.antenna_load[site] - load_f) \
-        / np.hypot(pc.load_stderr[site], load_se)
-    assert np.abs(z_chi).max() <= 4
-    assert np.abs(z_load).max() <= 4
-
-
 def inject_singular(monkeypatch, at):
     """Zero the estimate draws numbered ``at`` in the pass's draw sequence."""
     seen = [0]
 
-    def patched(profile, rng, n, diagonal=None, out=None):
-        g = sample_estimates(profile, rng, n, diagonal, out)
+    def patched(profile, rng, n, out=None):
+        g = sample_estimates(profile, rng, n, out)
         for i in range(n):
             if seen[0] + i in at:
                 g[i] = 0.0
@@ -452,33 +489,3 @@ def test_singular_draws_beyond_the_budget_raise(monkeypatch):
     with pytest.raises(NumericalError) as err:
         zfp_moments(profile, cfg, np.random.default_rng(6), n)
     assert "7 of" in str(err.value)
-
-
-def test_singular_bartlett_draws_follow_the_same_rule(monkeypatch):
-    # n_t >= users: a singular draw is redrawn whole (a fresh diagonal
-    # included) right after its block, under the same 1% budget
-    cfg, profile = random_profile(21, m=48, n_t=6, k=4)
-    b = block_draws(8 * 4, 4)
-    n = 2 * b + 30
-    clean = zfp_moments(profile, cfg, np.random.default_rng(5), n)
-    seen = inject_singular(monkeypatch, {b - 1, b + 1})
-    calls = []
-    injected = downlink.sample_estimates
-
-    def spy(profile, rng, n, diagonal=None, out=None):
-        calls.append((n, diagonal is None))
-        return injected(profile, rng, n, diagonal, out)
-
-    monkeypatch.setattr(downlink, "sample_estimates", spy)
-    chi, pc = zfp_moments(profile, cfg, np.random.default_rng(5), n)
-    assert chi.n_resampled == pc.n_resampled == 2
-    assert seen[0] == n + 2
-    assert calls == [(b, False), (1, True), (b, False), (1, True),
-                     (30, False)]
-    assert np.isfinite(chi.chi).all() and np.isfinite(pc.antenna_load).all()
-    assert pc.eta_common == pytest.approx(clean[1].eta_common, rel=0.05)
-
-    inject_singular(monkeypatch, set(range(0, 2 * b, 2)))
-    with pytest.raises(NumericalError) as err:
-        zfp_moments(profile, cfg, np.random.default_rng(6), n)
-    assert "more than 1%" in str(err.value)

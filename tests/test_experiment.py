@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from cfmimo.downlink import EQUIVALENT_SHARE_LIMIT
 from cfmimo.experiment import (CSV_HEADER, DEFAULT_COST_RATIOS,
                                DEFAULT_NT_SWEEP, RateReport, metadata_path,
                                percentile, run_drop, sweep,
@@ -46,10 +47,17 @@ def test_run_drop_error_carries_drop_index(monkeypatch):
     def boom(*args, **kwargs):
         raise NumericalError("synthetic failure")
 
+    # drop 3 of SMALL (n_t = 2) has share 1.09, so it samples its moments
+    assert run_drop(SMALL, 3)[2].sampled
     monkeypatch.setattr(exp, "zfp_moments", boom)
     with pytest.raises(NumericalError) as err:
         run_drop(SMALL, 3)
     assert str(err.value).startswith("drop 3:")
+    # the equivalent runs first on every drop, so its failure is tagged too
+    monkeypatch.setattr(exp, "zfp_equivalent", boom)
+    with pytest.raises(NumericalError) as err:
+        run_drop(dataclasses.replace(SMALL, antennas_per_ap=3), 0)
+    assert str(err.value).startswith("drop 0:")
 
 
 def test_zfp_beats_cbf_per_user_on_average_at_single_antenna_sites():
@@ -169,16 +177,29 @@ def test_csv_floats_have_six_significant_digits(tmp_path):
 def test_zf_report_carries_its_moment_diagnostics():
     mrc, cbf, zfp = run_drop(SMALL, 0)
     assert mrc.n_resampled is None and cbf.peak_load_rel_se is None
+    assert mrc.antenna_share is None and cbf.antenna_share is None
+    # n_t = 2: share 0.92, so 60 draws, and the peak site's load is known
+    # to some percent
+    assert zfp.antenna_share >= EQUIVALENT_SHARE_LIMIT and zfp.sampled
     assert zfp.n_resampled == 0
-    # 60 draws: the peak site's load is known to some percent
     assert 0 < zfp.peak_load_rel_se < 0.5
-    records = sweep(SMALL, nt_list=[2], cv_ratios=[0.1, 0.25])
-    zf = [r for r in records if r.scheme == "zfp-dl"]
-    assert {r.redraws for r in zf} == {0}
-    worst = max(run_drop(dataclasses.replace(SMALL, antennas_per_ap=2),
-                         d)[2].peak_load_rel_se for d in range(SMALL.drops))
-    assert {r.peak_load_rel_se for r in zf} == {worst}
-    assert all(r.redraws is None for r in records if r.scheme != "zfp-dl")
+    # n_t = 3 has drops on both sides of the limit
+    three = dataclasses.replace(SMALL, antennas_per_ap=3)
+    zf = [run_drop(three, d)[2] for d in range(SMALL.drops)]
+    assert [r.sampled for r in zf] \
+        == [r.antenna_share >= EQUIVALENT_SHARE_LIMIT for r in zf]
+    assert {r.sampled for r in zf} == {False, True}
+    assert all(r.n_resampled == 0 and r.peak_load_rel_se is None
+               for r in zf if not r.sampled)
+    records = sweep(SMALL, nt_list=[3], cv_ratios=[0.1, 0.25])
+    want = (0, sum(r.sampled for r in zf),
+            max(r.peak_load_rel_se for r in zf if r.sampled),
+            max(r.antenna_share for r in zf))
+    assert {(r.redraws, r.sampled_drops, r.peak_load_rel_se, r.antenna_share)
+            for r in records if r.scheme == "zfp-dl"} == {want}
+    assert all(r.redraws is None and r.sampled_drops is None
+               and r.antenna_share is None
+               for r in records if r.scheme != "zfp-dl")
 
 
 # A small area puts user-site distances on both sides of both path-loss

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cfmimo import channel, downlink, oracle, uplink
+from cfmimo import channel, downlink, experiment, oracle, uplink
 from cfmimo.oracle import (CBF_TERMS, REFERENCE_SAMPLES, UPLINK_TERMS,
                            reference_config, rows_to_csv, rows_to_text,
                            simulate_downlink_cbf,
@@ -147,6 +147,24 @@ def test_zfp_oracle_matches_pipeline():
     assert est.max_est_iui < 1e-9
     assert est.residual_power < 1e-15 or est.max_est_iui ** 2 \
         < 1e-9 * est.residual_power
+
+
+def test_zfp_oracle_matches_the_equivalent_where_it_runs():
+    # drop 0 of the reference config at n_t = 4 (M = 40, K = 4) has share
+    # 0.351, so the drop runner takes the deterministic equivalent; at the
+    # equivalent's own eta its closed-form SINR must hold criterion 3's 5%
+    # bound against the link level
+    cfg = dataclasses.replace(reference_config(0), antennas_per_ap=4)
+    assert not experiment.run_drop(cfg, 0)[2].sampled
+    rng = np.random.default_rng(drop_seed(cfg.master_seed, 0))
+    profile = fading_profile(cfg, place_topology(cfg, rng), rng)
+    chi, pc, share = downlink.zfp_equivalent(profile)
+    assert share == pytest.approx(0.351, abs=1e-3)
+    closed = downlink.zfp_sinr_all(profile, pc, chi, cfg)[0]
+    est = simulate_downlink_zfp(profile, pc.eta_common, 0, cfg,
+                                REFERENCE_SAMPLES, np.random.default_rng(33))
+    assert est.empirical_sinr == pytest.approx(closed, rel=0.05)
+    assert est.max_est_iui < 1e-9
 
 
 def test_zfp_oracle_perfect_csi():

@@ -151,6 +151,24 @@ def test_sinr_never_rises_with_noise_or_interference(cfg, index, extra_db,
 
 
 @FEW
+@given(st.integers(1, 5), st.integers(1, 8), st.integers(1, 6),
+       st.data())
+def test_equivalent_share_is_at_most_one_over_n_t_minus_k(k, extra, sites,
+                                                         data):
+    # a site's shares of user k sum to at most 1 + delta_q, which bounds
+    # every share by 1 / (n_t - K) once n_t > K: why no n_t >= K + 2 drop
+    # samples its ZF moments
+    n_t = k + extra
+    log_alpha = data.draw(st.lists(st.floats(-12.0, 2.0), min_size=sites * k,
+                                   max_size=sites * k))
+    alpha = 10.0 ** np.reshape(log_alpha, (sites, k))
+    profile = FadingProfile(beta=2 * alpha, alpha=alpha, antennas_per_site=n_t)
+    equivalent = downlink.zfp_equivalent(profile)
+    assert equivalent is not None
+    assert equivalent[2] <= (1.0 + 1e-12) / (n_t - k)
+
+
+@FEW
 @given(st.integers(1, 6), st.lists(st.floats(0.0, 17.0), min_size=1,
                                    max_size=6),
        st.integers(0, 2 ** 32 - 1))
