@@ -15,17 +15,17 @@ deterministic equivalent of :mod:`downlink` does not hold, reads the
 estimates alone, so :func:`sample_estimates` draws just those.
 
 Zero-forcing needs the inverse of each estimate's Gram matrix, so the
-well-conditioned Gram batches it draws (the singularity rule, its cheap
-screen and the redraw budget) live here too.  The moment pass and the
-link-level oracle share one pass, :func:`conditioned_grams`: each batch is
-a cache-sized block whose conjugate, Gram matrix and inverse it forms once,
-redrawing singular draws right after their block.
+singularity rule, its cheap screen and the redraw budget live here too.
+The moment pass and the link-level oracle both draw their own blocks and
+push each to one :class:`GramPass`, which forms the block's conjugate,
+Gram matrix and inverse once, redraws singular draws in place right after
+their block, and counts the redraws against one budget for the pass.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -157,78 +157,69 @@ def invert_grams(gram: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
 
 
 class GramBatch(NamedTuple):
-    """One batch of draws whose estimate Gram matrices are all regular."""
+    """One block of draws whose estimate Gram matrices are all regular."""
 
-    parts: tuple          # the draw's arrays; parts[0] holds the estimates
     g_conj: np.ndarray    # conj(estimates)
     gram: np.ndarray      # estimates^T conj(estimates), (b, users, users)
     inv: np.ndarray       # gram^-1
-    redrawn: int          # singular draws replaced so far, all batches
 
 
-def _regular_inverse(parts, g_conj, gram, redraw, redrawn: int, budget: int,
-                     n: int) -> tuple[np.ndarray, int]:
-    # inverts gram, first replacing each singular draw in parts, g_conj and
-    # gram by a fresh one; returns the inverse and the running redraw count
-    inv, bad = invert_grams(gram)
-    while bad.any():
-        redrawn += int(bad.sum())
-        if redrawn > budget:
-            raise NumericalError(
-                f"more than {SINGULAR_FRACTION:.0%} of estimate draws "
-                f"gave singular Gram matrices ({redrawn} of {n} requested)")
-        idx = np.flatnonzero(bad)
-        fresh = redraw(idx.size)
-        for part, new in zip(parts, fresh):
-            part[idx] = new
-        fresh_conj = fresh[0].conj()
-        g_conj[idx] = fresh_conj
-        gram[idx] = fresh[0].transpose(0, 2, 1) @ fresh_conj
-        sub_inv, still = invert_grams(gram[idx])
-        if inv is not None and sub_inv is not None:
-            inv[idx] = sub_inv
-        else:
-            inv = None
-        bad = np.zeros_like(bad)
-        bad[idx[still]] = True
-    if inv is None:
-        inv = np.linalg.solve(gram, np.eye(gram.shape[-1]))
-    return inv, redrawn
+class GramPass:
+    """Inverse Gram matrices of a pass of ``n`` draws, one block at a time.
 
-
-def conditioned_grams(draw: Callable[[int], tuple], sizes: Iterable[int],
-                      redraw: Callable[[int], tuple] | None = None
-                      ) -> Iterator[GramBatch]:
-    """Draw batches of the given sizes, redrawing singular estimates.
-
-    ``draw(b)`` returns a tuple of arrays with ``b`` draws on axis 0, the
-    channel estimates (b, rows, users) first.  A draw whose Gram matrix
-    :func:`invert_grams` flags is replaced, in every part, by a fresh draw
-    from ``redraw`` (by default ``draw``) right after its batch, before the
-    batch is yielded, so without redraws the batches consume exactly the
-    stream of one ``draw(sum(sizes))``.
-    More than :data:`SINGULAR_FRACTION` of the requested draws redrawn
-    raises :class:`NumericalError`.
-
-    Each batch is one compute block: its ``g_conj`` and ``gram`` live in
-    buffers allocated once, for the largest batch, that the next batch
-    overwrites, so no fresh pages are faulted in per batch.  The generator
-    holds no reference to a batch's parts while it draws the next one.
+    :meth:`invert` takes a block the caller has drawn.  A draw whose Gram
+    matrix :func:`invert_grams` flags is replaced in place, in every part
+    of the block, by a fresh draw from ``redraw(count)``, right after the
+    block, so a pass without redraws consumes only the caller's own draws.
+    ``redrawn`` counts the replaced draws over the whole pass; more than
+    :data:`SINGULAR_FRACTION` of the ``n`` requested raises
+    :class:`NumericalError`.
     """
-    sizes = list(sizes)
-    n = sum(sizes)
-    budget = max(1, math.ceil(SINGULAR_FRACTION * n))
-    redrawn = 0
-    conj_buf = gram_buf = None
-    for size in sizes:
-        parts = draw(size)
+
+    def __init__(self, n: int, redraw: Callable[[int], tuple]):
+        self.n = n
+        self.redraw = redraw
+        self.budget = max(1, math.ceil(SINGULAR_FRACTION * n))
+        self.redrawn = 0
+        self._conj = self._gram = np.empty((0, 0, 0))
+
+    def invert(self, parts: tuple) -> GramBatch:
+        """Conjugate, Gram matrix and inverse of one block of draws.
+
+        ``parts`` is a tuple of arrays with the block's draws on axis 0, the
+        channel estimates (b, rows, users) first.  The conjugate and Gram
+        matrix live in buffers, sized by the largest block so far, that the
+        next block overwrites, so no fresh pages are faulted in per block.
+        """
         g = parts[0]
-        if gram_buf is None:
-            conj_buf = np.empty((max(sizes),) + g.shape[1:], g.dtype)
-            gram_buf = np.empty((max(sizes),) + g.shape[2:] * 2, g.dtype)
-        g_conj = np.conjugate(g, out=conj_buf[:size])
-        gram = np.matmul(g.transpose(0, 2, 1), g_conj, out=gram_buf[:size])
-        inv, redrawn = _regular_inverse(parts, g_conj, gram, redraw or draw,
-                                        redrawn, budget, n)
-        yield GramBatch(parts, g_conj, gram, inv, redrawn)
-        del parts, g
+        b = len(g)
+        if len(self._gram) < b:
+            self._conj = np.empty(g.shape, g.dtype)
+            self._gram = np.empty((b,) + g.shape[2:] * 2, g.dtype)
+        g_conj = np.conjugate(g, out=self._conj[:b])
+        gram = np.matmul(g.transpose(0, 2, 1), g_conj, out=self._gram[:b])
+        inv, bad = invert_grams(gram)
+        while bad.any():
+            self.redrawn += int(bad.sum())
+            if self.redrawn > self.budget:
+                raise NumericalError(
+                    f"more than {SINGULAR_FRACTION:.0%} of estimate draws "
+                    f"gave singular Gram matrices "
+                    f"({self.redrawn} of {self.n} requested)")
+            idx = np.flatnonzero(bad)
+            fresh = self.redraw(idx.size)
+            for part, new in zip(parts, fresh):
+                part[idx] = new
+            fresh_conj = fresh[0].conj()
+            g_conj[idx] = fresh_conj
+            gram[idx] = fresh[0].transpose(0, 2, 1) @ fresh_conj
+            sub_inv, still = invert_grams(gram[idx])
+            if inv is not None and sub_inv is not None:
+                inv[idx] = sub_inv
+            else:
+                inv = None
+            bad = np.zeros_like(bad)
+            bad[idx[still]] = True
+        if inv is None:
+            inv = np.linalg.solve(gram, np.eye(gram.shape[-1]))
+        return GramBatch(g_conj, gram, inv)

@@ -61,8 +61,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BLOCK_ELEMENTS, NumericalError, batch_sizes, \
-    conditioned_grams, expand_site_to_antennas, sample_estimates
+from .channel import BLOCK_ELEMENTS, GramPass, NumericalError, \
+    batch_sizes, expand_site_to_antennas, sample_estimates
 from .propagation import FadingProfile
 from .scenario import ConfigError, ScenarioConfig, derive_noise_power
 
@@ -280,10 +280,11 @@ def zfp_moments(profile: FadingProfile, cfg: ScenarioConfig,
     in turn from ``rng`` and together consume exactly the stream of one
     ``n_samples`` batch; every draw's precoder is computed by the same
     per-matrix products as in one batch, and the sums run draw by draw in
-    draw order, so the result does not depend on the block size.  A draw
-    whose Gram matrix is singular (see :func:`channel.invert_grams`) is
-    redrawn whole, from the same stream, right after its block's draws;
-    more than one percent of such draws aborts with :class:`NumericalError`.
+    draw order, so the result does not depend on the block size.  Each
+    block is pushed to one :class:`channel.GramPass`: a draw whose Gram
+    matrix is singular (see :func:`channel.invert_grams`) is redrawn whole,
+    from the same stream, right after its block's draws, and more than one
+    percent of such draws over the pass aborts with :class:`NumericalError`.
     """
     n = cfg.chi_samples if n_samples is None else n_samples
     if n < 1:
@@ -297,7 +298,6 @@ def zfp_moments(profile: FadingProfile, cfg: ScenarioConfig,
     chi_sq_sum = np.zeros((k, k))
     site_sum = np.zeros((q, k))
     load_sq_sum = np.zeros(q)
-    resampled = 0
 
     sizes = batch_sizes(n, max(1, BLOCK_ELEMENTS // (q * n_t * k)))
     # one set of block buffers for the whole pass
@@ -305,15 +305,11 @@ def zfp_moments(profile: FadingProfile, cfg: ScenarioConfig,
     w_buf = np.empty_like(g_buf)
     w2_buf = np.empty((2,) + g_buf.shape)
     stack_buf = np.empty((sizes[0] + 1, q, k))
+    grams = GramPass(n, lambda b: (sample_estimates(profile, rng, b),))
 
-    def draw(b):
-        return (sample_estimates(profile, rng, b, out=g_buf[:b]),)
-
-    def redraw(b):
-        return (sample_estimates(profile, rng, b),)
-
-    for batch in conditioned_grams(draw, sizes, redraw=redraw):
-        b = len(batch.inv)
+    for b in sizes:
+        batch = grams.invert(
+            (sample_estimates(profile, rng, b, out=g_buf[:b]),))
         w = np.matmul(batch.g_conj, batch.inv, out=w_buf[:b])
         w2, imag2 = w2_buf[:, :b]
         np.square(w.real, out=w2)
@@ -330,7 +326,6 @@ def zfp_moments(profile: FadingProfile, cfg: ScenarioConfig,
         chi_block = err_var_t @ site_block              # (block, users, users)
         chi_sum = _add_in_order(chi_sum, chi_block)
         chi_sq_sum = _add_in_order(chi_sq_sum, chi_block ** 2)
-        resampled = batch.redrawn
 
     chi = chi_sum / n
     # per-antenna mean load of each site: sum_i E[site load of stream i] / n_t
@@ -347,11 +342,11 @@ def zfp_moments(profile: FadingProfile, cfg: ScenarioConfig,
     if not peak > 0:
         raise NumericalError("estimated precoder load is zero everywhere")
     return (ChiMatrix(chi=chi, stderr=stderr, n_samples=n,
-                      n_resampled=resampled),
+                      n_resampled=grams.redrawn),
             ZfpPowerControl(eta_common=1.0 / peak,
                             antenna_load=np.repeat(load, n_t),
                             load_stderr=np.repeat(load_se, n_t), n_samples=n,
-                            n_resampled=resampled))
+                            n_resampled=grams.redrawn))
 
 
 def zfp_sinr_all(profile: FadingProfile, pc: ZfpPowerControl, chi: ChiMatrix,

@@ -168,10 +168,12 @@ def _collect_drops(pairs: list, jobs: int, progress=None) -> list:
     """``run_drop`` over (config, drop index) pairs, in the pairs' order.
 
     One pool serves every pair, so a worker that finishes cheap drops takes
-    the next pair whatever its config.  ``progress(n_t, done, drops)`` is
-    called as each result arrives in order.
+    the next pair whatever its config; it opens no more workers than there
+    are pairs, and none for one.  ``progress(n_t, done, drops)`` is called
+    as each result arrives in order.
     """
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    workers = min(jobs, len(pairs))
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or nullcontext():
         triples = (pool.map if pool else map)(_run_drop_star, pairs)
         results = []

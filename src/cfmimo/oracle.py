@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import downlink, uplink
-from .channel import BLOCK_ELEMENTS, batch_sizes, complex_normal, \
-    conditioned_grams, expand_site_to_antennas, sample_channel_batch
+from .channel import BLOCK_ELEMENTS, GramPass, batch_sizes, \
+    complex_normal, expand_site_to_antennas, sample_channel_batch
 from .propagation import FadingProfile, fading_profile, place_topology
 from .scenario import ConfigError, ScenarioConfig, derive_noise_power, \
     drop_seed
@@ -37,13 +37,13 @@ SINR_TOL = 0.03
 ZFP_SINR_TOL = 0.05
 ZFP_IUI_ABS_TOL = 1e-9
 
-# channel entries per oracle chunk: 4M complex values, 64 MB per array.  A
-# chunk draws all its estimates, then all its errors, then its symbols and
-# noise, so this size fixes the draw order, and with it every bit of the
-# report; the ZF pass then redraws a singular estimate draw (estimate and
-# error) right after its block, before the next chunk.  The size does not
-# set the working set, since the arithmetic on a chunk runs in blocks of
-# channel.BLOCK_ELEMENTS entries
+# channel entries per oracle chunk: 4M complex values, 64 MB per array.  Each
+# pass draws a chunk whole, all its estimates, then all its errors, then its
+# symbols and noise, so this size fixes the draw order, and with it every bit
+# of the report; the ZF pass's GramPass redraws a singular estimate draw
+# (estimate and error) right after its block, before the chunk's next block.
+# The size does not set the working set, since every pass works through a
+# chunk in blocks of channel.BLOCK_ELEMENTS entries
 _CHUNK_ELEMENTS = 4_000_000
 
 
@@ -91,36 +91,26 @@ def _blocks(chunk: int, m: int, k: int) -> list[slice]:
             for start in range(0, chunk, per)]
 
 
-def _new_sums(labels) -> tuple[dict, dict, dict]:
-    # the running sums that _accumulate adds to, all zero
-    return (dict.fromkeys(labels, 0.0), dict.fromkeys(labels, 0.0),
-            {f"{a}/{b}": 0j for i, a in enumerate(labels)
-             for b in labels[i + 1:]})
-
-
-def _accumulate(terms: dict, sums: dict, sq_sums: dict, cross: dict):
-    labels = list(terms)
-    for a in labels:
-        t = terms[a]
-        p = t.real ** 2 + t.imag ** 2
-        sums[a] += float(p.sum())
-        sq_sums[a] += float((p ** 2).sum())
-    for i, a in enumerate(labels):
-        for b in labels[i + 1:]:
-            cross[f"{a}/{b}"] += complex((terms[a] * terms[b].conj()).sum())
-
-
 def _term_estimate(labels, chunk_terms, chunks: list[int],
                    n: int) -> TermEstimate:
-    # chunk_terms(c) draws a chunk of c draws and returns its per-draw parts;
-    # the sums are taken once per chunk, in draw order
-    sums, sq_sums, cross = _new_sums(labels)
+    # chunk_terms(c) draws a chunk of c draws and returns its per-draw parts
+    # keyed by label; the sums are taken once per chunk, in draw order
+    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
+    sums = dict.fromkeys(labels, 0.0)
+    sq_sums = dict.fromkeys(labels, 0.0)
+    cross = {f"{a}/{b}": 0j for a, b in pairs}
     resid_sq = 0.0
     for chunk in chunks:
         terms = chunk_terms(chunk)
         combined = sum(terms[t] for t in labels if t != "desired")
         resid_sq += float((combined.real ** 2 + combined.imag ** 2).sum())
-        _accumulate(terms, sums, sq_sums, cross)
+        for a in labels:
+            t = terms[a]
+            p = t.real ** 2 + t.imag ** 2
+            sums[a] += float(p.sum())
+            sq_sums[a] += float((p ** 2).sum())
+        for a, b in pairs:
+            cross[f"{a}/{b}"] += complex((terms[a] * terms[b].conj()).sum())
     return _finish(sums, sq_sums, cross, resid_sq, n)
 
 
@@ -263,14 +253,15 @@ def simulate_downlink_zfp(profile: FadingProfile, eta_common: float, k: int,
     estimated-channel response as a numerical audit.  Singular estimate
     draws are redrawn like the moment estimators do.
 
-    Each chunk of :data:`_CHUNK_ELEMENTS` channel entries is drawn whole,
-    as in :func:`simulate_uplink_terms`: estimates, errors, symbols, noise.
-    One :func:`channel.conditioned_grams` pass over all ``n_samples`` draws
-    then takes the chunk's blocks in turn, so a singular draw is redrawn
-    (estimate and error, in place in the chunk) right after its block and
-    the redraw budget covers the whole pass.  Each block's precoder is its
-    conjugate estimates times its inverse Gram, so the precoder exists one
-    block at a time and the true channel is never formed.
+    Chunked and blocked like :func:`simulate_uplink_terms`: each chunk of
+    :data:`_CHUNK_ELEMENTS` channel entries is drawn whole (estimates,
+    errors, symbols, noise), then its blocks are pushed in turn to one
+    :class:`channel.GramPass` over all ``n_samples`` draws, so a singular
+    draw is redrawn (estimate and error, in place in the chunk) right after
+    its block and the redraw budget covers the whole pass.  Each block's
+    precoder is its conjugate estimates times its inverse Gram, so the
+    precoder exists one block at a time and the true channel is never
+    formed.
     """
     if not 0 <= k < profile.num_users:
         raise ConfigError(f"user index {k} out of range")
@@ -285,65 +276,42 @@ def simulate_downlink_zfp(profile: FadingProfile, eta_common: float, k: int,
     sigma_n2 = derive_noise_power(cfg)
     eye = np.eye(n_users)
     sqrt_pe = math.sqrt(p_d * eta_common)
-    sums, sq_sums, cross = _new_sums(("desired", "residual", "noise"))
+    grams = GramPass(n_samples,
+                     lambda b: sample_channel_batch(profile, rng, b))
     max_iui = 0.0
-    resampled = 0
 
-    chunks = _chunk_sizes(n_samples, m, n_users)
-    blocks = [sl.stop - sl.start for c in chunks
-              for sl in _blocks(c, m, n_users)]
-    next_chunk = iter(chunks)
-    chunk = {"size": 0, "taken": 0}    # the chunk handed out block by block
+    def chunk_terms(chunk):
+        # only chunk-length per-draw vectors outlive this call
+        nonlocal max_iui
+        g_hat, g_err = sample_channel_batch(profile, rng, chunk)
+        u = complex_normal(rng, 1.0, (chunk, n_users))
+        noise = complex_normal(rng, sigma_n2, (chunk,))
+        leak = np.empty((chunk, n_users), dtype=complex)
+        iui = np.empty(chunk)
+        for sl in _blocks(chunk, m, n_users):
+            batch = grams.invert((g_hat[sl], g_err[sl]))
+            w_mat = batch.g_conj @ batch.inv           # unscaled precoder
+            leak[sl] = np.einsum("cm,cmi->ci", g_err[sl, :, k], w_mat)
+            response = batch.gram @ batch.inv - eye    # estimated-channel IUI
+            iui[sl] = np.abs(response).max(axis=(1, 2))
+        max_iui = max(max_iui, float(iui.max()) * math.sqrt(eta_common))
+        return {
+            "desired": sqrt_pe * u[:, k],
+            "residual": math.sqrt(p_d) * math.sqrt(eta_common)
+            * (leak * u).sum(axis=1),
+            "noise": noise,
+        }
 
-    def draw(b):
-        if chunk["taken"] == chunk["size"]:
-            size = next(next_chunk)
-            chunk.clear()          # let the last chunk go before the next
-            g_hat, g_err = sample_channel_batch(profile, rng, size)
-            chunk.update(size=size, taken=0, g_hat=g_hat, g_err=g_err,
-                         u=complex_normal(rng, 1.0, (size, n_users)),
-                         noise=complex_normal(rng, sigma_n2, (size,)),
-                         leak=np.empty((size, n_users), dtype=complex),
-                         iui=np.empty(size))
-        sl = slice(chunk["taken"], chunk["taken"] + b)
-        chunk["taken"] = sl.stop
-        return chunk["g_hat"][sl], chunk["g_err"][sl]
-
-    def redraw(b):
-        return sample_channel_batch(profile, rng, b)
-
-    for batch in conditioned_grams(draw, blocks, redraw):
-        end = chunk["taken"]
-        sl = slice(end - len(batch.inv), end)
-        w_mat = batch.g_conj @ batch.inv               # unscaled precoder
-        chunk["leak"][sl] = np.einsum("cm,cmi->ci", batch.parts[1][:, :, k],
-                                      w_mat)
-        response = batch.gram @ batch.inv - eye        # estimated-channel IUI
-        chunk["iui"][sl] = np.abs(response).max(axis=(1, 2))
-        resampled = batch.redrawn
-        del batch                 # let the chunk go before the next is drawn
-        if end < chunk["size"]:
-            continue
-        u = chunk["u"]
-        resid = math.sqrt(p_d) * math.sqrt(eta_common) \
-            * (chunk["leak"] * u).sum(axis=1)
-        _accumulate({"desired": sqrt_pe * u[:, k], "residual": resid,
-                     "noise": chunk["noise"]}, sums, sq_sums, cross)
-        max_iui = max(max_iui, float(chunk["iui"].max())
-                      * math.sqrt(eta_common))
-
-    n = n_samples
-    desired_power = sums["desired"] / n
-    residual_power = sums["residual"] / n
-    noise_power = sums["noise"] / n
-    resid_var = max(sq_sums["residual"] / n - residual_power ** 2, 0.0)
-    denom = residual_power + noise_power
-    sinr = desired_power / denom if denom > 0 else math.inf
-    return ZfpEstimate(empirical_sinr=sinr, desired_power=desired_power,
-                       residual_power=residual_power,
-                       residual_stderr=math.sqrt(resid_var / n),
-                       noise_power=noise_power, max_est_iui=max_iui,
-                       n_samples=n, n_resampled=resampled)
+    est = _term_estimate(("desired", "residual", "noise"), chunk_terms,
+                         _chunk_sizes(n_samples, m, n_users), n_samples)
+    powers = est.powers
+    denom = powers["residual"] + powers["noise"]
+    sinr = powers["desired"] / denom if denom > 0 else math.inf
+    return ZfpEstimate(empirical_sinr=sinr, desired_power=powers["desired"],
+                       residual_power=powers["residual"],
+                       residual_stderr=est.stderrs["residual"],
+                       noise_power=powers["noise"], max_est_iui=max_iui,
+                       n_samples=n_samples, n_resampled=grams.redrawn)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cfmimo.channel import (RCOND_FLOOR, NumericalError,
-                            batch_sizes, complex_normal, conditioned_grams,
+from cfmimo.channel import (RCOND_FLOOR, GramBatch, GramPass, NumericalError,
+                            batch_sizes, complex_normal,
                             expand_site_to_antennas, invert_grams,
                             sample_channel_batch, sample_estimates)
 from cfmimo.propagation import FadingProfile
@@ -193,52 +193,74 @@ def test_screen_flags_exactly_what_the_svd_rule_flags():
     assert bad.tolist() == [svd_rule(a) for a in batch]
 
 
-def test_conditioned_grams_keep_the_stream_without_redraws():
+def test_gram_pass_keeps_the_stream_without_redraws():
     profile = make_profile([[1.0, 2.0, 0.5]] * 4, [[0.5, 1.0, 0.25]] * 4,
                            n_t=2)
     rng = np.random.default_rng(8)
-    # the next batch overwrites a batch's conj and Gram buffers: keep copies
-    batches = [b._replace(g_conj=b.g_conj.copy(), gram=b.gram.copy())
-               for b in conditioned_grams(
-                   lambda b: (sample_estimates(profile, rng, b),), [7, 7, 3])]
+    grams = GramPass(17, lambda b: (sample_estimates(profile, rng, b),))
+    blocks, batches = [], []
+    for b in (7, 7, 3):
+        g = sample_estimates(profile, rng, b)
+        batch = grams.invert((g,))
+        blocks.append(g)
+        # the next block overwrites a block's conj and Gram buffers
+        batches.append(batch._replace(g_conj=batch.g_conj.copy(),
+                                      gram=batch.gram.copy()))
     whole = sample_estimates(profile, np.random.default_rng(8), 17)
-    g = np.concatenate([b.parts[0] for b in batches])
-    assert np.array_equal(g, whole)
+    assert np.array_equal(np.concatenate(blocks), whole)
     assert np.array_equal(np.concatenate([b.g_conj for b in batches]),
                           np.conj(whole))
     gram = np.concatenate([b.gram for b in batches])
     assert np.array_equal(gram, whole.transpose(0, 2, 1) @ whole.conj())
     assert np.array_equal(np.concatenate([b.inv for b in batches]),
                           np.linalg.solve(gram, np.eye(3)))
-    assert [b.redrawn for b in batches] == [0, 0, 0]
+    assert grams.redrawn == 0
+    assert GramBatch._fields == ("g_conj", "gram", "inv")
 
 
-def test_conditioned_grams_redraw_every_part_and_respect_the_budget():
+def test_gram_pass_redraws_every_part_in_place_and_keeps_one_budget():
     rng = np.random.default_rng(3)
-    calls = []
+    log = []
 
-    def draw(b):
-        g = complex_normal(rng, 1.0, (b, 6, 2))
-        if not calls:
-            g[1] = 0.0                     # one singular draw in the first batch
-        calls.append(b)
-        return g, np.arange(b) + 100 * len(calls)
+    def redraw(b):
+        log.append(("redraw", b))
+        return complex_normal(rng, 1.0, (b, 6, 2)), np.full(b, -1)
 
-    batches = [b._replace(g_conj=b.g_conj.copy(), gram=b.gram.copy())
-               for b in conditioned_grams(draw, [4, 4] + [4] * 23)]
-    assert calls[:2] == [4, 1]             # the redraw follows its batch
-    assert batches[0].redrawn == batches[-1].redrawn == 1
-    assert batches[0].parts[1].tolist() == [100, 200, 102, 103]
-    assert np.abs(batches[0].parts[0][1]).min() > 0
-    for b in batches:                      # the redrawn draw's conj included
-        assert np.array_equal(b.g_conj, np.conj(b.parts[0]))
-        assert np.array_equal(b.gram, b.parts[0].transpose(0, 2, 1)
-                              @ b.parts[0].conj())
+    grams = GramPass(100, redraw)
+    blocks = []
+    for start in (0, 4):
+        g = complex_normal(rng, 1.0, (4, 6, 2))
+        if start == 0:
+            g[1] = 0.0                 # one singular draw in the first block
+        labels = np.arange(start, start + 4)
+        log.append(("block", 4))
+        batch = grams.invert((g, labels))
+        # conj and Gram match the block as redrawn, before the next reuses them
+        assert np.array_equal(batch.g_conj, np.conj(g))
+        assert np.array_equal(batch.gram, g.transpose(0, 2, 1) @ g.conj())
+        assert np.allclose(batch.gram @ batch.inv, np.eye(2), atol=1e-9)
+        blocks.append((g, labels))
+    assert log == [("block", 4), ("redraw", 1), ("block", 4)]
+    assert grams.redrawn == 1
+    assert blocks[0][1].tolist() == [0, -1, 2, 3]   # every part, in place
+    assert blocks[1][1].tolist() == [4, 5, 6, 7]
+    # in the stream, the redraw comes right after its block
+    direct = np.random.default_rng(3)
+    first = complex_normal(direct, 1.0, (4, 6, 2))
+    first[1] = complex_normal(direct, 1.0, (1, 6, 2))[0]
+    assert np.array_equal(blocks[0][0], first)
+    assert np.array_equal(blocks[1][0], complex_normal(direct, 1.0, (4, 6, 2)))
 
-    def singular(b):
-        return (np.zeros((b, 6, 2), dtype=complex),)
+    def block(singular):
+        g = complex_normal(rng, 1.0, (50, 6, 2))
+        g[singular] = 0.0
+        return (g,)
 
-    # 100 requested draws allow one redraw; the second is over budget
+    # 100 requested draws allow one redraw over all calls: the second
+    # block's singular draw is over budget
+    grams = GramPass(100, lambda b: (complex_normal(rng, 1.0, (b, 6, 2)),))
+    grams.invert(block(3))
     with pytest.raises(NumericalError) as err:
-        list(conditioned_grams(singular, [50, 50]))
+        grams.invert(block(7))
     assert "more than 1%" in str(err.value)
+    assert "2 of 100 requested" in str(err.value)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from cfmimo import experiment
 from cfmimo.downlink import EQUIVALENT_SHARE_LIMIT
 from cfmimo.experiment import (CSV_HEADER, DEFAULT_COST_RATIOS,
                                DEFAULT_NT_SWEEP, RateReport, metadata_path,
@@ -140,6 +141,39 @@ def test_sweep_parallel_results_are_identical():
     serial = sweep(SMALL, nt_list=[1, 3], cv_ratios=[0.05], jobs=1)
     parallel = sweep(SMALL, nt_list=[1, 3], cv_ratios=[0.05], jobs=2)
     assert serial == parallel
+
+
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in turn."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        SerialPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("nt_list, drops, jobs, opened", [
+    ([2], 1, 8, []),               # one drop: no pool at all
+    ([1, 3], 1, 8, [2]),           # two drops: two workers, not eight
+    ([2], 3, 2, [2]),              # more drops than jobs: jobs workers
+])
+def test_sweep_opens_no_more_workers_than_drops(monkeypatch, nt_list, drops,
+                                                jobs, opened):
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(SerialPool, "sizes", [])
+    cfg = dataclasses.replace(SMALL, drops=drops)
+    records = sweep(cfg, nt_list=nt_list, cv_ratios=[0.05], jobs=jobs)
+    assert SerialPool.sizes == opened
+    assert records == sweep(cfg, nt_list=nt_list, cv_ratios=[0.05], jobs=1)
 
 
 def test_csv_and_metadata_outputs(tmp_path):
