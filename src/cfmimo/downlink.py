@@ -46,7 +46,9 @@ most 1 + delta_q, so for n_t > K the share is at most 1 / (n_t - K).
 The drop runner takes the equivalent when the share is below
 :data:`EQUIVALENT_SHARE_LIMIT` and otherwise, or when the fixed point does
 not converge, estimates both moments by Monte-Carlo over antenna-level
-estimate draws (:func:`zfp_moments`).  Antennas of one site share one
+estimate draws (:func:`zfp_moments`).  Either way the moments come as one
+:class:`ZfpMoments` record, which holds the rule for eta and which
+:func:`zfp_sinr_all` takes whole.  Antennas of one site share one
 expected load, so the sampled pass pools them before the maximum, which
 avoids the upward bias of a maximum over M noisy per-antenna loads.  It
 runs in cache-sized blocks of draws that together consume the generator's
@@ -87,42 +89,40 @@ class CbfPowerControl:
 
 
 @dataclass(frozen=True)
-class ZfpPowerControl:
-    """Common ZFP power scale with the audit trail of its estimation.
+class ZfpMoments:
+    """Both ZFP moments of one drop, with their standard errors.
 
-    ``antenna_load`` (antennas,) is the estimated mean precoder energy per
-    antenna (summed over users) that the scale was normalized against:
-    each antenna holds its site's pooled load over n_t.  ``load_stderr``
-    is the standard error of that per-draw site mean.  ``n_samples`` is 0
-    for moments from the deterministic equivalent, which carry no
-    Monte-Carlo error (zero standard errors).
+    ``chi`` (users, users) is the leakage chi[k, i] and ``chi_stderr`` its
+    standard error.  ``site_load`` (sites,) is each site's mean precoder
+    energy per antenna, summed over the streams, and ``load_stderr`` its
+    standard error; the common power scale :attr:`eta` normalizes against
+    the largest.  ``n_samples`` is 0 for moments from the deterministic
+    equivalent, which carry no Monte-Carlo error (zero standard errors);
+    ``n_resampled`` counts the singular draws redrawn.
     """
 
-    eta_common: float
-    antenna_load: np.ndarray
+    chi: np.ndarray
+    chi_stderr: np.ndarray
+    site_load: np.ndarray
     load_stderr: np.ndarray
     n_samples: int
     n_resampled: int
 
     @property
+    def eta(self) -> float:
+        """Common power scale, 1 / max_q site load.
+
+        The antennas of a site share one expected load, so each antenna of
+        the busiest site radiates its budget in expectation and none
+        exceeds it.
+        """
+        return 1.0 / float(self.site_load.max())
+
+    @property
     def peak_load_rel_se(self) -> float:
-        """Relative standard error of the peak load, which sets the scale."""
-        hot = int(np.argmax(self.antenna_load))
-        return float(self.load_stderr[hot] / self.antenna_load[hot])
-
-
-@dataclass(frozen=True)
-class ChiMatrix:
-    """Estimation-error leakage moments chi[k, i] with standard errors.
-
-    As for :class:`ZfpPowerControl`, ``n_samples`` 0 marks the
-    deterministic equivalent.
-    """
-
-    chi: np.ndarray
-    stderr: np.ndarray
-    n_samples: int
-    n_resampled: int
+        """Relative standard error of the peak site load, which sets eta."""
+        hot = int(np.argmax(self.site_load))
+        return float(self.load_stderr[hot] / self.site_load[hot])
 
 
 def cbf_power(profile: FadingProfile) -> CbfPowerControl:
@@ -205,16 +205,16 @@ def _check_zf_antennas(profile: FadingProfile) -> None:
 
 
 def zfp_equivalent(profile: FadingProfile
-                   ) -> tuple[ChiMatrix, ZfpPowerControl, float] | None:
+                   ) -> tuple[ZfpMoments, float] | None:
     """Both ZFP moments from the deterministic equivalent, and its share.
 
     Solves the per-site fixed point for t (see the module docstring) by
     plain iteration from t_k = 1 / sum_q n_t alpha_qk, which climbs to the
     solution monotonically, then forms the site loads L (sites, users) in
-    one K x K solve.  ``chi`` is (beta - alpha)^T L and the common scale is
-    eta = 1 / max_q (sum_i L_qi / n_t), as in :func:`zfp_moments`; both
-    come with zero standard errors and ``n_samples`` 0.  The third value
-    is the largest single-antenna share max_mk alpha_mk t_k, which says
+    one K x K solve.  ``chi`` is (beta - alpha)^T L and each site's load
+    per antenna is sum_i L_qi / n_t, as in :func:`zfp_moments`; both come
+    with zero standard errors and ``n_samples`` 0.  The second value is
+    the largest single-antenna share max_mk alpha_mk t_k, which says
     whether the equivalent holds (:data:`EQUIVALENT_SHARE_LIMIT`).  Returns
     None when the fixed point does not converge to
     :data:`FIXED_POINT_TOLERANCE` within :data:`FIXED_POINT_ITERATIONS`
@@ -243,21 +243,17 @@ def zfp_equivalent(profile: FadingProfile
     # T^2 C, and the solve gives site q's loads in column q
     rhs = (t ** 2)[:, None] * (alpha.T * weight)
     load = np.linalg.solve(np.eye(k) - rhs @ alpha, rhs).T
-    chi = (profile.beta - alpha).T @ load
     # every stream's loads sum to t_i > 0, so the peak is positive
-    site_load = load.sum(axis=1) / n_t
-    return (ChiMatrix(chi=chi, stderr=np.zeros((k, k)), n_samples=0,
-                      n_resampled=0),
-            ZfpPowerControl(eta_common=1.0 / site_load.max(),
-                            antenna_load=np.repeat(site_load, n_t),
-                            load_stderr=np.zeros(q * n_t), n_samples=0,
-                            n_resampled=0),
+    return (ZfpMoments(chi=(profile.beta - alpha).T @ load,
+                       chi_stderr=np.zeros((k, k)),
+                       site_load=load.sum(axis=1) / n_t,
+                       load_stderr=np.zeros(q), n_samples=0, n_resampled=0),
             float((alpha * t).max()))
 
 
 def zfp_moments(profile: FadingProfile, cfg: ScenarioConfig,
                 rng: np.random.Generator,
-                n_samples: int | None = None) -> tuple[ChiMatrix, ZfpPowerControl]:
+                n_samples: int | None = None) -> ZfpMoments:
     """Both ZFP moment estimates from one Monte-Carlo pass over estimate draws.
 
     ``chi[k, i]`` is the mean over draws of sum_q (beta_qk - alpha_qk)
@@ -265,13 +261,10 @@ def zfp_moments(profile: FadingProfile, cfg: ScenarioConfig,
     estimation-error variance there (see the module docstring): the power
     of user k's estimation error leaking into stream i.  Perfect estimates
     give an exactly zero matrix.  The pass draws antenna-level estimates
-    (:func:`channel.sample_estimates`).  The common power scale normalizes
-    against the most loaded site, eta = 1 / max_q (E[site load] / n_t): its
-    antennas share one expected load, so each radiates its per-antenna
-    budget exactly in expectation and no antenna exceeds it.  Each
-    antenna's ``antenna_load`` is its site's mean load per antenna, and
-    ``load_stderr`` that mean's standard error.  ``n_samples`` defaults to
-    the config's ``chi_samples``.
+    (:func:`channel.sample_estimates`).  ``site_load`` is each site's mean
+    load per antenna, E[site load] / n_t, which sets the common power scale
+    (:attr:`ZfpMoments.eta`), and ``load_stderr`` that mean's standard
+    error.  ``n_samples`` defaults to the config's ``chi_samples``.
 
     The pass streams over blocks of about :data:`channel.BLOCK_ELEMENTS`
     estimate entries, so each block's intermediates stay in cache, and
@@ -338,27 +331,21 @@ def zfp_moments(profile: FadingProfile, cfg: ScenarioConfig,
     else:
         stderr = np.full((k, k), np.nan)
         load_se = np.full(q, np.nan)
-    peak = float(load.max())
-    if not peak > 0:
+    if not load.max() > 0:
         raise NumericalError("estimated precoder load is zero everywhere")
-    return (ChiMatrix(chi=chi, stderr=stderr, n_samples=n,
-                      n_resampled=grams.redrawn),
-            ZfpPowerControl(eta_common=1.0 / peak,
-                            antenna_load=np.repeat(load, n_t),
-                            load_stderr=np.repeat(load_se, n_t), n_samples=n,
-                            n_resampled=grams.redrawn))
+    return ZfpMoments(chi=chi, chi_stderr=stderr, site_load=load,
+                      load_stderr=load_se, n_samples=n,
+                      n_resampled=grams.redrawn)
 
 
-def zfp_sinr_all(profile: FadingProfile, pc: ZfpPowerControl, chi: ChiMatrix,
+def zfp_sinr_all(profile: FadingProfile, zf: ZfpMoments,
                  cfg: ScenarioConfig) -> np.ndarray:
     """ZFP SINR of every user under the common power scale, shape (users,)."""
-    eta = float(pc.eta_common)
-    if eta < 0:
-        raise ConfigError(f"eta_common must be >= 0, got {eta}")
-    if chi.chi.shape != (profile.num_users, profile.num_users):
-        raise ConfigError(f"chi has shape {chi.chi.shape} for "
+    if zf.chi.shape != (profile.num_users, profile.num_users):
+        raise ConfigError(f"chi has shape {zf.chi.shape} for "
                           f"{profile.num_users} users")
+    eta = zf.eta
     p_d = cfg.ap_per_antenna_tx_power
     sigma_n2 = derive_noise_power(cfg)
-    leakage = chi.chi.sum(axis=1)              # sum_i chi[k, i]
+    leakage = zf.chi.sum(axis=1)               # sum_i chi[k, i]
     return p_d * eta / (sigma_n2 + p_d * eta * leakage)

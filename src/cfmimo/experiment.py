@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -130,13 +131,10 @@ def run_drop(cfg: ScenarioConfig, drop_index: int) -> tuple[RateReport, ...]:
         pc_cbf = cbf_power(profile)
         se_cbf = per_user_rate(cbf_sinr_all(profile, pc_cbf, cfg))
 
-        equivalent = zfp_equivalent(profile)
-        share = None if equivalent is None else equivalent[2]
-        if share is not None and share < EQUIVALENT_SHARE_LIMIT:
-            chi, pc_zfp, _ = equivalent
-        else:
-            chi, pc_zfp = zfp_moments(profile, cfg, rng)
-        se_zfp = per_user_rate(zfp_sinr_all(profile, pc_zfp, chi, cfg))
+        zf, share = zfp_equivalent(profile) or (None, None)
+        if share is None or not share < EQUIVALENT_SHARE_LIMIT:
+            zf = zfp_moments(profile, cfg, rng)
+        se_zfp = per_user_rate(zfp_sinr_all(profile, zf, cfg))
     except (ValueError, RuntimeError) as exc:
         # tag the failing drop but keep the error class for exit codes
         raise type(exc)(f"drop {drop_index}: {exc}") from exc
@@ -144,9 +142,9 @@ def run_drop(cfg: ScenarioConfig, drop_index: int) -> tuple[RateReport, ...]:
     return (RateReport("mrc-ul", drop_index, se_ul),
             RateReport("cbf-dl", drop_index, se_cbf),
             RateReport("zfp-dl", drop_index, se_zfp,
-                       n_resampled=pc_zfp.n_resampled,
-                       peak_load_rel_se=pc_zfp.peak_load_rel_se
-                       if pc_zfp.n_samples else None,
+                       n_resampled=zf.n_resampled,
+                       peak_load_rel_se=zf.peak_load_rel_se
+                       if zf.n_samples else None,
                        antenna_share=share))
 
 
@@ -203,9 +201,9 @@ def sweep(cfg: ScenarioConfig, nt_list=None, cv_ratios=None, jobs: int = 1,
     if bad:
         raise ConfigError(f"antenna counts {bad} do not divide "
                           f"total_antennas ({cfg.total_antennas})")
-    bad_r = [r for r in cv_ratios if not r > 0]
+    bad_r = [r for r in cv_ratios if not (r > 0 and math.isfinite(r))]
     if bad_r:
-        raise ConfigError(f"cost ratios must be > 0, got {bad_r}")
+        raise ConfigError(f"cost ratios must be finite and > 0, got {bad_r}")
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
 

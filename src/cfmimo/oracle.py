@@ -26,8 +26,9 @@ from .propagation import FadingProfile, fading_profile, place_topology
 from .scenario import ConfigError, ScenarioConfig, derive_noise_power, \
     drop_seed
 
-UPLINK_TERMS = ("desired", "uncertainty", "est_error", "inter_user", "noise")
-CBF_TERMS = UPLINK_TERMS
+# the five received-sample parts of uplink MRC and of CBF, keyed as the
+# closed forms' part powers key them
+TERMS = ("desired", "uncertainty", "est_error", "inter_user", "noise")
 
 # relative tolerances of the validation report, calibrated at the reference
 # sample count; smaller runs widen them by the usual 1/sqrt(n) factor
@@ -98,7 +99,7 @@ def _term_estimate(labels, chunk_terms, chunks: list[int],
     pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
     sums = dict.fromkeys(labels, 0.0)
     sq_sums = dict.fromkeys(labels, 0.0)
-    cross = {f"{a}/{b}": 0j for a, b in pairs}
+    cross = dict.fromkeys(pairs, 0j)
     resid_sq = 0.0
     for chunk in chunks:
         terms = chunk_terms(chunk)
@@ -110,21 +111,14 @@ def _term_estimate(labels, chunk_terms, chunks: list[int],
             sums[a] += float(p.sum())
             sq_sums[a] += float((p ** 2).sum())
         for a, b in pairs:
-            cross[f"{a}/{b}"] += complex((terms[a] * terms[b].conj()).sum())
-    return _finish(sums, sq_sums, cross, resid_sq, n)
-
-
-def _finish(sums, sq_sums, cross, resid_sq, n) -> TermEstimate:
+            cross[a, b] += complex((terms[a] * terms[b].conj()).sum())
     powers = {a: s / n for a, s in sums.items()}
-    stderrs = {}
-    for a, s in sq_sums.items():
-        var = max(s / n - powers[a] ** 2, 0.0)
-        stderrs[a] = math.sqrt(var / n)
+    stderrs = {a: math.sqrt(max(s / n - powers[a] ** 2, 0.0) / n)
+               for a, s in sq_sums.items()}
     correlations = {}
-    for pair, c in cross.items():
-        a, b = pair.split("/")
+    for (a, b), c in cross.items():
         denom = math.sqrt(powers[a] * powers[b])
-        correlations[pair] = abs(c / n) / denom if denom > 0 else 0.0
+        correlations[f"{a}/{b}"] = abs(c / n) / denom if denom > 0 else 0.0
     resid_power = resid_sq / n
     sinr = powers["desired"] / resid_power if resid_power > 0 else math.inf
     return TermEstimate(powers=powers, stderrs=stderrs,
@@ -186,7 +180,7 @@ def simulate_uplink_terms(profile: FadingProfile,
             "noise": noise,
         }
 
-    return _term_estimate(UPLINK_TERMS, chunk_terms,
+    return _term_estimate(TERMS, chunk_terms,
                           _chunk_sizes(n_samples, m, n_users), n_samples)
 
 
@@ -238,7 +232,7 @@ def simulate_downlink_cbf(profile: FadingProfile, pc: downlink.CbfPowerControl,
             "noise": w,
         }
 
-    return _term_estimate(CBF_TERMS, chunk_terms,
+    return _term_estimate(TERMS, chunk_terms,
                           _chunk_sizes(n_samples, m, n_users), n_samples)
 
 
@@ -367,43 +361,28 @@ def validate_instance(cfg: ScenarioConfig,
     rng = np.random.default_rng(drop_seed(cfg.master_seed, 0))
     topo = place_topology(cfg, rng)
     profile = fading_profile(cfg, topo, rng)
-    p_u = cfg.ue_tx_power
-    eta_ul = uplink.UplinkPowerControl.full_power(cfg.num_users)
     rows: list[ValidationRow] = []
 
-    # uplink parts and SINR
-    terms = uplink.uplink_term_variances(profile, eta_ul, 0, cfg)
-    closed_ul = {
-        "desired": terms.desired,
-        "uncertainty": p_u * eta_ul.eta[0] * terms.uncertainty,
-        "est_error": terms.estimation_error,
-        "inter_user": terms.inter_user,
-        "noise": terms.noise,
-    }
-    est = simulate_uplink_terms(profile, eta_ul, 0, cfg, n_samples, rng)
-    for label in UPLINK_TERMS:
-        rows.append(_row(f"ul_{label}", closed_ul[label], est.powers[label],
-                         term_tol, n_samples))
-    rows.append(_row("ul_sinr",
-                     float(uplink.uplink_sinr_all(profile, eta_ul, cfg)[0]),
-                     est.empirical_sinr, sinr_tol, n_samples))
-
-    # CBF parts and SINR
-    pc = downlink.cbf_power(profile)
-    closed_cbf = downlink.cbf_term_variances(profile, pc, 0, cfg)
-    est_cbf = simulate_downlink_cbf(profile, pc, 0, cfg, n_samples, rng)
-    for label in CBF_TERMS:
-        rows.append(_row(f"cbf_{label}", closed_cbf[label],
-                         est_cbf.powers[label], term_tol, n_samples))
-    rows.append(_row("cbf_sinr",
-                     float(downlink.cbf_sinr_all(profile, pc, cfg)[0]),
-                     est_cbf.empirical_sinr, sinr_tol, n_samples))
+    # uplink MRC, then CBF: the five part powers and the SINR of each
+    for prefix, pc, term_powers, sinr_all, simulate in (
+            ("ul", uplink.UplinkPowerControl.full_power(cfg.num_users),
+             uplink.uplink_term_variances, uplink.uplink_sinr_all,
+             simulate_uplink_terms),
+            ("cbf", downlink.cbf_power(profile), downlink.cbf_term_variances,
+             downlink.cbf_sinr_all, simulate_downlink_cbf)):
+        closed = term_powers(profile, pc, 0, cfg)
+        est = simulate(profile, pc, 0, cfg, n_samples, rng)
+        for label in TERMS:
+            rows.append(_row(f"{prefix}_{label}", closed[label],
+                             est.powers[label], term_tol, n_samples))
+        rows.append(_row(f"{prefix}_sinr",
+                         float(sinr_all(profile, pc, cfg)[0]),
+                         est.empirical_sinr, sinr_tol, n_samples))
 
     # ZFP SINR and the estimated-channel interference audit
-    chi, zpc = downlink.zfp_moments(profile, cfg, rng)
-    closed_zfp = float(downlink.zfp_sinr_all(profile, zpc, chi, cfg)[0])
-    est_zfp = simulate_downlink_zfp(profile, zpc.eta_common, 0, cfg,
-                                    n_samples, rng)
+    zf = downlink.zfp_moments(profile, cfg, rng)
+    closed_zfp = float(downlink.zfp_sinr_all(profile, zf, cfg)[0])
+    est_zfp = simulate_downlink_zfp(profile, zf.eta, 0, cfg, n_samples, rng)
     rows.append(_row("zfp_sinr", closed_zfp, est_zfp.empirical_sinr,
                      zfp_tol, n_samples))
     rows.append(_row("zfp_est_iui", 0.0, est_zfp.max_est_iui,

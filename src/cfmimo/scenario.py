@@ -143,13 +143,12 @@ def _validate(cfg: ScenarioConfig) -> list[str]:
 
 
 def derive_site_count(cfg: ScenarioConfig) -> int:
-    """Number of sites, ``total_antennas / antennas_per_ap``."""
-    n_t = cfg.antennas_per_ap
-    m = cfg.total_antennas
-    if m % n_t != 0:
-        raise ConfigError(f"antennas_per_ap ({n_t}) must divide "
-                          f"total_antennas ({m})")
-    return m // n_t
+    """Number of sites, ``total_antennas / antennas_per_ap``.
+
+    A config whose ``antennas_per_ap`` does not divide ``total_antennas``
+    cannot be built, so the division is exact.
+    """
+    return cfg.total_antennas // cfg.antennas_per_ap
 
 
 def derive_noise_power(cfg: ScenarioConfig) -> float:

@@ -5,8 +5,10 @@ using only the mean of the effective gain, so the received sample splits
 into five zero-mean-orthogonal parts: the deterministic desired part, the
 fluctuation of the effective gain around its mean (channel uncertainty),
 the estimation-error leakage, inter-user interference, and combined noise.
-Their variances have closed forms in the large-scale state alone, and the
-effective SINR for user k with n_t antennas per site is
+Their powers have closed forms in the large-scale state alone
+(:func:`uplink_term_variances`, keyed like the CBF parts of
+:func:`downlink.cbf_term_variances`), and the effective SINR for user k
+with n_t antennas per site is
 
     p_u eta_k n_t^2 (sum_q alpha_qk)^2
     -----------------------------------------------------------------
@@ -44,23 +46,6 @@ class UplinkPowerControl:
         return cls(eta=np.ones(num_users))
 
 
-@dataclass(frozen=True)
-class UplinkTermVariances:
-    """Variances of the five received-sample parts for one user.
-
-    ``uncertainty`` is the raw second moment of the effective-gain
-    fluctuation, n_t * sum_q alpha_qk^2; scaled by the transmit power
-    p_u eta_k of its user, it sums with the other three interference parts
-    exactly to the closed-form denominator.
-    """
-
-    desired: float
-    uncertainty: float
-    estimation_error: float
-    inter_user: float
-    noise: float
-
-
 def _eta_vector(pc: UplinkPowerControl, num_users: int) -> np.ndarray:
     if pc.eta.shape[0] != num_users:
         raise ConfigError(f"eta has {pc.eta.shape[0]} entries for "
@@ -69,8 +54,14 @@ def _eta_vector(pc: UplinkPowerControl, num_users: int) -> np.ndarray:
 
 
 def uplink_term_variances(profile: FadingProfile, pc: UplinkPowerControl,
-                          k: int, cfg: ScenarioConfig) -> UplinkTermVariances:
-    """Closed-form variances of the five parts for user ``k``."""
+                          k: int, cfg: ScenarioConfig) -> dict:
+    """Closed-form powers of the five received-sample parts of user ``k``.
+
+    Keyed desired, uncertainty, est_error, inter_user and noise, as
+    :func:`downlink.cbf_term_variances` keys the CBF parts; the desired
+    power over the sum of the other four is :func:`uplink_sinr_all`'s
+    entry k.
+    """
     alpha, beta = profile.alpha, profile.beta
     n_t = profile.antennas_per_site
     eta_vec = _eta_vector(pc, profile.num_users)
@@ -79,18 +70,18 @@ def uplink_term_variances(profile: FadingProfile, pc: UplinkPowerControl,
     p_u = cfg.ue_tx_power
     sigma_n2 = derive_noise_power(cfg)
 
-    a_k = float(alpha[:, k].sum())
-    desired = p_u * eta_vec[k] * (n_t * a_k) ** 2
-    uncertainty = n_t * float((alpha[:, k] ** 2).sum())
-    estimation_error = (p_u * eta_vec[k] * n_t
-                        * float((alpha[:, k] * (beta[:, k] - alpha[:, k])).sum()))
+    a = alpha[:, k]
+    a_k = float(a.sum())
+    power = p_u * eta_vec[k]                   # user k's transmit power
     others = np.delete(np.arange(profile.num_users), k)
-    inter_user = p_u * n_t * float(
-        (eta_vec[others] * (alpha[:, k][:, None] * beta[:, others]).sum(axis=0)).sum())
-    noise = sigma_n2 * n_t * a_k
-    return UplinkTermVariances(desired=desired, uncertainty=uncertainty,
-                               estimation_error=estimation_error,
-                               inter_user=inter_user, noise=noise)
+    return {
+        "desired": power * (n_t * a_k) ** 2,
+        "uncertainty": power * (n_t * float((a ** 2).sum())),
+        "est_error": power * n_t * float((a * (beta[:, k] - a)).sum()),
+        "inter_user": p_u * n_t * float(
+            (eta_vec[others] * (a[:, None] * beta[:, others]).sum(axis=0)).sum()),
+        "noise": sigma_n2 * n_t * a_k,
+    }
 
 
 def uplink_sinr_all(profile: FadingProfile, pc: UplinkPowerControl,

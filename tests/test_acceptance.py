@@ -91,21 +91,13 @@ def _monotone_violations(stats):
 def test_criterion_1_uplink_oracle(reference_instance, acceptance_record):
     cfg, profile = reference_instance
     eta = UplinkPowerControl.full_power(cfg.num_users)
-    p_u = cfg.ue_tx_power
 
     t0 = time.perf_counter()
     est = simulate_uplink_terms(profile, eta, 0, cfg, ORACLE_SAMPLES,
                                 np.random.default_rng(11))
     elapsed = time.perf_counter() - t0
 
-    terms = uplink_term_variances(profile, eta, 0, cfg)
-    closed = {
-        "desired": terms.desired,
-        "uncertainty": p_u * eta.eta[0] * terms.uncertainty,
-        "est_error": terms.estimation_error,
-        "inter_user": terms.inter_user,
-        "noise": terms.noise,
-    }
+    closed = uplink_term_variances(profile, eta, 0, cfg)
     term_errs = {lbl: _relerr(closed[lbl], est.powers[lbl]) for lbl in closed}
     worst = max(term_errs, key=term_errs.get)
     sinr_err = _relerr(uplink_sinr_all(profile, eta, cfg)[0],
@@ -139,10 +131,9 @@ def test_criterion_2_cbf_oracle(reference_instance, acceptance_record):
 
 def test_criterion_3_zfp_oracle(reference_instance, acceptance_record):
     cfg, profile = reference_instance
-    chi, pc = zfp_moments(profile, cfg, np.random.default_rng(31),
-                          CHI_REF_SAMPLES)
-    closed = zfp_sinr_all(profile, pc, chi, cfg)[0]
-    est = simulate_downlink_zfp(profile, pc.eta_common, 0, cfg,
+    zf = zfp_moments(profile, cfg, np.random.default_rng(31), CHI_REF_SAMPLES)
+    closed = zfp_sinr_all(profile, zf, cfg)[0]
+    est = simulate_downlink_zfp(profile, zf.eta, 0, cfg,
                                 ORACLE_SAMPLES, np.random.default_rng(33))
     sinr_err = _relerr(closed, est.empirical_sinr)
 
@@ -191,20 +182,18 @@ def test_criterion_5_power_budgets(reference_instance, acceptance_record):
     cbf_ok = cbf_dev < 1e-12
 
     # zero-forcing: the common scale is estimated, so audit it against an
-    # independently seeded load measurement
-    _, pc_z = zfp_moments(profile, cfg, np.random.default_rng(51),
-                          CHI_REF_SAMPLES)
-    _, audit = zfp_moments(profile, cfg, np.random.default_rng(53),
-                           CHI_REF_SAMPLES)
-    eta = pc_z.eta_common
-    measured = p_d * eta * audit.antenna_load
+    # independently seeded load measurement; every antenna of a site
+    # carries the site's load, so the audit runs per site
+    zf = zfp_moments(profile, cfg, np.random.default_rng(51), CHI_REF_SAMPLES)
+    audit = zfp_moments(profile, cfg, np.random.default_rng(53),
+                        CHI_REF_SAMPLES)
+    eta = zf.eta
+    measured = p_d * eta * audit.site_load
     peak = float(measured.max())
     peak_ok = abs(peak - p_d) <= 0.02 * p_d
 
-    hot = int(np.argmax(pc_z.antenna_load))
-    eta_rel_se = pc_z.load_stderr[hot] / pc_z.antenna_load[hot]
     se = p_d * eta * np.hypot(audit.load_stderr,
-                              audit.antenna_load * eta_rel_se)
+                              audit.site_load * zf.peak_load_rel_se)
     excess = measured - (p_d + 3.0 * se)
     noise_ok = bool((excess <= 0).all())
 

@@ -98,10 +98,15 @@ def test_sweep_quick_scales_drops(tmp_path):
 
 
 def test_sweep_invalid_nt_exits_1(tmp_path, tiny_config, capsys):
-    code = main(["sweep", "--config", tiny_config, "--nt", "5",
-                 "--output", str(tmp_path / "x.csv")])
-    assert code == 1
-    assert "config error" in capsys.readouterr().err
+    # a bad antenna count or a non-finite cost ratio stops the run before
+    # it writes anything
+    for flag, value in (("--nt", "5"), ("--ratios", "0.1,inf")):
+        out = tmp_path / "x.csv"
+        code = main(["sweep", "--config", tiny_config, flag, value,
+                     "--output", str(out)])
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_missing_config_exits_1(tmp_path, capsys):

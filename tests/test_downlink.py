@@ -118,8 +118,8 @@ def test_chi_zero_under_perfect_estimates():
     beta = np.full((6, 2), 1e-10)
     profile = make_profile(beta, beta, n_t=1)
     cfg = ScenarioConfig(total_antennas=6, antennas_per_ap=1, num_users=2)
-    chi, _ = zfp_moments(profile, cfg, np.random.default_rng(0), 200)
-    assert np.abs(chi.chi).max() == 0.0
+    zf = zfp_moments(profile, cfg, np.random.default_rng(0), 200)
+    assert np.abs(zf.chi).max() == 0.0
 
 
 def test_chi_matches_direct_interference_variance():
@@ -133,7 +133,7 @@ def test_chi_matches_direct_interference_variance():
     profile = make_profile(beta, alpha, n_t=1)
     cfg = ScenarioConfig(total_antennas=8, antennas_per_ap=1, num_users=2)
     n = 60_000
-    chi, _ = zfp_moments(profile, cfg, np.random.default_rng(77), n)
+    zf = zfp_moments(profile, cfg, np.random.default_rng(77), n)
 
     rng = np.random.default_rng(77)          # same precoder samples
     g = sample_estimates(profile, rng, n)
@@ -143,7 +143,7 @@ def test_chi_matches_direct_interference_variance():
     for k in range(2):
         leak = np.einsum("cm,cmi->ci", g_err[:, :, k], w)
         direct = (np.abs(leak) ** 2).mean(axis=0)
-        assert direct == pytest.approx(chi.chi[k], rel=0.01)
+        assert direct == pytest.approx(zf.chi[k], rel=0.01)
 
 
 def test_chi_symmetric_scenario():
@@ -152,15 +152,15 @@ def test_chi_symmetric_scenario():
     alpha = np.full((8, 2), 1.5)
     profile = make_profile(beta, alpha, n_t=1)
     cfg = ScenarioConfig(total_antennas=8, antennas_per_ap=1, num_users=2)
-    chi, _ = zfp_moments(profile, cfg, np.random.default_rng(8), 10_000)
-    assert chi.chi.max() / chi.chi.min() == pytest.approx(1.0, abs=0.05)
+    zf = zfp_moments(profile, cfg, np.random.default_rng(8), 10_000)
+    assert zf.chi.max() / zf.chi.min() == pytest.approx(1.0, abs=0.05)
 
 
 def test_chi_stderr_shrinks_with_samples():
     cfg, profile = random_profile(5, m=12, n_t=2, k=3)
-    chi_small, _ = zfp_moments(profile, cfg, np.random.default_rng(1), 500)
-    chi_big, _ = zfp_moments(profile, cfg, np.random.default_rng(2), 8000)
-    assert chi_big.stderr.mean() < chi_small.stderr.mean() / 2
+    small = zfp_moments(profile, cfg, np.random.default_rng(1), 500)
+    big = zfp_moments(profile, cfg, np.random.default_rng(2), 8000)
+    assert big.chi_stderr.mean() < small.chi_stderr.mean() / 2
 
 
 def test_moments_scale_exactly_with_profile():
@@ -172,11 +172,11 @@ def test_moments_scale_exactly_with_profile():
     prof1 = make_profile(beta, alpha, n_t=2)
     prof2 = make_profile(4.0 * beta, 4.0 * alpha, n_t=2)
     cfg = ScenarioConfig(total_antennas=10, antennas_per_ap=2, num_users=3)
-    chi1, pc1 = zfp_moments(prof1, cfg, np.random.default_rng(6), 2000)
-    chi2, pc2 = zfp_moments(prof2, cfg, np.random.default_rng(6), 2000)
-    assert pc2.eta_common == pytest.approx(4.0 * pc1.eta_common, rel=1e-12)
-    assert np.allclose(pc2.antenna_load, pc1.antenna_load / 4.0, rtol=1e-12)
-    assert np.allclose(chi2.chi, chi1.chi, rtol=1e-12)
+    zf1 = zfp_moments(prof1, cfg, np.random.default_rng(6), 2000)
+    zf2 = zfp_moments(prof2, cfg, np.random.default_rng(6), 2000)
+    assert zf2.eta == pytest.approx(4.0 * zf1.eta, rel=1e-12)
+    assert np.allclose(zf2.site_load, zf1.site_load / 4.0, rtol=1e-12)
+    assert np.allclose(zf2.chi, zf1.chi, rtol=1e-12)
 
 
 def test_zfp_power_scalar_case_is_reciprocal_load():
@@ -186,22 +186,22 @@ def test_zfp_power_scalar_case_is_reciprocal_load():
     profile = make_profile(beta, beta, n_t=1)
     cfg = ScenarioConfig(total_antennas=2, antennas_per_ap=1, num_users=1)
     n = 50
-    _, pc = zfp_moments(profile, cfg, np.random.default_rng(12), n)
+    zf = zfp_moments(profile, cfg, np.random.default_rng(12), n)
     g = sample_estimates(profile, np.random.default_rng(12), n)[:, :1, :]
     manual = (1.0 / np.abs(g[:, 0, 0]) ** 2).mean()
-    assert pc.eta_common == pytest.approx(1.0 / manual, rel=1e-12)
+    assert zf.eta == pytest.approx(1.0 / manual, rel=1e-12)
 
 
 def test_zfp_power_respects_budget_on_fresh_samples():
     cfg, profile = random_profile(7, m=24, n_t=2, k=4)
-    _, pc = zfp_moments(profile, cfg, np.random.default_rng(3), 4000)
-    _, fresh = zfp_moments(profile, cfg, np.random.default_rng(4), 4000)
+    zf = zfp_moments(profile, cfg, np.random.default_rng(3), 4000)
+    fresh = zfp_moments(profile, cfg, np.random.default_rng(4), 4000)
     p_d = cfg.ap_per_antenna_tx_power
-    audit = p_d * pc.eta_common * fresh.antenna_load
-    # the most loaded antenna radiates its budget, nobody exceeds it beyond
-    # the sampling noise of the audit
+    audit = p_d * zf.eta * fresh.site_load
+    # the antennas of the most loaded site radiate their budget, nobody
+    # exceeds it beyond the sampling noise of the audit
     assert audit.max() == pytest.approx(p_d, rel=0.05)
-    noise = 3 * p_d * pc.eta_common * fresh.load_stderr
+    noise = 3 * p_d * zf.eta * fresh.load_stderr
     assert (audit <= p_d + noise).all()
 
 
@@ -209,37 +209,31 @@ def test_zfp_sinr_closed_cases():
     cfg, profile = random_profile(8, m=20, n_t=1, k=4)
     s2 = derive_noise_power(cfg)
     p_d = cfg.ap_per_antenna_tx_power
-    chi, pc = zfp_moments(profile, cfg, np.random.default_rng(9), 500)
+    zf = zfp_moments(profile, cfg, np.random.default_rng(9), 500)
     # perfect estimates: gamma = p_d eta / sigma^2 for every user
     perfect = make_profile(profile.beta, profile.beta, n_t=1)
-    chi0, _ = zfp_moments(perfect, cfg, np.random.default_rng(10), 200)
-    got = zfp_sinr_all(perfect, pc, chi0, cfg)
-    assert got == pytest.approx(np.full(4, p_d * pc.eta_common / s2),
-                                rel=1e-12)
-    # zero power: zero SINR
-    from cfmimo.downlink import ZfpPowerControl
-    pc0 = ZfpPowerControl(eta_common=0.0, antenna_load=pc.antenna_load,
-                          load_stderr=pc.load_stderr, n_samples=pc.n_samples,
-                          n_resampled=0)
-    assert zfp_sinr_all(profile, pc0, chi, cfg) == pytest.approx(np.zeros(4))
+    zf0 = zfp_moments(perfect, cfg, np.random.default_rng(10), 200)
+    got = zfp_sinr_all(perfect, dataclasses.replace(zf, chi=zf0.chi), cfg)
+    assert got == pytest.approx(np.full(4, p_d * zf.eta / s2), rel=1e-12)
+    # an unbounded load scales the power to zero: zero SINR
+    unbounded = dataclasses.replace(zf, site_load=np.full_like(zf.site_load, np.inf))
+    assert unbounded.eta == 0.0
+    assert zfp_sinr_all(profile, unbounded, cfg) == pytest.approx(np.zeros(4))
     # more leakage can only hurt
-    base = zfp_sinr_all(profile, pc, chi, cfg)
-    worse = dataclasses.replace(chi, chi=chi.chi * 1.5)
-    assert (zfp_sinr_all(profile, pc, worse, cfg) < base).all()
+    base = zfp_sinr_all(profile, zf, cfg)
+    worse = dataclasses.replace(zf, chi=zf.chi * 1.5)
+    assert (zfp_sinr_all(profile, worse, cfg) < base).all()
 
 
 def test_zfp_sinr_validates_inputs():
     cfg, profile = random_profile(9)
-    chi, pc = zfp_moments(profile, cfg, np.random.default_rng(0), 100)
-    pc_neg = dataclasses.replace(pc, eta_common=-pc.eta_common)
-    with pytest.raises(ConfigError):
-        zfp_sinr_all(profile, pc_neg, chi, cfg)
-    bad_chi, _ = zfp_moments(
+    # moments of a two-user drop do not fit this four-user one
+    other = zfp_moments(
         make_profile(np.ones((5, 2)), np.ones((5, 2)) * 0.5),
         ScenarioConfig(total_antennas=5, antennas_per_ap=1, num_users=2),
         np.random.default_rng(0), 50)
     with pytest.raises(ConfigError):
-        zfp_sinr_all(profile, pc, bad_chi, cfg)
+        zfp_sinr_all(profile, other, cfg)
 
 
 def test_moment_estimation_needs_enough_antennas():
@@ -267,16 +261,16 @@ def test_equivalent_loads_of_a_stream_sum_to_its_fixed_point(n_t):
     _, drawn = full_scale_profile(n_t)
     alpha = drawn.alpha
     profile = make_profile(alpha + 1.0, alpha, n_t=n_t)
-    chi, pc, share = zfp_equivalent(profile)
-    t = chi.chi[0]
-    assert np.allclose(chi.chi, t, rtol=1e-12, atol=0)
+    zf, share = zfp_equivalent(profile)
+    t = zf.chi[0]
+    assert np.allclose(zf.chi, t, rtol=1e-12, atol=0)
     delta = alpha @ t
     fixed = 1.0 / (n_t * (alpha.T @ (1.0 / (1.0 + delta))))
     assert np.allclose(t, fixed, rtol=1e-12, atol=0)
     assert share == pytest.approx((alpha * t).max(), rel=1e-12)
     # no Monte-Carlo error, and n_samples 0 says so
-    assert chi.n_samples == pc.n_samples == 0
-    assert not chi.stderr.any() and not pc.load_stderr.any()
+    assert zf.n_samples == 0
+    assert not zf.chi_stderr.any() and not zf.load_stderr.any()
 
 
 def test_equivalent_is_exact_for_identical_gains():
@@ -285,35 +279,34 @@ def test_equivalent_is_exact_for_identical_gains():
     m, k, n_t, a, b = 60, 5, 3, 0.4, 0.7
     profile = make_profile(np.full((m // n_t, k), b),
                            np.full((m // n_t, k), a), n_t=n_t)
-    chi, pc, share = zfp_equivalent(profile)
-    assert np.allclose(chi.chi, (b - a) / (a * (m - k)), rtol=1e-12, atol=0)
-    assert np.allclose(pc.antenna_load, k / (a * m * (m - k)), rtol=1e-12,
+    zf, share = zfp_equivalent(profile)
+    assert np.allclose(zf.chi, (b - a) / (a * (m - k)), rtol=1e-12, atol=0)
+    assert np.allclose(zf.site_load, k / (a * m * (m - k)), rtol=1e-12,
                        atol=0)
-    assert pc.eta_common == pytest.approx(a * m * (m - k) / k, rel=1e-12)
+    assert zf.eta == pytest.approx(a * m * (m - k) / k, rel=1e-12)
     assert share == pytest.approx(1.0 / (m - k), rel=1e-12)
 
 
-def row_sum_stderr(chi):
+def row_sum_stderr(zf):
     # the entries' errors are correlated, so bound the row sum's by theirs
-    return chi.stderr.sum(axis=1)
+    return zf.chi_stderr.sum(axis=1)
 
 
 @pytest.mark.parametrize("n_t", [4, 10, 20])
 def test_equivalent_matches_sampled_moments_at_full_scale(n_t):
     cfg, profile = full_scale_profile(n_t)
-    chi, pc, share = zfp_equivalent(profile)
+    zf, share = zfp_equivalent(profile)
     assert share < downlink.EQUIVALENT_SHARE_LIMIT
     n = 20_000
-    ref_chi, ref_pc = zfp_moments(profile, cfg, np.random.default_rng(61), n)
-    rows, ref_rows = chi.chi.sum(axis=1), ref_chi.chi.sum(axis=1)
-    assert (np.abs(rows - ref_rows) <= 4 * row_sum_stderr(ref_chi)).all()
+    ref = zfp_moments(profile, cfg, np.random.default_rng(61), n)
+    rows, ref_rows = zf.chi.sum(axis=1), ref.chi.sum(axis=1)
+    assert (np.abs(rows - ref_rows) <= 4 * row_sum_stderr(ref)).all()
     # the equivalent's finite-size bias grows with the share: at n_t = 4
     # its eta is 0.6% (about 4 standard errors of this reference) above
     # the sampled one.  It must stay within one standard error of the
     # default chi_samples pass it stands in for.
-    default_rel_se = ref_pc.peak_load_rel_se * np.sqrt(n / cfg.chi_samples)
-    assert pc.eta_common == pytest.approx(ref_pc.eta_common,
-                                          rel=default_rel_se)
+    default_rel_se = ref.peak_load_rel_se * np.sqrt(n / cfg.chi_samples)
+    assert zf.eta == pytest.approx(ref.eta, rel=default_rel_se)
 
 
 def test_equivalent_gives_up_without_a_converged_fixed_point(monkeypatch):
@@ -325,6 +318,20 @@ def test_equivalent_gives_up_without_a_converged_fixed_point(monkeypatch):
     assert zfp_equivalent(make_profile(profile.beta, alpha, n_t=4)) is None
     monkeypatch.setattr(downlink, "FIXED_POINT_ITERATIONS", 2)
     assert zfp_equivalent(profile) is None
+
+
+@pytest.mark.parametrize("n_t", [2, 4])
+def test_moments_hold_one_load_per_site_and_eta_from_the_peak(n_t):
+    # the drop runner samples this drop's moments at n_t = 2 (share 1.06)
+    # and takes the equivalent at n_t = 4 (share 0.20); either record has
+    # one load per site, and eta is the reciprocal of the largest
+    cfg, profile = random_profile(22, m=40, n_t=n_t, k=4)
+    equivalent, share = zfp_equivalent(profile)
+    assert (share < downlink.EQUIVALENT_SHARE_LIMIT) == (n_t == 4)
+    sampled = zfp_moments(profile, cfg, np.random.default_rng(0), 200)
+    for zf in (equivalent, sampled):
+        assert zf.site_load.shape == zf.load_stderr.shape == (40 // n_t,)
+        assert zf.eta == 1.0 / zf.site_load.max()
 
 
 # --- the block pass --------------------------------------------------------
@@ -344,7 +351,7 @@ def test_zfp_moments_match_per_draw_pseudo_inverse():
     # blocks and a remainder
     cfg, profile = random_profile(13, m=40, n_t=2, k=4)
     n = 3 * block_draws(40, 4) + 57
-    chi, pc = zfp_moments(profile, cfg, np.random.default_rng(4), n)
+    zf = zfp_moments(profile, cfg, np.random.default_rng(4), n)
 
     beta_mk, alpha_mk = expand_site_to_antennas(profile)
     g = sample_estimates(profile, np.random.default_rng(4), n)
@@ -355,15 +362,14 @@ def test_zfp_moments_match_per_draw_pseudo_inverse():
         chi_d[d] = (beta_mk - alpha_mk).T @ w2[d]
     load_d = site_loads(w2, 2)
     load = load_d.mean(axis=0)
-    assert np.allclose(chi.chi, chi_d.mean(axis=0), rtol=1e-12, atol=0)
-    assert np.allclose(chi.stderr, chi_d.std(axis=0, ddof=1) / np.sqrt(n),
+    assert np.allclose(zf.chi, chi_d.mean(axis=0), rtol=1e-12, atol=0)
+    assert np.allclose(zf.chi_stderr, chi_d.std(axis=0, ddof=1) / np.sqrt(n),
                        rtol=1e-12, atol=0)
-    assert np.allclose(pc.antenna_load, np.repeat(load, 2), rtol=1e-12,
-                       atol=0)
-    assert np.allclose(pc.load_stderr, np.repeat(
-        load_d.std(axis=0, ddof=1) / np.sqrt(n), 2), rtol=1e-12, atol=0)
-    assert pc.eta_common == pytest.approx(1.0 / load.max(), rel=1e-12)
-    assert chi.n_resampled == pc.n_resampled == 0
+    assert np.allclose(zf.site_load, load, rtol=1e-12, atol=0)
+    assert np.allclose(zf.load_stderr, load_d.std(axis=0, ddof=1) / np.sqrt(n),
+                       rtol=1e-12, atol=0)
+    assert zf.eta == pytest.approx(1.0 / load.max(), rel=1e-12)
+    assert zf.n_resampled == 0
 
 
 def one_batch_moments(profile, g):
@@ -380,12 +386,11 @@ def one_batch_moments(profile, g):
     chi_var = (chi_d ** 2).sum(axis=0) - n * chi ** 2
     load_var = ((site.sum(axis=2) / n_t) ** 2).sum(axis=0) - n * load ** 2
     return (chi, np.sqrt(np.maximum(chi_var, 0) / (n - 1) / n),
-            np.repeat(load, n_t),
-            np.repeat(np.sqrt(np.maximum(load_var, 0) / (n - 1) / n), n_t))
+            load, np.sqrt(np.maximum(load_var, 0) / (n - 1) / n))
 
 
-def assert_pass_equals(chi, pc, want):
-    got = (chi.chi, chi.stderr, pc.antenna_load, pc.load_stderr)
+def assert_pass_equals(zf, want):
+    got = (zf.chi, zf.chi_stderr, zf.site_load, zf.load_stderr)
     for name, a, b in zip(("chi", "chi stderr", "load", "load stderr"),
                           got, want):
         assert np.array_equal(a, b), name
@@ -395,9 +400,9 @@ def test_block_pass_equals_one_batch_bit_for_bit():
     # the same arithmetic on all draws at once: blocking must not change a bit
     cfg, profile = random_profile(16, m=40, n_t=2, k=4)
     n = 2 * block_draws(40, 4) + 11
-    chi, pc = zfp_moments(profile, cfg, np.random.default_rng(9), n)
+    zf = zfp_moments(profile, cfg, np.random.default_rng(9), n)
     g = sample_estimates(profile, np.random.default_rng(9), n)
-    assert_pass_equals(chi, pc, one_batch_moments(profile, g))
+    assert_pass_equals(zf, one_batch_moments(profile, g))
 
 
 @pytest.mark.parametrize("elements", [None, 1, 3 * 48 * 4, 10 ** 6])
@@ -410,10 +415,10 @@ def test_pass_equals_one_batch_at_any_block_size(monkeypatch, elements):
         monkeypatch.setattr(downlink, "BLOCK_ELEMENTS", elements)
     n = 301
     rng, ref = np.random.default_rng(3), np.random.default_rng(3)
-    chi, pc = zfp_moments(profile, cfg, rng, n)
+    zf = zfp_moments(profile, cfg, rng, n)
     g = sample_estimates(profile, ref, n)
     assert g.shape == (n, 48, 4)
-    assert_pass_equals(chi, pc, one_batch_moments(profile, g))
+    assert_pass_equals(zf, one_batch_moments(profile, g))
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -438,16 +443,16 @@ def test_site_loads_are_antenna_loads_summed_per_site(monkeypatch, n_t):
                        expand_site_to_antennas(profile)[1], (1, 24, 4))
     monkeypatch.setattr(downlink, "sample_estimates",
                         lambda profile, rng, n, out=None: g.copy())
-    chi, pc = zfp_moments(profile, cfg, np.random.default_rng(0), 1)
+    zf = zfp_moments(profile, cfg, np.random.default_rng(0), 1)
 
     w = np.linalg.pinv(g[0].T)                          # (antennas, users)
     w2 = np.abs(w) ** 2
     beta_mk, alpha_mk = expand_site_to_antennas(profile)
-    assert np.allclose(chi.chi, (beta_mk - alpha_mk).T @ w2, rtol=1e-12,
+    assert np.allclose(zf.chi, (beta_mk - alpha_mk).T @ w2, rtol=1e-12,
                        atol=0)
-    per_antenna = np.repeat(site_loads(w2[None], n_t)[0], n_t)
-    assert np.allclose(pc.antenna_load, per_antenna, rtol=1e-12, atol=0)
-    assert pc.eta_common == pytest.approx(1 / per_antenna.max(), rel=1e-12)
+    per_site = site_loads(w2[None], n_t)[0]
+    assert np.allclose(zf.site_load, per_site, rtol=1e-12, atol=0)
+    assert zf.eta == pytest.approx(1 / per_site.max(), rel=1e-12)
 
 
 def inject_singular(monkeypatch, at):
@@ -474,12 +479,12 @@ def test_singular_draws_on_both_sides_of_a_block_boundary(monkeypatch):
     # the last draw of block 0 and the first of block 1; block 0's redraw
     # comes right after block 0, so block 1 starts one draw later
     seen = inject_singular(monkeypatch, {b - 1, b + 1})
-    chi, pc = zfp_moments(profile, cfg, np.random.default_rng(5), n)
-    assert chi.n_resampled == pc.n_resampled == 2
+    zf = zfp_moments(profile, cfg, np.random.default_rng(5), n)
+    assert zf.n_resampled == 2
     assert seen[0] == n + 2
-    assert np.isfinite(chi.chi).all() and np.isfinite(pc.antenna_load).all()
-    assert not np.array_equal(chi.chi, clean[0].chi)
-    assert pc.eta_common == pytest.approx(clean[1].eta_common, rel=0.05)
+    assert np.isfinite(zf.chi).all() and np.isfinite(zf.site_load).all()
+    assert not np.array_equal(zf.chi, clean.chi)
+    assert zf.eta == pytest.approx(clean.eta, rel=0.05)
 
 
 def test_singular_draws_beyond_the_budget_raise(monkeypatch):

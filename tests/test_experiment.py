@@ -129,8 +129,12 @@ def test_sweep_rejects_bad_grids_before_running():
     with pytest.raises(ConfigError) as err:
         sweep(SMALL, nt_list=[1, 7], cv_ratios=[0.1])
     assert "7" in str(err.value)
-    with pytest.raises(ConfigError):
-        sweep(SMALL, nt_list=[2], cv_ratios=[-0.1])
+    # an infinite ratio would price every split at inf and write inf into
+    # the CSV and Infinity into the sidecar
+    for ratio in (-0.1, float("inf")):
+        with pytest.raises(ConfigError) as err:
+            sweep(SMALL, nt_list=[2], cv_ratios=[0.1, ratio])
+        assert "cost ratios must be finite and > 0" in str(err.value)
     with pytest.raises(ConfigError):
         sweep(SMALL, nt_list=[], cv_ratios=[0.1])
     with pytest.raises(ConfigError):

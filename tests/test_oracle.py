@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from cfmimo import channel, downlink, experiment, oracle, uplink
-from cfmimo.oracle import (CBF_TERMS, REFERENCE_SAMPLES, UPLINK_TERMS,
-                           reference_config, rows_to_csv, rows_to_text,
+from cfmimo.oracle import (REFERENCE_SAMPLES, TERMS, reference_config, rows_to_csv, rows_to_text,
                            simulate_downlink_cbf,
                            simulate_downlink_zfp, simulate_uplink_terms,
                            validate_instance)
@@ -27,16 +26,8 @@ def test_uplink_terms_match_closed_forms():
     cfg, profile, rng = reference_profile(1)
     eta = uplink.UplinkPowerControl.full_power(cfg.num_users)
     est = simulate_uplink_terms(profile, eta, 0, cfg, N_FAST, rng)
-    terms = uplink.uplink_term_variances(profile, eta, 0, cfg)
-    p_u = cfg.ue_tx_power
-    closed = {
-        "desired": terms.desired,
-        "uncertainty": p_u * eta.eta[0] * terms.uncertainty,
-        "est_error": terms.estimation_error,
-        "inter_user": terms.inter_user,
-        "noise": terms.noise,
-    }
-    for label in UPLINK_TERMS:
+    closed = uplink.uplink_term_variances(profile, eta, 0, cfg)
+    for label in TERMS:
         assert est.powers[label] == pytest.approx(closed[label], rel=0.03), label
     # and the composed empirical SINR against the closed form
     gamma = uplink.uplink_sinr_all(profile, eta, cfg)[0]
@@ -59,7 +50,7 @@ def test_uplink_desired_power_is_deterministic_amplitude():
     est = simulate_uplink_terms(profile, eta, 0, cfg, 5000, rng)
     # the desired part has constant amplitude, so even few samples nail it
     terms = uplink.uplink_term_variances(profile, eta, 0, cfg)
-    assert est.powers["desired"] == pytest.approx(terms.desired, rel=0.05)
+    assert est.powers["desired"] == pytest.approx(terms["desired"], rel=0.05)
     assert est.stderrs["desired"] < 0.05 * est.powers["desired"]
 
 
@@ -102,7 +93,7 @@ def test_cbf_terms_and_sinr_match_closed_forms():
     # parts are nonzero and sum to the closed denominator (times noise)
     s2 = derive_noise_power(cfg)
     num = est.powers["desired"]
-    den = sum(est.powers[t] for t in CBF_TERMS if t != "desired")
+    den = sum(est.powers[t] for t in TERMS if t != "desired")
     assert est.powers["noise"] == pytest.approx(s2, rel=0.03)
     assert num / den == pytest.approx(gamma, rel=0.05)
 
@@ -139,9 +130,9 @@ def test_cbf_near_zero_power_leaves_only_noise():
 
 def test_zfp_oracle_matches_pipeline():
     cfg, profile, rng = reference_profile(9)
-    chi, pc = downlink.zfp_moments(profile, cfg, rng, 20_000)
-    closed = downlink.zfp_sinr_all(profile, pc, chi, cfg)[0]
-    est = simulate_downlink_zfp(profile, pc.eta_common, 0, cfg, N_FAST, rng)
+    zf = downlink.zfp_moments(profile, cfg, rng, 20_000)
+    closed = downlink.zfp_sinr_all(profile, zf, cfg)[0]
+    est = simulate_downlink_zfp(profile, zf.eta, 0, cfg, N_FAST, rng)
     assert est.empirical_sinr == pytest.approx(closed, rel=0.05)
     # interference through the estimated channels is numerically nil
     assert est.max_est_iui < 1e-9
@@ -158,10 +149,10 @@ def test_zfp_oracle_matches_the_equivalent_where_it_runs():
     assert not experiment.run_drop(cfg, 0)[2].sampled
     rng = np.random.default_rng(drop_seed(cfg.master_seed, 0))
     profile = fading_profile(cfg, place_topology(cfg, rng), rng)
-    chi, pc, share = downlink.zfp_equivalent(profile)
+    zf, share = downlink.zfp_equivalent(profile)
     assert share == pytest.approx(0.351, abs=1e-3)
-    closed = downlink.zfp_sinr_all(profile, pc, chi, cfg)[0]
-    est = simulate_downlink_zfp(profile, pc.eta_common, 0, cfg,
+    closed = downlink.zfp_sinr_all(profile, zf, cfg)[0]
+    est = simulate_downlink_zfp(profile, zf.eta, 0, cfg,
                                 REFERENCE_SAMPLES, np.random.default_rng(33))
     assert est.empirical_sinr == pytest.approx(closed, rel=0.05)
     assert est.max_est_iui < 1e-9
@@ -173,10 +164,10 @@ def test_zfp_oracle_perfect_csi():
     profile = fading_profile(cfg, place_topology(cfg, rng), rng)
     perfect = FadingProfile(beta=profile.beta, alpha=profile.beta.copy(),
                             antennas_per_site=profile.antennas_per_site)
-    _, pc = downlink.zfp_moments(perfect, cfg, rng, 2000)
-    est = simulate_downlink_zfp(perfect, pc.eta_common, 0, cfg, N_FAST, rng)
+    zf = downlink.zfp_moments(perfect, cfg, rng, 2000)
+    est = simulate_downlink_zfp(perfect, zf.eta, 0, cfg, N_FAST, rng)
     s2 = derive_noise_power(cfg)
-    expected = cfg.ap_per_antenna_tx_power * pc.eta_common / s2
+    expected = cfg.ap_per_antenna_tx_power * zf.eta / s2
     assert est.residual_power == 0.0
     assert est.empirical_sinr == pytest.approx(expected, rel=0.02)
 

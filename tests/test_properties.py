@@ -103,24 +103,23 @@ def test_cbf_spends_each_antenna_budget_exactly(cfg, index):
     assert np.abs(ratio - 1.0).max() <= 1e-12
 
 
-def closed_form_sinrs(profile, cfg, chi):
-    """Uplink MRC, CBF and ZFP SINRs of every user, ZF scale fixed at 1e9."""
+def closed_form_sinrs(profile, cfg, zf):
+    """Uplink MRC, CBF and ZFP SINRs of every user."""
     eta_ul = uplink.UplinkPowerControl.full_power(profile.num_users)
-    pc_z = downlink.ZfpPowerControl(
-        eta_common=1e9, antenna_load=np.ones(cfg.total_antennas),
-        load_stderr=np.zeros(cfg.total_antennas), n_samples=1,
-        n_resampled=0)
     return {"mrc": uplink.uplink_sinr_all(profile, eta_ul, cfg),
             "cbf": downlink.cbf_sinr_all(profile, downlink.cbf_power(profile),
                                          cfg),
-            "zfp": downlink.zfp_sinr_all(profile, pc_z, chi, cfg)}
+            "zfp": downlink.zfp_sinr_all(profile, zf, cfg)}
 
 
 def leakage(profile, seed):
-    k = profile.num_users
+    """ZF moments with random leakage and every site's load at 1e-9."""
+    k, q = profile.num_users, profile.num_sites
     chi = np.random.default_rng(seed).uniform(0.0, 1e-9, size=(k, k))
-    return downlink.ChiMatrix(chi=chi, stderr=np.zeros((k, k)),
-                              n_samples=1, n_resampled=0)
+    return downlink.ZfpMoments(chi=chi, chi_stderr=np.zeros((k, k)),
+                               site_load=np.full(q, 1e-9),
+                               load_stderr=np.zeros(q), n_samples=1,
+                               n_resampled=0)
 
 
 @FEW
@@ -131,18 +130,18 @@ def test_sinr_never_rises_with_noise_or_interference(cfg, index, extra_db,
     profile = drawn_profile(cfg, index)
     if not (profile.alpha.sum(axis=1) > 0).all():
         return                       # a dead site is rejected, not scaled
-    chi = leakage(profile, seed)
-    base = closed_form_sinrs(profile, cfg, chi)
+    zf = leakage(profile, seed)
+    base = closed_form_sinrs(profile, cfg, zf)
     # more receiver noise
     noisy = closed_form_sinrs(profile, dataclasses.replace(
-        cfg, noise_figure_db=cfg.noise_figure_db + extra_db), chi)
+        cfg, noise_figure_db=cfg.noise_figure_db + extra_db), zf)
     # more interference: every gain beta grows with the estimates fixed
     # (MRC and CBF), and every leakage moment grows (ZFP)
     rng = np.random.default_rng(seed)
     louder = FadingProfile(
         beta=profile.beta * (1 + extra_gain * rng.uniform(size=profile.beta.shape)),
         alpha=profile.alpha, antennas_per_site=profile.antennas_per_site)
-    more = dataclasses.replace(chi, chi=chi.chi * (1 + extra_gain))
+    more = dataclasses.replace(zf, chi=zf.chi * (1 + extra_gain))
     interfered = closed_form_sinrs(louder, cfg, more)
     for scheme, sinr in base.items():
         slack = 1e-12 * sinr
@@ -165,7 +164,7 @@ def test_equivalent_share_is_at_most_one_over_n_t_minus_k(k, extra, sites,
     profile = FadingProfile(beta=2 * alpha, alpha=alpha, antennas_per_site=n_t)
     equivalent = downlink.zfp_equivalent(profile)
     assert equivalent is not None
-    assert equivalent[2] <= (1.0 + 1e-12) / (n_t - k)
+    assert equivalent[1] <= (1.0 + 1e-12) / (n_t - k)
 
 
 @FEW

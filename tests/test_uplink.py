@@ -54,33 +54,28 @@ def test_all_zero_alpha_gives_zero_sinr_and_terms():
     profile = make_profile(np.zeros((3, 2)), np.zeros((3, 2)), n_t=1)
     eta = UplinkPowerControl(eta=[1.0, 1.0])
     terms = uplink_term_variances(profile, eta, 0, cfg)
-    assert terms.desired == 0.0
-    assert terms.uncertainty == 0.0
-    assert terms.estimation_error == 0.0
-    assert terms.inter_user == 0.0
-    assert terms.noise == 0.0
+    assert terms == dict.fromkeys(("desired", "uncertainty", "est_error",
+                                   "inter_user", "noise"), 0.0)
     assert uplink_sinr_all(profile, eta, cfg)[0] == 0.0
 
 
 def test_terms_compose_into_the_sinr():
-    # the uncertainty part enters scaled by its user's transmit power; with
-    # that the four interference parts sum to the closed-form denominator
+    # on both links the desired power over the other four part powers is
+    # the closed-form SINR
     for seed in range(5):
         cfg, profile = random_profile(seed)
-        eta = UplinkPowerControl.full_power(cfg.num_users)
-        pc = cbf_power(profile)
-        direct_ul = uplink_sinr_all(profile, eta, cfg)
-        direct_cbf = cbf_sinr_all(profile, pc, cfg)
-        for k in range(cfg.num_users):
-            t = uplink_term_variances(profile, eta, k, cfg)
-            composed = t.desired / (cfg.ue_tx_power * eta.eta[k]
-                                    * t.uncertainty + t.estimation_error
-                                    + t.inter_user + t.noise)
-            assert composed == pytest.approx(direct_ul[k], rel=1e-10)
-            c = cbf_term_variances(profile, pc, k, cfg)
-            composed = c["desired"] / (c["uncertainty"] + c["est_error"]
-                                       + c["inter_user"] + c["noise"])
-            assert composed == pytest.approx(direct_cbf[k], rel=1e-10)
+        for pc, term_powers, sinr_all in (
+                (UplinkPowerControl.full_power(cfg.num_users),
+                 uplink_term_variances, uplink_sinr_all),
+                (cbf_power(profile), cbf_term_variances, cbf_sinr_all)):
+            direct = sinr_all(profile, pc, cfg)
+            for k in range(cfg.num_users):
+                t = term_powers(profile, pc, k, cfg)
+                assert list(t) == ["desired", "uncertainty", "est_error",
+                                   "inter_user", "noise"]
+                composed = t["desired"] / (t["uncertainty"] + t["est_error"]
+                                           + t["inter_user"] + t["noise"])
+                assert composed == pytest.approx(direct[k], rel=1e-10)
 
 
 def test_term_variances_closed_forms():
@@ -94,14 +89,14 @@ def test_term_variances_closed_forms():
     s2 = derive_noise_power(cfg)
     terms = uplink_term_variances(profile, eta, 0, cfg)
     a0 = 3e-11 + 1e-11
-    assert terms.desired == pytest.approx(p_u * 1.0 * a0 ** 2, rel=1e-12)
-    assert terms.uncertainty == pytest.approx((3e-11) ** 2 + (1e-11) ** 2,
-                                              rel=1e-12)
-    assert terms.estimation_error == pytest.approx(
+    assert terms["desired"] == pytest.approx(p_u * 1.0 * a0 ** 2, rel=1e-12)
+    assert terms["uncertainty"] == pytest.approx(
+        p_u * 1.0 * ((3e-11) ** 2 + (1e-11) ** 2), rel=1e-12)
+    assert terms["est_error"] == pytest.approx(
         p_u * (3e-11 * 1e-11 + 1e-11 * 1e-11), rel=1e-12)
-    assert terms.inter_user == pytest.approx(
+    assert terms["inter_user"] == pytest.approx(
         p_u * 0.5 * (3e-11 * 1e-11 + 1e-11 * 3e-11), rel=1e-12)
-    assert terms.noise == pytest.approx(s2 * a0, rel=1e-12)
+    assert terms["noise"] == pytest.approx(s2 * a0, rel=1e-12)
 
 
 def test_antenna_count_scaling_is_exact():
