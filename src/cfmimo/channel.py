@@ -87,22 +87,28 @@ def sample_estimates(profile: FadingProfile, rng: np.random.Generator,
 
 
 def sample_channel_batch(profile: FadingProfile, rng: np.random.Generator,
-                         n: int) -> tuple[np.ndarray, np.ndarray]:
+                         n: int, out: tuple | None = None
+                         ) -> tuple[np.ndarray, np.ndarray]:
     """Batch of joint draws: (g_hat, g_err), each (n, antennas, users).
 
     The estimate is drawn before the error, one block each, so a given
     generator state always yields the same channels.  The true channel is
-    their sum, left to the caller.
+    their sum, left to the caller.  ``out``, a pair of C-contiguous complex
+    arrays of the result's shape, receives the draws in place of new
+    arrays, the same bits.
     """
     _, alpha = expand_site_to_antennas(profile)
     err_var = _error_variance(profile)
-    g_hat = complex_normal(rng, alpha, (n,) + alpha.shape)
-    g_err = complex_normal(rng, err_var, (n,) + err_var.shape)
+    hat_out, err_out = (None, None) if out is None else out
+    g_hat = complex_normal(rng, alpha, (n,) + alpha.shape, hat_out)
+    g_err = complex_normal(rng, err_var, (n,) + err_var.shape, err_out)
     return g_hat, g_err
 
 
 # channel entries per block of a blocked pass: 64k complex values (1 MB), so
-# a block's draws and the products formed from them stay within a 4 MiB L2
+# a block's draws and the products formed from them stay within a 4 MiB L2.
+# The link-level oracle draws each block whole before the next, so this size
+# also fixes the oracle's draw order and every bit of its report
 BLOCK_ELEMENTS = 1 << 16
 # relative reciprocal-condition floor: a Gram matrix whose smallest singular
 # value is at most this fraction of its largest counts as singular

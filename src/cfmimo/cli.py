@@ -163,7 +163,8 @@ def _cmd_validate(args) -> int:
     if n < 2:
         raise ConfigError(f"validate needs at least 2 samples, got {n}")
     if args.quick:
-        n = max(1000, n // QUICK_FACTOR)
+        # the 1000-sample floor never raises an explicit, smaller count
+        n = min(n, max(1000, n // QUICK_FACTOR))
     rows = oracle.validate_instance(cfg, n)
     print(oracle.rows_to_text(rows))
     if args.output:

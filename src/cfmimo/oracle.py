@@ -2,9 +2,17 @@
 
 Everything here recomputes, by brute force over joint channel draws, the
 quantities the closed-form path predicts: the five uplink received-sample
-parts, the CBF downlink parts, and the ZF downlink SINR with a fresh
+parts, the CBF downlink parts, and the ZF downlink parts with a fresh
 precoder per draw.  No closed form is reused on this side, so agreement
 between the two paths is evidence, not circularity.
+
+Every pass is one loop over blocks of about :data:`channel.BLOCK_ELEMENTS`
+channel entries (409 draws at 40 antennas and 4 users).  A block draws its
+estimates, then its errors, then its symbols, then its noise, and its
+per-draw parts are reduced before the next block is drawn; the ZF pass
+redraws a singular draw right after its block's noise.  The block size
+therefore fixes the draw order, and with it every bit of the report, while
+a pass holds only one block's draws.
 
 All estimators are plain sample means with standard errors; the validation
 report pairs them with their closed-form counterparts and flags relative
@@ -38,25 +46,19 @@ SINR_TOL = 0.03
 ZFP_SINR_TOL = 0.05
 ZFP_IUI_ABS_TOL = 1e-9
 
-# channel entries per oracle chunk: 4M complex values, 64 MB per array.  Each
-# pass draws a chunk whole, all its estimates, then all its errors, then its
-# symbols and noise, so this size fixes the draw order, and with it every bit
-# of the report; the ZF pass's GramPass redraws a singular estimate draw
-# (estimate and error) right after its block, before the chunk's next block.
-# The size does not set the working set, since every pass works through a
-# chunk in blocks of channel.BLOCK_ELEMENTS entries
-_CHUNK_ELEMENTS = 4_000_000
-
 
 @dataclass(frozen=True)
 class TermEstimate:
-    """Empirical powers of the received-sample parts for one user.
+    """Empirical powers of the received-sample parts of one link, one user.
 
-    ``powers``/``stderrs`` are keyed by term label; ``correlations`` holds
-    the normalized cross moments |E t_a conj(t_b)| / sqrt(P_a P_b) keyed
-    "a/b" (orthogonal parts should sit at zero within Monte-Carlo noise).
-    ``empirical_sinr`` is desired power over the power of everything else,
-    with the non-desired parts summed per draw before squaring.
+    ``powers``/``stderrs`` are keyed by part label, the desired part first;
+    ``correlations`` holds the normalized cross moments
+    |E t_a conj(t_b)| / sqrt(P_a P_b) keyed "a/b" (orthogonal parts should
+    sit at zero within Monte-Carlo noise).  ``empirical_sinr`` is the
+    desired power over the power of the other parts summed per draw.
+    ``n_resampled`` counts the singular estimate draws redrawn (0 where
+    nothing is redrawn); ``max_est_iui`` is the worst interference through
+    the estimated channels, None for passes with no precoder.
     """
 
     powers: dict
@@ -64,66 +66,82 @@ class TermEstimate:
     correlations: dict
     empirical_sinr: float
     n_samples: int
+    n_resampled: int = 0
+    max_est_iui: float | None = None
 
 
-@dataclass(frozen=True)
-class ZfpEstimate:
-    """Empirical ZFP link statistics over per-draw precoders."""
+class _OraclePass:
+    """One pass of ``n`` joint draws for user ``k``: draw, reduce, estimate.
 
-    empirical_sinr: float
-    desired_power: float
-    residual_power: float
-    residual_stderr: float
-    noise_power: float
-    max_est_iui: float
-    n_samples: int
-    n_resampled: int
+    ``labels`` name the per-draw parts, the desired part first.  The
+    constructor checks the user index and the sample count and sets the
+    antenna-level estimate gains ``alpha`` (antennas, users), their shape
+    ``m`` x ``users``, the noise power and the block size.
+    :meth:`blocks` draws block after block into two channel buffers reused
+    for the whole pass; :meth:`add` reduces a block's per-draw parts, keyed
+    by ``labels``, before the next block is drawn; :meth:`estimate` applies
+    the one SINR rule.
+    """
 
+    def __init__(self, profile: FadingProfile, k: int, cfg: ScenarioConfig,
+                 n: int, rng: np.random.Generator, labels: tuple):
+        if not 0 <= k < profile.num_users:
+            raise ConfigError(f"user index {k} out of range")
+        if n < 1:
+            raise ConfigError(f"oracle needs at least 1 sample, got {n}")
+        self.profile, self.n, self.rng, self.labels = profile, n, rng, labels
+        _, self.alpha = expand_site_to_antennas(profile)
+        self.m, self.users = self.alpha.shape
+        self.sigma_n2 = derive_noise_power(cfg)
+        self.per = min(n, max(1, BLOCK_ELEMENTS // (self.m * self.users)))
+        size = len(labels)
+        self._sums, self._sq_sums = np.zeros(size), np.zeros(size)
+        self._cross = np.zeros((size, size), dtype=complex)
+        self._rest_sq = 0.0
 
-def _chunk_sizes(n: int, m: int, k: int) -> list[int]:
-    return batch_sizes(n, max(1, _CHUNK_ELEMENTS // max(1, m * k)))
+    def blocks(self, noise_dims: tuple):
+        """Yield each block's (g_hat, g_err, symbols, noise), drawn in order.
 
+        Symbols are unit-power, (b, users); noise is (b,) + ``noise_dims``.
+        The channel arrays are views of the pass's buffers, which the next
+        block overwrites.
+        """
+        hat_buf, err_buf = (np.empty((self.per, self.m, self.users),
+                                     dtype=complex) for _ in range(2))
+        for b in batch_sizes(self.n, self.per):
+            g_hat, g_err = sample_channel_batch(self.profile, self.rng, b,
+                                                out=(hat_buf[:b], err_buf[:b]))
+            x = complex_normal(self.rng, 1.0, (b, self.users))
+            w = complex_normal(self.rng, self.sigma_n2, (b,) + noise_dims)
+            yield g_hat, g_err, x, w
 
-def _blocks(chunk: int, m: int, k: int) -> list[slice]:
-    # one chunk's draws in blocks of about BLOCK_ELEMENTS channel entries;
-    # per-draw results are the same bits whatever the block
-    per = max(1, BLOCK_ELEMENTS // max(1, m * k))
-    return [slice(start, min(start + per, chunk))
-            for start in range(0, chunk, per)]
+    def add(self, parts: dict) -> None:
+        """Fold one block's per-draw parts into the pass's sums."""
+        t = np.stack([parts[a] for a in self.labels])        # (labels, b)
+        p = t.real ** 2 + t.imag ** 2
+        self._sums += p.sum(axis=1)
+        self._sq_sums += (p ** 2).sum(axis=1)
+        self._cross += t @ t.conj().T
+        rest = t[1:].sum(axis=0)
+        self._rest_sq += float((rest.real ** 2 + rest.imag ** 2).sum())
 
-
-def _term_estimate(labels, chunk_terms, chunks: list[int],
-                   n: int) -> TermEstimate:
-    # chunk_terms(c) draws a chunk of c draws and returns its per-draw parts
-    # keyed by label; the sums are taken once per chunk, in draw order
-    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
-    sums = dict.fromkeys(labels, 0.0)
-    sq_sums = dict.fromkeys(labels, 0.0)
-    cross = dict.fromkeys(pairs, 0j)
-    resid_sq = 0.0
-    for chunk in chunks:
-        terms = chunk_terms(chunk)
-        combined = sum(terms[t] for t in labels if t != "desired")
-        resid_sq += float((combined.real ** 2 + combined.imag ** 2).sum())
-        for a in labels:
-            t = terms[a]
-            p = t.real ** 2 + t.imag ** 2
-            sums[a] += float(p.sum())
-            sq_sums[a] += float((p ** 2).sum())
-        for a, b in pairs:
-            cross[a, b] += complex((terms[a] * terms[b].conj()).sum())
-    powers = {a: s / n for a, s in sums.items()}
-    stderrs = {a: math.sqrt(max(s / n - powers[a] ** 2, 0.0) / n)
-               for a, s in sq_sums.items()}
-    correlations = {}
-    for (a, b), c in cross.items():
-        denom = math.sqrt(powers[a] * powers[b])
-        correlations[f"{a}/{b}"] = abs(c / n) / denom if denom > 0 else 0.0
-    resid_power = resid_sq / n
-    sinr = powers["desired"] / resid_power if resid_power > 0 else math.inf
-    return TermEstimate(powers=powers, stderrs=stderrs,
-                        correlations=correlations, empirical_sinr=sinr,
-                        n_samples=n)
+    def estimate(self, **audit) -> TermEstimate:
+        """The pass's estimate; ``audit`` sets the ZF pass's own fields."""
+        n, labels = self.n, self.labels
+        powers = self._sums / n
+        stderrs = np.sqrt(np.maximum(self._sq_sums / n - powers ** 2, 0.0) / n)
+        correlations = {}
+        for i, a in enumerate(labels):
+            for j in range(i + 1, len(labels)):
+                denom = math.sqrt(powers[i] * powers[j])
+                correlations[f"{a}/{labels[j]}"] = \
+                    abs(self._cross[i, j] / n) / denom if denom > 0 else 0.0
+        rest = self._rest_sq / n
+        sinr = float(powers[0]) / rest if rest > 0 else math.inf
+        return TermEstimate(powers=dict(zip(labels, powers.tolist())),
+                            stderrs=dict(zip(labels, stderrs.tolist())),
+                            correlations=correlations, empirical_sinr=sinr,
+                            n_samples=n, **audit)
 
 
 def simulate_uplink_terms(profile: FadingProfile,
@@ -132,56 +150,36 @@ def simulate_uplink_terms(profile: FadingProfile,
                           rng: np.random.Generator) -> TermEstimate:
     """Brute-force the five uplink parts for user ``k``.
 
-    Per draw: joint channels, unit-power symbols and receiver noise, then
-    the combined sample is split exactly as the closed-form derivation
-    splits it.  The parts sum to the combiner output by construction, which
-    the batch asserts on every draw.
-
-    Draws come in chunks of :data:`_CHUNK_ELEMENTS` channel entries, which
-    fix the random stream; each chunk's per-draw parts are worked out in
-    cache-sized blocks, and the true channel is formed one block at a time.
+    Per draw: joint channels, unit-power symbols and receiver noise at
+    every antenna, then the combined sample is split exactly as the
+    closed-form derivation splits it, so the parts sum to the combiner
+    output.  Draws come block by block (see the module docstring), and the
+    true channel is formed one block at a time.
     """
-    if not 0 <= k < profile.num_users:
-        raise ConfigError(f"user index {k} out of range")
-    _, alpha_mk = expand_site_to_antennas(profile)
-    m, n_users = alpha_mk.shape
-    eta_vec = pc.eta
-    if eta_vec.shape[0] != n_users:
-        raise ConfigError(f"eta has {eta_vec.shape[0]} entries for "
-                          f"{n_users} users")
+    run = _OraclePass(profile, k, cfg, n_samples, rng, TERMS)
+    eta = pc.eta
+    if eta.shape[0] != run.users:
+        raise ConfigError(f"eta has {eta.shape[0]} entries for "
+                          f"{run.users} users")
     p_u = cfg.ue_tx_power
-    sigma_n2 = derive_noise_power(cfg)
-    a_k = float(alpha_mk[:, k].sum())
-    scale_k = math.sqrt(p_u * eta_vec[k])
-    amp = np.sqrt(p_u * eta_vec)
-    others = np.delete(np.arange(n_users), k)
-
-    def chunk_terms(chunk):
-        # only chunk-length per-draw vectors outlive this call
-        g_hat, g_err = sample_channel_batch(profile, rng, chunk)
-        x = complex_normal(rng, 1.0, (chunk, n_users))
-        w = complex_normal(rng, sigma_n2, (chunk, m))
-        gain = np.empty(chunk)
-        err_k = np.empty(chunk, dtype=complex)
-        noise = np.empty(chunk, dtype=complex)
-        proj = np.empty((chunk, n_users), dtype=complex)
-        for sl in _blocks(chunk, m, n_users):
-            hat = g_hat[sl]
-            comb = hat[:, :, k].conj()                     # (block, antennas)
-            gain[sl] = (comb * hat[:, :, k]).sum(axis=1).real  # |g_hat_k|^2
-            proj[sl] = np.einsum("cm,cmi->ci", comb, hat + g_err[sl])
-            err_k[sl] = (comb * g_err[sl, :, k]).sum(axis=1)
-            noise[sl] = (comb * w[sl]).sum(axis=1)
-        return {
+    a_k = float(run.alpha[:, k].sum())
+    scale_k = math.sqrt(p_u * eta[k])
+    amp = np.sqrt(p_u * eta)
+    others = np.delete(np.arange(run.users), k)
+    for g_hat, g_err, x, w in run.blocks((run.m,)):
+        comb = g_hat[:, :, k].conj()                       # (b, antennas)
+        gain = (comb * g_hat[:, :, k]).sum(axis=1).real    # |g_hat_k|^2
+        proj = np.einsum("cm,cmi->ci", comb, g_hat + g_err)
+        run.add({
             "desired": scale_k * a_k * x[:, k],
             "uncertainty": scale_k * (gain - a_k) * x[:, k],
-            "est_error": scale_k * err_k * x[:, k],
-            "inter_user": (amp[others] * proj[:, others] * x[:, others]).sum(axis=1),
-            "noise": noise,
-        }
-
-    return _term_estimate(TERMS, chunk_terms,
-                          _chunk_sizes(n_samples, m, n_users), n_samples)
+            "est_error": scale_k * (comb * g_err[:, :, k]).sum(axis=1)
+            * x[:, k],
+            "inter_user": (amp[others] * proj[:, others]
+                           * x[:, others]).sum(axis=1),
+            "noise": (comb * w).sum(axis=1),
+        })
+    return run.estimate()
 
 
 def simulate_downlink_cbf(profile: FadingProfile, pc: downlink.CbfPowerControl,
@@ -189,123 +187,80 @@ def simulate_downlink_cbf(profile: FadingProfile, pc: downlink.CbfPowerControl,
                           rng: np.random.Generator) -> TermEstimate:
     """Brute-force the CBF downlink parts for user ``k``.
 
-    Chunked and blocked like :func:`simulate_uplink_terms`; only user k's
-    column of the true channel is formed.
+    Drawn block by block like :func:`simulate_uplink_terms`, with one noise
+    sample per draw at the user; only user k's column of the true channel
+    is formed.
     """
-    if not 0 <= k < profile.num_users:
-        raise ConfigError(f"user index {k} out of range")
-    _, alpha_mk = expand_site_to_antennas(profile)
-    m, n_users = alpha_mk.shape
-    sqrt_eta_m = np.sqrt(np.repeat(np.asarray(pc.eta_site, dtype=float),
-                                   profile.antennas_per_site))
-    p_d = cfg.ap_per_antenna_tx_power
-    sigma_n2 = derive_noise_power(cfg)
-    sp = math.sqrt(p_d)
-    coherent = float((sqrt_eta_m * alpha_mk[:, k]).sum())
-    others = np.delete(np.arange(n_users), k)
-
-    def chunk_terms(chunk):
-        # only chunk-length per-draw vectors outlive this call
-        g_hat, g_err = sample_channel_batch(profile, rng, chunk)
-        u = complex_normal(rng, 1.0, (chunk, n_users))
-        w = complex_normal(rng, sigma_n2, (chunk,))
-        gain = np.empty(chunk)
-        err_k = np.empty(chunk, dtype=complex)
-        proj = np.empty((chunk, n_users), dtype=complex)
-        for sl in _blocks(chunk, m, n_users):
-            hat = g_hat[sl]
-            hat_k = hat[:, :, k]
-            gain[sl] = ((hat_k.real ** 2 + hat_k.imag ** 2)
-                        * sqrt_eta_m).sum(axis=1)
-            weighted = hat.conj() * sqrt_eta_m[None, :, None]
-            true_k = hat_k + g_err[sl, :, k]
-            proj[sl] = np.einsum("cm,cmi->ci", true_k, weighted)
-            # conj(g_hat) * g_err, in this operand order: a complex
-            # product's rounding depends on it under fused multiply-add
-            err_k[sl] = (hat_k.conj() * g_err[sl, :, k]
-                         * sqrt_eta_m).sum(axis=1)
-        return {
+    run = _OraclePass(profile, k, cfg, n_samples, rng, TERMS)
+    eta = np.asarray(pc.eta_site, dtype=float)
+    if eta.shape != (profile.num_sites,):
+        raise ConfigError(f"eta_site has shape {eta.shape} for "
+                          f"{profile.num_sites} sites")
+    if not (np.isfinite(eta).all() and (eta >= 0).all()):
+        raise ConfigError("eta_site must be finite and >= 0")
+    sqrt_eta_m = np.sqrt(np.repeat(eta, profile.antennas_per_site))
+    sp = math.sqrt(cfg.ap_per_antenna_tx_power)
+    coherent = float((sqrt_eta_m * run.alpha[:, k]).sum())
+    others = np.delete(np.arange(run.users), k)
+    for g_hat, g_err, u, w in run.blocks(()):
+        hat_k, err_k = g_hat[:, :, k], g_err[:, :, k]
+        gain = ((hat_k.real ** 2 + hat_k.imag ** 2) * sqrt_eta_m).sum(axis=1)
+        weighted = g_hat.conj() * sqrt_eta_m[None, :, None]
+        proj = np.einsum("cm,cmi->ci", hat_k + err_k, weighted)
+        run.add({
             "desired": sp * coherent * u[:, k],
             "uncertainty": sp * (gain - coherent) * u[:, k],
-            "est_error": sp * err_k * u[:, k],
+            "est_error": sp * (hat_k.conj() * err_k * sqrt_eta_m).sum(axis=1)
+            * u[:, k],
             "inter_user": sp * (proj[:, others] * u[:, others]).sum(axis=1),
             "noise": w,
-        }
-
-    return _term_estimate(TERMS, chunk_terms,
-                          _chunk_sizes(n_samples, m, n_users), n_samples)
+        })
+    return run.estimate()
 
 
 def simulate_downlink_zfp(profile: FadingProfile, eta_common: float, k: int,
                           cfg: ScenarioConfig, n_samples: int,
-                          rng: np.random.Generator) -> ZfpEstimate:
+                          rng: np.random.Generator) -> TermEstimate:
     """Brute-force the ZFP link for user ``k`` with a fresh precoder per draw.
 
-    Through the estimated channels the precoder is exactly diagonal, so the
-    only interference is the estimation error leaking through the
+    The parts are ``desired``, ``residual`` and ``noise``.  Through the
+    estimated channels the precoder is exactly diagonal, so the only
+    interference is the estimation error leaking through the
     pseudo-inverse; ``max_est_iui`` reports the worst off-diagonal of the
-    estimated-channel response as a numerical audit.  Singular estimate
-    draws are redrawn like the moment estimators do.
+    estimated-channel response as a numerical audit.
 
-    Chunked and blocked like :func:`simulate_uplink_terms`: each chunk of
-    :data:`_CHUNK_ELEMENTS` channel entries is drawn whole (estimates,
-    errors, symbols, noise), then its blocks are pushed in turn to one
-    :class:`channel.GramPass` over all ``n_samples`` draws, so a singular
-    draw is redrawn (estimate and error, in place in the chunk) right after
-    its block and the redraw budget covers the whole pass.  Each block's
-    precoder is its conjugate estimates times its inverse Gram, so the
-    precoder exists one block at a time and the true channel is never
-    formed.
+    Drawn block by block like :func:`simulate_uplink_terms`; each block is
+    pushed to one :class:`channel.GramPass` over all ``n_samples`` draws,
+    so a singular draw is redrawn (estimate and error, in place) right
+    after its block's noise, ``n_resampled`` counts the redraws, and one
+    redraw budget covers the whole pass.  Each block's precoder is its
+    conjugate estimates times its inverse Gram, so the precoder exists one
+    block at a time and the true channel is never formed.
     """
-    if not 0 <= k < profile.num_users:
-        raise ConfigError(f"user index {k} out of range")
-    if eta_common < 0:
-        raise ConfigError(f"eta_common must be >= 0, got {eta_common}")
-    beta_mk, alpha_mk = expand_site_to_antennas(profile)
-    m, n_users = beta_mk.shape
-    if m < n_users:
+    run = _OraclePass(profile, k, cfg, n_samples, rng,
+                      ("desired", "residual", "noise"))
+    if not (math.isfinite(eta_common) and eta_common >= 0):
+        raise ConfigError(f"eta_common must be finite and >= 0, "
+                          f"got {eta_common}")
+    if run.m < run.users:
         raise ConfigError(f"zero-forcing needs at least as many antennas as "
-                          f"users, got {m} x {n_users}")
-    p_d = cfg.ap_per_antenna_tx_power
-    sigma_n2 = derive_noise_power(cfg)
-    eye = np.eye(n_users)
-    sqrt_pe = math.sqrt(p_d * eta_common)
+                          f"users, got {run.m} x {run.users}")
+    sqrt_pe = math.sqrt(cfg.ap_per_antenna_tx_power * eta_common)
     grams = GramPass(n_samples,
                      lambda b: sample_channel_batch(profile, rng, b))
+    eye = np.eye(run.users)
     max_iui = 0.0
-
-    def chunk_terms(chunk):
-        # only chunk-length per-draw vectors outlive this call
-        nonlocal max_iui
-        g_hat, g_err = sample_channel_batch(profile, rng, chunk)
-        u = complex_normal(rng, 1.0, (chunk, n_users))
-        noise = complex_normal(rng, sigma_n2, (chunk,))
-        leak = np.empty((chunk, n_users), dtype=complex)
-        iui = np.empty(chunk)
-        for sl in _blocks(chunk, m, n_users):
-            batch = grams.invert((g_hat[sl], g_err[sl]))
-            w_mat = batch.g_conj @ batch.inv           # unscaled precoder
-            leak[sl] = np.einsum("cm,cmi->ci", g_err[sl, :, k], w_mat)
-            response = batch.gram @ batch.inv - eye    # estimated-channel IUI
-            iui[sl] = np.abs(response).max(axis=(1, 2))
-        max_iui = max(max_iui, float(iui.max()) * math.sqrt(eta_common))
-        return {
-            "desired": sqrt_pe * u[:, k],
-            "residual": math.sqrt(p_d) * math.sqrt(eta_common)
-            * (leak * u).sum(axis=1),
-            "noise": noise,
-        }
-
-    est = _term_estimate(("desired", "residual", "noise"), chunk_terms,
-                         _chunk_sizes(n_samples, m, n_users), n_samples)
-    powers = est.powers
-    denom = powers["residual"] + powers["noise"]
-    sinr = powers["desired"] / denom if denom > 0 else math.inf
-    return ZfpEstimate(empirical_sinr=sinr, desired_power=powers["desired"],
-                       residual_power=powers["residual"],
-                       residual_stderr=est.stderrs["residual"],
-                       noise_power=powers["noise"], max_est_iui=max_iui,
-                       n_samples=n_samples, n_resampled=grams.redrawn)
+    for g_hat, g_err, u, noise in run.blocks(()):
+        batch = grams.invert((g_hat, g_err))
+        w_mat = batch.g_conj @ batch.inv               # unscaled precoder
+        leak = np.einsum("cm,cmi->ci", g_err[:, :, k], w_mat)
+        response = batch.gram @ batch.inv - eye        # estimated-channel IUI
+        max_iui = max(max_iui, float(np.abs(response).max()))
+        run.add({"desired": sqrt_pe * u[:, k],
+                 "residual": sqrt_pe * (leak * u).sum(axis=1),
+                 "noise": noise})
+    return run.estimate(n_resampled=grams.redrawn,
+                        max_est_iui=max_iui * math.sqrt(eta_common))
 
 
 # ---------------------------------------------------------------------------

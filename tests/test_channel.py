@@ -53,6 +53,16 @@ def test_sample_reproducible():
         assert np.array_equal(part_a, part_b)
 
 
+def test_joint_draws_into_buffers_are_the_same_bits():
+    profile = make_profile(np.full((2, 2), 1.0), np.full((2, 2), 0.25), n_t=3)
+    out = tuple(np.full((4, 6, 2), np.nan, dtype=complex) for _ in range(2))
+    drawn = sample_channel_batch(profile, np.random.default_rng(8), 4, out)
+    assert all(part is buf for part, buf in zip(drawn, out))
+    fresh = sample_channel_batch(profile, np.random.default_rng(8), 4)
+    for part, ref in zip(drawn, fresh):
+        assert np.array_equal(part, ref)
+
+
 def test_perfect_estimates_leave_no_error():
     beta = np.array([[1.0, 2.0]] * 4)
     profile = make_profile(beta, beta, n_t=1)

@@ -177,6 +177,26 @@ def test_validate_custom_samples(capsys):
     assert "4000" in capsys.readouterr().out
 
 
+def test_validate_quick_never_raises_an_explicit_sample_count(capsys):
+    # the quick floor of 1000 applies only where it stays at or below n
+    assert main(["validate", "--samples", "500", "--quick"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert {r[5] for r in rows[1:-1]} == {"500"}
+
+
+def test_validate_report_shape(capsys):
+    # the rows, fields and verdict line that the benchmark harness parses
+    assert main(["validate", "--samples", "2000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split() for line in lines[1:-1]]
+    assert [r[0] for r in rows] == [
+        f"{prefix}_{label}" for prefix in ("ul", "cbf")
+        for label in ("desired", "uncertainty", "est_error", "inter_user",
+                      "noise", "sinr")] + ["zfp_sinr", "zfp_est_iui"]
+    assert all(len(r) == 7 for r in rows)
+    assert lines[-1] == "all checks pass"
+
+
 @pytest.mark.parametrize("quick", [[], ["--quick"]])
 def test_validate_rejects_zero_samples(capsys, quick):
     # an explicit 0 is a request, not "use the default"

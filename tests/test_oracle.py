@@ -10,7 +10,8 @@ from cfmimo.oracle import (REFERENCE_SAMPLES, TERMS, reference_config, rows_to_c
                            simulate_downlink_zfp, simulate_uplink_terms,
                            validate_instance)
 from cfmimo.propagation import FadingProfile, fading_profile, place_topology
-from cfmimo.scenario import ScenarioConfig, derive_noise_power, drop_seed
+from cfmimo.scenario import ConfigError, ScenarioConfig, derive_noise_power, \
+    drop_seed
 
 N_FAST = 40_000
 
@@ -136,8 +137,8 @@ def test_zfp_oracle_matches_pipeline():
     assert est.empirical_sinr == pytest.approx(closed, rel=0.05)
     # interference through the estimated channels is numerically nil
     assert est.max_est_iui < 1e-9
-    assert est.residual_power < 1e-15 or est.max_est_iui ** 2 \
-        < 1e-9 * est.residual_power
+    residual = est.powers["residual"]
+    assert residual < 1e-15 or est.max_est_iui ** 2 < 1e-9 * residual
 
 
 def test_zfp_oracle_matches_the_equivalent_where_it_runs():
@@ -168,7 +169,8 @@ def test_zfp_oracle_perfect_csi():
     est = simulate_downlink_zfp(perfect, zf.eta, 0, cfg, N_FAST, rng)
     s2 = derive_noise_power(cfg)
     expected = cfg.ap_per_antenna_tx_power * zf.eta / s2
-    assert est.residual_power == 0.0
+    assert est.powers["residual"] == 0.0
+    assert est.n_resampled == 0
     assert est.empirical_sinr == pytest.approx(expected, rel=0.02)
 
 
@@ -189,135 +191,148 @@ def test_validation_report_passes_and_serializes(tmp_path):
     assert len(lines) == 1 + len(rows)
 
 
-# --- chunks, blocks and memory ----------------------------------------------
+# --- the three passes: inputs, blocks and memory ---------------------------
 
 PASSES = ("uplink", "cbf", "zfp")
 # any common ZF scale: these tests look at memory and bits, not at the SINR
 ZF_ETA = 3e10
-# with 1700 samples: chunks of 700, 700 and 300 draws
-CHUNK_DRAWS = 700
-N_CHUNKED = 1700
+# with 1700 samples: blocks of 700, 700 and 300 draws
+BLOCK_DRAWS = 700
+N_BLOCKED = 1700
 
 
-def run_pass(which, cfg, profile, n, rng):
+def run_pass(which, cfg, profile, n, rng, k=0):
     if which == "uplink":
         eta = uplink.UplinkPowerControl.full_power(cfg.num_users)
-        return simulate_uplink_terms(profile, eta, 0, cfg, n, rng)
+        return simulate_uplink_terms(profile, eta, k, cfg, n, rng)
     if which == "cbf":
-        return simulate_downlink_cbf(profile, downlink.cbf_power(profile), 0,
+        return simulate_downlink_cbf(profile, downlink.cbf_power(profile), k,
                                      cfg, n, rng)
-    return simulate_downlink_zfp(profile, ZF_ETA, 0, cfg, n, rng)
+    return simulate_downlink_zfp(profile, ZF_ETA, k, cfg, n, rng)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda cfg, profile, rng: simulate_downlink_zfp(
+        profile, float("nan"), 0, cfg, 100, rng), "eta_common must be finite"),
+    (lambda cfg, profile, rng: simulate_downlink_cbf(
+        profile, downlink.CbfPowerControl(np.ones(profile.num_sites + 1)),
+        0, cfg, 100, rng), "eta_site has shape"),
+    (lambda cfg, profile, rng: simulate_downlink_cbf(
+        profile, downlink.CbfPowerControl(np.full(profile.num_sites, np.nan)),
+        0, cfg, 100, rng), "eta_site must be finite"),
+    (lambda cfg, profile, rng: run_pass("uplink", cfg, profile, 100, rng,
+                                        k=4), "user index 4"),
+    (lambda cfg, profile, rng: run_pass("cbf", cfg, profile, 0, rng),
+     "at least 1 sample"),
+], ids=["zfp-nan-eta", "cbf-eta-shape", "cbf-nan-eta", "user-index",
+        "no-samples"])
+def test_passes_reject_bad_inputs(call, message):
+    # config errors, not an SINR of inf or a bare numpy broadcast error
+    cfg, profile, rng = reference_profile(0)
+    with pytest.raises(ConfigError, match=message):
+        call(cfg, profile, rng)
+
+
+def test_only_the_zf_pass_carries_an_audit():
+    cfg, profile, rng = reference_profile(0)
+    for which in PASSES:
+        est = run_pass(which, cfg, profile, 500, rng)
+        assert list(est.powers)[0] == "desired"
+        assert est.n_resampled == 0
+        assert (est.max_est_iui is None) == (which != "zfp")
 
 
 @pytest.mark.parametrize("which", PASSES)
 def test_oracle_pass_holds_about_one_chunk_of_channels(which):
-    # 100k reference samples are four chunks of 25 000 draws; one chunk's
-    # estimates and errors take 128 MB, and the pass may add half of that
+    # 100k reference samples in blocks of 409 draws: a pass holds its two
+    # reused 1 MB channel buffers and one block's products, a few MB
     cfg, profile, rng = reference_profile(0)
-    entries = cfg.total_antennas * cfg.num_users
-    chunk_bytes = 2 * 16 * (oracle._CHUNK_ELEMENTS // entries) * entries
     tracemalloc.start()
     try:
         run_pass(which, cfg, profile, REFERENCE_SAMPLES, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * chunk_bytes, f"{peak / 1e6:.0f} MB"
+    assert peak <= 16e6, f"{peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("which", PASSES)
-def test_blocks_do_not_change_a_bit(monkeypatch, which):
-    # the default blocks, blocks of a few draws and of one draw, and one
-    # block per chunk (no blocking) give the same estimate, bit for bit
-    cfg, profile, _ = reference_profile(11)
-    entries = cfg.total_antennas * cfg.num_users
-    monkeypatch.setattr(oracle, "_CHUNK_ELEMENTS", CHUNK_DRAWS * entries)
-    seen = set()
-    for draws in (None, 3, 1, CHUNK_DRAWS):
-        if draws is not None:
-            monkeypatch.setattr(oracle, "BLOCK_ELEMENTS", draws * entries)
-        est = run_pass(which, cfg, profile, N_CHUNKED,
-                       np.random.default_rng(5))
-        seen.add(repr(est))            # repr tells every float bit apart
-    assert len(seen) == 1
-
-
-@pytest.mark.parametrize("which", PASSES)
-def test_passes_draw_exactly_their_chunk_plan(monkeypatch, which):
-    # estimates, errors, symbols, noise: chunk by chunk, nothing else
+def test_passes_draw_exactly_their_block_plan(monkeypatch, which):
+    # estimates, errors, symbols, noise: block by block, nothing else
     cfg, profile, _ = reference_profile(12)
     m, k = cfg.total_antennas, cfg.num_users
-    monkeypatch.setattr(oracle, "_CHUNK_ELEMENTS", CHUNK_DRAWS * m * k)
-    monkeypatch.setattr(oracle, "BLOCK_ELEMENTS", 64 * m * k)
+    monkeypatch.setattr(oracle, "BLOCK_ELEMENTS", BLOCK_DRAWS * m * k)
     rng = np.random.default_rng(6)
-    run_pass(which, cfg, profile, N_CHUNKED, rng)
+    run_pass(which, cfg, profile, N_BLOCKED, rng)
     direct = np.random.default_rng(6)
-    for c in (CHUNK_DRAWS, CHUNK_DRAWS, N_CHUNKED - 2 * CHUNK_DRAWS):
-        direct.standard_normal((c, m, k, 2))
-        direct.standard_normal((c, m, k, 2))
-        direct.standard_normal((c, k, 2))
-        direct.standard_normal((c, m, 2) if which == "uplink" else (c, 2))
+    for b in (BLOCK_DRAWS, BLOCK_DRAWS, N_BLOCKED - 2 * BLOCK_DRAWS):
+        direct.standard_normal((b, m, k, 2))
+        direct.standard_normal((b, m, k, 2))
+        direct.standard_normal((b, k, 2))
+        direct.standard_normal((b, m, 2) if which == "uplink" else (b, 2))
     assert rng.bit_generator.state == direct.bit_generator.state
 
 
 def singular_zf_pass(monkeypatch, zeroed):
-    # a chunked ZF pass whose chunk c draws zero estimates at the indices
-    # zeroed[c]; returns the estimate (or the error raised), every channel
-    # draw and a log of the draws and of the Gram inversions, in call order
+    # a ZF pass in blocks of 700, 700 and 300 draws whose block b draws zero
+    # estimates at the indices zeroed[b]; returns the estimate (or the error
+    # raised), each block's parts as the pass used them, the redraws and a
+    # log of the draws and of the Gram inversions, in call order
     cfg, profile, _ = reference_profile(12)
     entries = cfg.total_antennas * cfg.num_users
-    monkeypatch.setattr(oracle, "_CHUNK_ELEMENTS", CHUNK_DRAWS * entries)
-    monkeypatch.setattr(oracle, "BLOCK_ELEMENTS", 64 * entries)
+    monkeypatch.setattr(oracle, "BLOCK_ELEMENTS", BLOCK_DRAWS * entries)
     real_draw, real_invert = oracle.sample_channel_batch, channel.invert_grams
-    draws, log = {}, []
+    used, redraws, log = [], [], []
 
-    def draw(profile, rng, b):
-        g_hat, g_err = real_draw(profile, rng, b)
-        kind = "chunk" if b in (CHUNK_DRAWS, N_CHUNKED % CHUNK_DRAWS) \
-            else "redraw"
-        if kind == "chunk":
-            g_hat[zeroed.get(sum(e[0] == "chunk" for e in log), [])] = 0.0
-        draws.setdefault(kind, []).append((g_hat, g_err))
-        log.append((kind, b))
+    def draw(profile, rng, b, out=None):
+        g_hat, g_err = real_draw(profile, rng, b, out)
+        if b in (BLOCK_DRAWS, N_BLOCKED % BLOCK_DRAWS):
+            g_hat[zeroed.get(sum(e[0] == "block" for e in log), [])] = 0.0
+            log.append(("block", b))
+        else:
+            redraws.append((g_hat, g_err))
+            log.append(("redraw", b))
         return g_hat, g_err
 
     def invert(gram):
         log.append(("invert", len(gram)))
         return real_invert(gram)
 
+    class KeptGramPass(channel.GramPass):
+        # the next block overwrites the channel buffers: keep a copy
+        def invert(self, parts):
+            batch = super().invert(parts)
+            used.append(tuple(p.copy() for p in parts))
+            return batch
+
     monkeypatch.setattr(oracle, "sample_channel_batch", draw)
     monkeypatch.setattr(channel, "invert_grams", invert)
+    monkeypatch.setattr(oracle, "GramPass", KeptGramPass)
     try:
-        est = run_pass("zfp", cfg, profile, N_CHUNKED,
+        est = run_pass("zfp", cfg, profile, N_BLOCKED,
                        np.random.default_rng(6))
     except channel.NumericalError as exc:
         est = exc
-    return est, draws, log, cfg, profile
+    return est, used, redraws, log, cfg, profile
 
 
 def test_zf_pass_redraws_a_singular_draw_right_after_its_block(monkeypatch):
-    # one singular draw in chunk 0's first block, one in chunk 2's second
-    est, draws, log, cfg, profile = singular_zf_pass(monkeypatch,
-                                                     {0: [1], 2: [100]})
+    # one singular draw in block 0, one in block 2
+    est, used, redraws, log, cfg, profile = singular_zf_pass(
+        monkeypatch, {0: [1], 2: [100]})
     assert est.n_resampled == 2
-    chunk_at = [i for i, e in enumerate(log) if e[0] == "chunk"]
-    assert [log[i] for i in chunk_at] == [("chunk", 700), ("chunk", 700),
-                                          ("chunk", 300)]
-    first, last = chunk_at[0], chunk_at[2]
-    # chunk, its first block's inversion, the redraw, then its inversion
-    assert log[first + 1:first + 4] == [("invert", 64), ("redraw", 1),
-                                        ("invert", 1)]
-    assert log[first + 4] == ("invert", 64)
-    assert log[last + 1:last + 5] == [("invert", 64), ("invert", 64),
-                                      ("redraw", 1), ("invert", 1)]
+    # each block, its inversion, then its redraw and the redraw's inversion
+    assert log == [("block", 700), ("invert", 700), ("redraw", 1),
+                   ("invert", 1), ("block", 700), ("invert", 700),
+                   ("block", 300), ("invert", 300), ("redraw", 1),
+                   ("invert", 1)]
     # both parts of each singular draw are replaced in place by the redraw
-    chunks, redraws = draws["chunk"], draws["redraw"]
     for (hat, err), index, (new_hat, new_err) in zip(
-            [chunks[0], chunks[2]], [1, 100], redraws):
+            [used[0], used[2]], [1, 100], redraws):
         assert np.array_equal(hat[index], new_hat[0])
         assert np.array_equal(err[index], new_err[0])
         assert np.abs(new_hat[0]).min() > 0
-    # in the stream, the first redraw follows chunk 0's symbols and noise
+    # in the stream, the first redraw follows block 0's symbols and noise
     direct = np.random.default_rng(6)
     m, k = cfg.total_antennas, cfg.num_users
     for shape in ((700, m, k), (700, m, k), (700, k), (700,)):
@@ -329,7 +344,7 @@ def test_zf_pass_redraws_a_singular_draw_right_after_its_block(monkeypatch):
 
 @pytest.mark.parametrize("extra, fails", [([], False), ([0], True)])
 def test_zf_redraw_budget_covers_the_whole_pass(monkeypatch, extra, fails):
-    # 1700 draws allow 17 redraws; chunk 0 alone takes 10, more than 1% of
+    # 1700 draws allow 17 redraws; block 0 alone takes 10, more than 1% of
     # its 700 draws, and one redraw beyond 17 aborts the pass
     zeroed = {0: list(range(0, 700, 70)), 1: list(range(0, 700, 100)),
               2: extra}
