@@ -83,9 +83,17 @@ FIXED_POINT_ITERATIONS = 1000
 
 @dataclass(frozen=True)
 class CbfPowerControl:
-    """Per-site CBF power scales, shape (sites,)."""
+    """Per-site CBF power scales, shape (sites,), each finite and >= 0."""
 
     eta_site: np.ndarray
+
+    def __post_init__(self):
+        eta = np.asarray(self.eta_site, dtype=float)
+        if eta.ndim != 1:
+            raise ConfigError(f"eta_site must be 1-d, got shape {eta.shape}")
+        if not (np.isfinite(eta).all() and (eta >= 0).all()):
+            raise ConfigError("eta_site must be finite and >= 0")
+        object.__setattr__(self, "eta_site", eta)
 
 
 @dataclass(frozen=True)
@@ -144,12 +152,10 @@ def cbf_sinr_all(profile: FadingProfile, pc: CbfPowerControl,
     """Closed-form CBF SINR of every user, shape (users,)."""
     alpha, beta = profile.alpha, profile.beta
     n_t = profile.antennas_per_site
-    eta = np.asarray(pc.eta_site, dtype=float)
+    eta = pc.eta_site
     if eta.shape != (profile.num_sites,):
         raise ConfigError(f"eta_site has shape {eta.shape} for "
                           f"{profile.num_sites} sites")
-    if (eta < 0).any():
-        raise ConfigError("eta_site must be >= 0")
     p_d = cfg.ap_per_antenna_tx_power
     sigma_n2 = derive_noise_power(cfg)
 
@@ -170,8 +176,7 @@ def cbf_term_variances(profile: FadingProfile, pc: CbfPowerControl, k: int,
     if not 0 <= k < profile.num_users:
         raise ConfigError(f"user index {k} out of range")
     beta_mk, alpha_mk = expand_site_to_antennas(profile)
-    eta_m = np.repeat(np.asarray(pc.eta_site, dtype=float),
-                      profile.antennas_per_site)
+    eta_m = np.repeat(pc.eta_site, profile.antennas_per_site)
     p_d = cfg.ap_per_antenna_tx_power
     a_k, b_k = alpha_mk[:, k], beta_mk[:, k]
     inter = 0.0

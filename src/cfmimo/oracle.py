@@ -7,12 +7,31 @@ precoder per draw.  No closed form is reused on this side, so agreement
 between the two paths is evidence, not circularity.
 
 Every pass is one loop over blocks of about :data:`channel.BLOCK_ELEMENTS`
-channel entries (409 draws at 40 antennas and 4 users).  A block draws its
-estimates, then its errors, then its symbols, then its noise, and its
-per-draw parts are reduced before the next block is drawn; the ZF pass
-redraws a singular draw right after its block's noise.  The block size
-therefore fixes the draw order, and with it every bit of the report, while
-a pass holds only one block's draws.
+channel entries (409 draws at 40 antennas and 4 users), and one pass
+serves every link it is asked for (:func:`simulate_links`).  A block draws,
+in this order:
+
+- the estimates, then the errors (:func:`channel.sample_channel_batch`);
+- one unit-power symbol per user, (b, users), which every link reads;
+- receiver noise at every antenna, (b, antennas), if the uplink is asked
+  for;
+- one noise sample at the user, (b,), which CBF and ZF share, if either is
+  asked for.
+
+With ZF asked for, a singular draw is then redrawn in place, estimate and
+error, before any link reads the block.  Each link then reduces the block
+into its own sums before the next block is drawn, so a pass holds one
+block's draws however many links it serves.  The block size fixes the draw
+order, and with it every bit of the report; a pass of one link draws
+exactly what that link's own function draws.
+
+Sharing the draws is the common-random-numbers device (Glasserman, *Monte
+Carlo Methods in Financial Engineering*, 2003, sec. 4.2).  Each link reads
+joint channels, symbols and noise of exactly the law it reads when it runs
+alone, independent from draw to draw, so every row of the report keeps its
+law and its standard error; only the estimates of different links become
+correlated with each other.  A redraw conditions on a singular Gram matrix
+not occurring, an event of probability zero, so it changes no link's law.
 
 All estimators are plain sample means with standard errors; the validation
 report pairs them with their closed-form counterparts and flags relative
@@ -24,11 +43,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import downlink, uplink
-from .channel import BLOCK_ELEMENTS, GramPass, batch_sizes, \
+from .channel import BLOCK_ELEMENTS, GramBatch, GramPass, batch_sizes, \
     complex_normal, expand_site_to_antennas, sample_channel_batch
 from .propagation import FadingProfile, fading_profile, place_topology
 from .scenario import ConfigError, ScenarioConfig, derive_noise_power, \
@@ -56,9 +76,10 @@ class TermEstimate:
     |E t_a conj(t_b)| / sqrt(P_a P_b) keyed "a/b" (orthogonal parts should
     sit at zero within Monte-Carlo noise).  ``empirical_sinr`` is the
     desired power over the power of the other parts summed per draw.
-    ``n_resampled`` counts the singular estimate draws redrawn (0 where
-    nothing is redrawn); ``max_est_iui`` is the worst interference through
-    the estimated channels, None for passes with no precoder.
+    ``n_resampled`` counts the singular estimate draws the ZF link redrew
+    (0 on the other links, which read the same redrawn blocks in a joint
+    pass); ``max_est_iui`` is the worst interference through the estimated
+    channels, None for links with no precoder.
     """
 
     powers: dict
@@ -70,53 +91,49 @@ class TermEstimate:
     max_est_iui: float | None = None
 
 
-class _OraclePass:
-    """One pass of ``n`` joint draws for user ``k``: draw, reduce, estimate.
+class _Block(NamedTuple):
+    """One block of joint draws, as every link of a pass reads it.
 
-    ``labels`` name the per-draw parts, the desired part first.  The
-    constructor checks the user index and the sample count and sets the
-    antenna-level estimate gains ``alpha`` (antennas, users), their shape
-    ``m`` x ``users``, the noise power and the block size.
-    :meth:`blocks` draws block after block into two channel buffers reused
-    for the whole pass; :meth:`add` reduces a block's per-draw parts, keyed
-    by ``labels``, before the next block is drawn; :meth:`estimate` applies
-    the one SINR rule.
+    The channel arrays are views of the pass's buffers, which the next
+    block overwrites, and ``scratch`` is one more such buffer that each
+    link in turn may overwrite with a product of the block's shape.  A
+    noise array is None when no requested link reads it, and so is ``zf``
+    when zero-forcing is not requested.
     """
 
-    def __init__(self, profile: FadingProfile, k: int, cfg: ScenarioConfig,
-                 n: int, rng: np.random.Generator, labels: tuple):
-        if not 0 <= k < profile.num_users:
-            raise ConfigError(f"user index {k} out of range")
-        if n < 1:
-            raise ConfigError(f"oracle needs at least 1 sample, got {n}")
-        self.profile, self.n, self.rng, self.labels = profile, n, rng, labels
-        _, self.alpha = expand_site_to_antennas(profile)
-        self.m, self.users = self.alpha.shape
-        self.sigma_n2 = derive_noise_power(cfg)
-        self.per = min(n, max(1, BLOCK_ELEMENTS // (self.m * self.users)))
-        size = len(labels)
+    g_hat: np.ndarray          # (b, antennas, users)
+    g_err: np.ndarray          # (b, antennas, users)
+    scratch: np.ndarray        # (b, antennas, users), any link's to fill
+    x: np.ndarray              # unit-power symbols, (b, users)
+    w_ul: np.ndarray | None    # receiver noise at every antenna, (b, antennas)
+    w_dl: np.ndarray | None    # receiver noise at the user, (b,)
+    zf: GramBatch | None       # the estimates' conjugate, Gram and inverse
+
+
+class _Link:
+    """One link's estimator for user ``k``: per-draw parts, folded into sums.
+
+    A subclass checks its power scale and precomputes what every block
+    shares in its constructor, and splits a block into per-draw parts,
+    keyed by ``labels`` with the desired part first, in :meth:`parts`.
+    :meth:`add` reduces a block before the next is drawn; :meth:`estimate`
+    applies the one SINR rule.
+    """
+
+    labels = TERMS
+
+    def __init__(self, alpha: np.ndarray, k: int):
+        self.k = k
+        self.m, self.users = alpha.shape
+        self.others = np.delete(np.arange(self.users), k)
+        size = len(self.labels)
         self._sums, self._sq_sums = np.zeros(size), np.zeros(size)
         self._cross = np.zeros((size, size), dtype=complex)
         self._rest_sq = 0.0
 
-    def blocks(self, noise_dims: tuple):
-        """Yield each block's (g_hat, g_err, symbols, noise), drawn in order.
-
-        Symbols are unit-power, (b, users); noise is (b,) + ``noise_dims``.
-        The channel arrays are views of the pass's buffers, which the next
-        block overwrites.
-        """
-        hat_buf, err_buf = (np.empty((self.per, self.m, self.users),
-                                     dtype=complex) for _ in range(2))
-        for b in batch_sizes(self.n, self.per):
-            g_hat, g_err = sample_channel_batch(self.profile, self.rng, b,
-                                                out=(hat_buf[:b], err_buf[:b]))
-            x = complex_normal(self.rng, 1.0, (b, self.users))
-            w = complex_normal(self.rng, self.sigma_n2, (b,) + noise_dims)
-            yield g_hat, g_err, x, w
-
-    def add(self, parts: dict) -> None:
-        """Fold one block's per-draw parts into the pass's sums."""
+    def add(self, block: _Block) -> None:
+        """Fold one block's per-draw parts into the link's sums."""
+        parts = self.parts(block)
         t = np.stack([parts[a] for a in self.labels])        # (labels, b)
         p = t.real ** 2 + t.imag ** 2
         self._sums += p.sum(axis=1)
@@ -125,9 +142,13 @@ class _OraclePass:
         rest = t[1:].sum(axis=0)
         self._rest_sq += float((rest.real ** 2 + rest.imag ** 2).sum())
 
-    def estimate(self, **audit) -> TermEstimate:
-        """The pass's estimate; ``audit`` sets the ZF pass's own fields."""
-        n, labels = self.n, self.labels
+    def audit(self) -> dict:
+        """The link's own :class:`TermEstimate` fields; none by default."""
+        return {}
+
+    def estimate(self, n: int) -> TermEstimate:
+        """The link's estimate over its ``n`` draws."""
+        labels = self.labels
         powers = self._sums / n
         stderrs = np.sqrt(np.maximum(self._sq_sums / n - powers ** 2, 0.0) / n)
         correlations = {}
@@ -141,7 +162,161 @@ class _OraclePass:
         return TermEstimate(powers=dict(zip(labels, powers.tolist())),
                             stderrs=dict(zip(labels, stderrs.tolist())),
                             correlations=correlations, empirical_sinr=sinr,
-                            n_samples=n, **audit)
+                            n_samples=n, **self.audit())
+
+
+class _Uplink(_Link):
+    """Uplink MRC: the combined sample split as the closed form splits it."""
+
+    def __init__(self, alpha, k, cfg, pc: uplink.UplinkPowerControl):
+        super().__init__(alpha, k)
+        eta = pc.eta
+        if eta.shape[0] != self.users:
+            raise ConfigError(f"eta has {eta.shape[0]} entries for "
+                              f"{self.users} users")
+        p_u = cfg.ue_tx_power
+        self.a_k = float(alpha[:, k].sum())
+        self.scale_k = math.sqrt(p_u * eta[k])
+        self.amp = np.sqrt(p_u * eta)
+
+    def parts(self, block):
+        k, others, x = self.k, self.others, block.x
+        g_hat, g_err = block.g_hat, block.g_err
+        comb = g_hat[:, :, k].conj()                       # (b, antennas)
+        gain = (comb * g_hat[:, :, k]).sum(axis=1).real    # |g_hat_k|^2
+        g_true = np.add(g_hat, g_err, out=block.scratch)
+        proj = np.einsum("cm,cmi->ci", comb, g_true)
+        return {
+            "desired": self.scale_k * self.a_k * x[:, k],
+            "uncertainty": self.scale_k * (gain - self.a_k) * x[:, k],
+            "est_error": self.scale_k * (comb * g_err[:, :, k]).sum(axis=1)
+            * x[:, k],
+            "inter_user": (self.amp[others] * proj[:, others]
+                           * x[:, others]).sum(axis=1),
+            "noise": (comb * block.w_ul).sum(axis=1),
+        }
+
+
+class _Cbf(_Link):
+    """Downlink CBF at user k; only user k's true channel column is formed."""
+
+    def __init__(self, alpha, k, cfg, pc: downlink.CbfPowerControl,
+                 profile: FadingProfile):
+        super().__init__(alpha, k)
+        if pc.eta_site.shape != (profile.num_sites,):
+            raise ConfigError(f"eta_site has shape {pc.eta_site.shape} for "
+                              f"{profile.num_sites} sites")
+        self.sqrt_eta_m = np.sqrt(np.repeat(pc.eta_site,
+                                            profile.antennas_per_site))
+        self.sp = math.sqrt(cfg.ap_per_antenna_tx_power)
+        self.coherent = float((self.sqrt_eta_m * alpha[:, k]).sum())
+
+    def parts(self, block):
+        k, sp, u, sqrt_eta_m = self.k, self.sp, block.x, self.sqrt_eta_m
+        hat_k, err_k = block.g_hat[:, :, k], block.g_err[:, :, k]
+        gain = ((hat_k.real ** 2 + hat_k.imag ** 2) * sqrt_eta_m).sum(axis=1)
+        weighted = np.conjugate(block.g_hat, out=block.scratch)
+        weighted *= sqrt_eta_m[None, :, None]
+        proj = np.einsum("cm,cmi->ci", hat_k + err_k, weighted)
+        return {
+            "desired": sp * self.coherent * u[:, k],
+            "uncertainty": sp * (gain - self.coherent) * u[:, k],
+            "est_error": sp * (hat_k.conj() * err_k * sqrt_eta_m).sum(axis=1)
+            * u[:, k],
+            "inter_user": sp * (proj[:, self.others]
+                                * u[:, self.others]).sum(axis=1),
+            "noise": block.w_dl,
+        }
+
+
+class _Zfp(_Link):
+    """Downlink ZFP at user k with a fresh precoder per draw.
+
+    ``grams`` is the pass's :class:`channel.GramPass`, whose redraws and
+    one budget this link reports.
+    """
+
+    labels = ("desired", "residual", "noise")
+
+    def __init__(self, alpha, k, cfg, eta_common: float, grams: GramPass):
+        super().__init__(alpha, k)
+        if not (math.isfinite(eta_common) and eta_common >= 0):
+            raise ConfigError(f"eta_common must be finite and >= 0, "
+                              f"got {eta_common}")
+        if self.m < self.users:
+            raise ConfigError(f"zero-forcing needs at least as many antennas "
+                              f"as users, got {self.m} x {self.users}")
+        self.eta, self.grams = eta_common, grams
+        self.sqrt_pe = math.sqrt(cfg.ap_per_antenna_tx_power * eta_common)
+        self.eye = np.eye(self.users)
+        self.max_iui = 0.0
+
+    def parts(self, block):
+        batch, u = block.zf, block.x
+        # the unscaled precoder
+        w_mat = np.matmul(batch.g_conj, batch.inv, out=block.scratch)
+        leak = np.einsum("cm,cmi->ci", block.g_err[:, :, self.k], w_mat)
+        response = batch.gram @ batch.inv - self.eye   # estimated-channel IUI
+        self.max_iui = max(self.max_iui, float(np.abs(response).max()))
+        return {"desired": self.sqrt_pe * u[:, self.k],
+                "residual": self.sqrt_pe * (leak * u).sum(axis=1),
+                "noise": block.w_dl}
+
+    def audit(self):
+        return {"n_resampled": self.grams.redrawn,
+                "max_est_iui": self.max_iui * math.sqrt(self.eta)}
+
+
+def simulate_links(profile: FadingProfile, k: int, cfg: ScenarioConfig,
+                   n_samples: int, rng: np.random.Generator, *,
+                   uplink_pc: uplink.UplinkPowerControl | None = None,
+                   cbf_pc: downlink.CbfPowerControl | None = None,
+                   zf_eta: float | None = None) -> dict[str, TermEstimate]:
+    """Brute-force every requested link of user ``k`` from one set of draws.
+
+    A link is requested by its power scale: ``uplink_pc`` for uplink MRC
+    (key ``ul``), ``cbf_pc`` for downlink CBF (``cbf``) and the common ZF
+    scale ``zf_eta`` for downlink ZFP (``zfp``).  Each block is drawn once,
+    in the order the module docstring gives, and every requested link
+    reduces it before the next block is drawn, so ``n_samples`` joint
+    draws serve all of them.  Returns one :class:`TermEstimate` per
+    requested link, keyed in that order.
+    """
+    if not 0 <= k < profile.num_users:
+        raise ConfigError(f"user index {k} out of range")
+    if n_samples < 1:
+        raise ConfigError(f"oracle needs at least 1 sample, got {n_samples}")
+    _, alpha = expand_site_to_antennas(profile)
+    links: dict[str, _Link] = {}
+    if uplink_pc is not None:
+        links["ul"] = _Uplink(alpha, k, cfg, uplink_pc)
+    if cbf_pc is not None:
+        links["cbf"] = _Cbf(alpha, k, cfg, cbf_pc, profile)
+    grams = None
+    if zf_eta is not None:
+        grams = GramPass(n_samples,
+                         lambda b: sample_channel_batch(profile, rng, b))
+        links["zfp"] = _Zfp(alpha, k, cfg, zf_eta, grams)
+    if not links:
+        raise ConfigError("no link requested")
+    m, users = alpha.shape
+    sigma_n2 = derive_noise_power(cfg)
+    per = min(n_samples, max(1, BLOCK_ELEMENTS // (m * users)))
+    hat_buf, err_buf, scratch = (np.empty((per, m, users), dtype=complex)
+                                 for _ in range(3))
+    for b in batch_sizes(n_samples, per):
+        g_hat, g_err = sample_channel_batch(profile, rng, b,
+                                            out=(hat_buf[:b], err_buf[:b]))
+        x = complex_normal(rng, 1.0, (b, users))
+        w_ul = complex_normal(rng, sigma_n2, (b, m)) \
+            if "ul" in links else None
+        w_dl = complex_normal(rng, sigma_n2, (b,)) \
+            if "cbf" in links or "zfp" in links else None
+        zf = grams.invert((g_hat, g_err)) if grams is not None else None
+        block = _Block(g_hat, g_err, scratch[:b], x, w_ul, w_dl, zf)
+        for link in links.values():
+            link.add(block)
+    return {name: link.estimate(n_samples) for name, link in links.items()}
 
 
 def simulate_uplink_terms(profile: FadingProfile,
@@ -153,33 +328,11 @@ def simulate_uplink_terms(profile: FadingProfile,
     Per draw: joint channels, unit-power symbols and receiver noise at
     every antenna, then the combined sample is split exactly as the
     closed-form derivation splits it, so the parts sum to the combiner
-    output.  Draws come block by block (see the module docstring), and the
-    true channel is formed one block at a time.
+    output.  The true channel is formed one block at a time.  This is
+    :func:`simulate_links` with the uplink alone.
     """
-    run = _OraclePass(profile, k, cfg, n_samples, rng, TERMS)
-    eta = pc.eta
-    if eta.shape[0] != run.users:
-        raise ConfigError(f"eta has {eta.shape[0]} entries for "
-                          f"{run.users} users")
-    p_u = cfg.ue_tx_power
-    a_k = float(run.alpha[:, k].sum())
-    scale_k = math.sqrt(p_u * eta[k])
-    amp = np.sqrt(p_u * eta)
-    others = np.delete(np.arange(run.users), k)
-    for g_hat, g_err, x, w in run.blocks((run.m,)):
-        comb = g_hat[:, :, k].conj()                       # (b, antennas)
-        gain = (comb * g_hat[:, :, k]).sum(axis=1).real    # |g_hat_k|^2
-        proj = np.einsum("cm,cmi->ci", comb, g_hat + g_err)
-        run.add({
-            "desired": scale_k * a_k * x[:, k],
-            "uncertainty": scale_k * (gain - a_k) * x[:, k],
-            "est_error": scale_k * (comb * g_err[:, :, k]).sum(axis=1)
-            * x[:, k],
-            "inter_user": (amp[others] * proj[:, others]
-                           * x[:, others]).sum(axis=1),
-            "noise": (comb * w).sum(axis=1),
-        })
-    return run.estimate()
+    return simulate_links(profile, k, cfg, n_samples, rng,
+                          uplink_pc=pc)["ul"]
 
 
 def simulate_downlink_cbf(profile: FadingProfile, pc: downlink.CbfPowerControl,
@@ -187,35 +340,11 @@ def simulate_downlink_cbf(profile: FadingProfile, pc: downlink.CbfPowerControl,
                           rng: np.random.Generator) -> TermEstimate:
     """Brute-force the CBF downlink parts for user ``k``.
 
-    Drawn block by block like :func:`simulate_uplink_terms`, with one noise
-    sample per draw at the user; only user k's column of the true channel
-    is formed.
+    Per draw: joint channels, unit-power symbols and one noise sample at
+    the user; only user k's column of the true channel is formed.  This is
+    :func:`simulate_links` with CBF alone.
     """
-    run = _OraclePass(profile, k, cfg, n_samples, rng, TERMS)
-    eta = np.asarray(pc.eta_site, dtype=float)
-    if eta.shape != (profile.num_sites,):
-        raise ConfigError(f"eta_site has shape {eta.shape} for "
-                          f"{profile.num_sites} sites")
-    if not (np.isfinite(eta).all() and (eta >= 0).all()):
-        raise ConfigError("eta_site must be finite and >= 0")
-    sqrt_eta_m = np.sqrt(np.repeat(eta, profile.antennas_per_site))
-    sp = math.sqrt(cfg.ap_per_antenna_tx_power)
-    coherent = float((sqrt_eta_m * run.alpha[:, k]).sum())
-    others = np.delete(np.arange(run.users), k)
-    for g_hat, g_err, u, w in run.blocks(()):
-        hat_k, err_k = g_hat[:, :, k], g_err[:, :, k]
-        gain = ((hat_k.real ** 2 + hat_k.imag ** 2) * sqrt_eta_m).sum(axis=1)
-        weighted = g_hat.conj() * sqrt_eta_m[None, :, None]
-        proj = np.einsum("cm,cmi->ci", hat_k + err_k, weighted)
-        run.add({
-            "desired": sp * coherent * u[:, k],
-            "uncertainty": sp * (gain - coherent) * u[:, k],
-            "est_error": sp * (hat_k.conj() * err_k * sqrt_eta_m).sum(axis=1)
-            * u[:, k],
-            "inter_user": sp * (proj[:, others] * u[:, others]).sum(axis=1),
-            "noise": w,
-        })
-    return run.estimate()
+    return simulate_links(profile, k, cfg, n_samples, rng, cbf_pc=pc)["cbf"]
 
 
 def simulate_downlink_zfp(profile: FadingProfile, eta_common: float, k: int,
@@ -229,38 +358,16 @@ def simulate_downlink_zfp(profile: FadingProfile, eta_common: float, k: int,
     pseudo-inverse; ``max_est_iui`` reports the worst off-diagonal of the
     estimated-channel response as a numerical audit.
 
-    Drawn block by block like :func:`simulate_uplink_terms`; each block is
-    pushed to one :class:`channel.GramPass` over all ``n_samples`` draws,
-    so a singular draw is redrawn (estimate and error, in place) right
-    after its block's noise, ``n_resampled`` counts the redraws, and one
-    redraw budget covers the whole pass.  Each block's precoder is its
-    conjugate estimates times its inverse Gram, so the precoder exists one
-    block at a time and the true channel is never formed.
+    Each block is pushed to one :class:`channel.GramPass` over all
+    ``n_samples`` draws, so a singular draw is redrawn (estimate and
+    error, in place) right after its block's noise, ``n_resampled`` counts
+    the redraws, and one redraw budget covers the whole pass.  Each
+    block's precoder is its conjugate estimates times its inverse Gram, so
+    the precoder exists one block at a time and the true channel is never
+    formed.  This is :func:`simulate_links` with ZFP alone.
     """
-    run = _OraclePass(profile, k, cfg, n_samples, rng,
-                      ("desired", "residual", "noise"))
-    if not (math.isfinite(eta_common) and eta_common >= 0):
-        raise ConfigError(f"eta_common must be finite and >= 0, "
-                          f"got {eta_common}")
-    if run.m < run.users:
-        raise ConfigError(f"zero-forcing needs at least as many antennas as "
-                          f"users, got {run.m} x {run.users}")
-    sqrt_pe = math.sqrt(cfg.ap_per_antenna_tx_power * eta_common)
-    grams = GramPass(n_samples,
-                     lambda b: sample_channel_batch(profile, rng, b))
-    eye = np.eye(run.users)
-    max_iui = 0.0
-    for g_hat, g_err, u, noise in run.blocks(()):
-        batch = grams.invert((g_hat, g_err))
-        w_mat = batch.g_conj @ batch.inv               # unscaled precoder
-        leak = np.einsum("cm,cmi->ci", g_err[:, :, k], w_mat)
-        response = batch.gram @ batch.inv - eye        # estimated-channel IUI
-        max_iui = max(max_iui, float(np.abs(response).max()))
-        run.add({"desired": sqrt_pe * u[:, k],
-                 "residual": sqrt_pe * (leak * u).sum(axis=1),
-                 "noise": noise})
-    return run.estimate(n_resampled=grams.redrawn,
-                        max_est_iui=max_iui * math.sqrt(eta_common))
+    return simulate_links(profile, k, cfg, n_samples, rng,
+                          zf_eta=eta_common)["zfp"]
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +412,10 @@ def validate_instance(cfg: ScenarioConfig,
     user 0 is inspected.  Returns one row per compared quantity; the ZFP
     closed form takes its moments from ``cfg.chi_samples`` estimate draws,
     which the reference config sets high (20000) so the comparison noise
-    is dominated by the link-level side.  Relative tolerances hold as
+    is dominated by the link-level side.  After the topology and fading,
+    the stream serves the ZF moments first, since the ZF link needs their
+    eta, and then one :func:`simulate_links` pass of ``n_samples`` joint
+    draws for all three links.  Relative tolerances hold as
     stated at the reference sample count and widen like 1/sqrt(n) below
     it, so quick runs stay meaningful without being vacuous.
     """
@@ -316,31 +426,32 @@ def validate_instance(cfg: ScenarioConfig,
     rng = np.random.default_rng(drop_seed(cfg.master_seed, 0))
     topo = place_topology(cfg, rng)
     profile = fading_profile(cfg, topo, rng)
+    ul_pc = uplink.UplinkPowerControl.full_power(cfg.num_users)
+    cbf_pc = downlink.cbf_power(profile)
+    zf = downlink.zfp_moments(profile, cfg, rng)
+    est = simulate_links(profile, 0, cfg, n_samples, rng, uplink_pc=ul_pc,
+                         cbf_pc=cbf_pc, zf_eta=zf.eta)
     rows: list[ValidationRow] = []
 
     # uplink MRC, then CBF: the five part powers and the SINR of each
-    for prefix, pc, term_powers, sinr_all, simulate in (
-            ("ul", uplink.UplinkPowerControl.full_power(cfg.num_users),
-             uplink.uplink_term_variances, uplink.uplink_sinr_all,
-             simulate_uplink_terms),
-            ("cbf", downlink.cbf_power(profile), downlink.cbf_term_variances,
-             downlink.cbf_sinr_all, simulate_downlink_cbf)):
+    for prefix, pc, term_powers, sinr_all in (
+            ("ul", ul_pc, uplink.uplink_term_variances,
+             uplink.uplink_sinr_all),
+            ("cbf", cbf_pc, downlink.cbf_term_variances,
+             downlink.cbf_sinr_all)):
         closed = term_powers(profile, pc, 0, cfg)
-        est = simulate(profile, pc, 0, cfg, n_samples, rng)
         for label in TERMS:
             rows.append(_row(f"{prefix}_{label}", closed[label],
-                             est.powers[label], term_tol, n_samples))
+                             est[prefix].powers[label], term_tol, n_samples))
         rows.append(_row(f"{prefix}_sinr",
                          float(sinr_all(profile, pc, cfg)[0]),
-                         est.empirical_sinr, sinr_tol, n_samples))
+                         est[prefix].empirical_sinr, sinr_tol, n_samples))
 
     # ZFP SINR and the estimated-channel interference audit
-    zf = downlink.zfp_moments(profile, cfg, rng)
     closed_zfp = float(downlink.zfp_sinr_all(profile, zf, cfg)[0])
-    est_zfp = simulate_downlink_zfp(profile, zf.eta, 0, cfg, n_samples, rng)
-    rows.append(_row("zfp_sinr", closed_zfp, est_zfp.empirical_sinr,
+    rows.append(_row("zfp_sinr", closed_zfp, est["zfp"].empirical_sinr,
                      zfp_tol, n_samples))
-    rows.append(_row("zfp_est_iui", 0.0, est_zfp.max_est_iui,
+    rows.append(_row("zfp_est_iui", 0.0, est["zfp"].max_est_iui,
                      ZFP_IUI_ABS_TOL, n_samples))
     return rows
 

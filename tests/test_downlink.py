@@ -112,6 +112,19 @@ def test_cbf_sinr_validates_inputs():
         cbf_sinr_all(profile, CbfPowerControl(eta_site=np.ones(3)), cfg)
 
 
+@pytest.mark.parametrize("eta_site, message", [
+    ([1.0, np.nan], "finite and >= 0"),
+    ([1.0, np.inf], "finite and >= 0"),
+    ([1.0, -1.0], "finite and >= 0"),
+    ([[1.0, 2.0]], "1-d"),
+], ids=["nan", "inf", "negative", "2-d"])
+def test_cbf_power_control_rejects_bad_scales_at_construction(eta_site,
+                                                              message):
+    # a NaN scale used to reach cbf_sinr_all and come out as an SINR of 0
+    with pytest.raises(ConfigError, match=message):
+        CbfPowerControl(eta_site=np.array(eta_site))
+
+
 # --- zero-forcing moments --------------------------------------------------
 
 def test_chi_zero_under_perfect_estimates():

@@ -7,8 +7,8 @@ import pytest
 from cfmimo import channel, downlink, experiment, oracle, uplink
 from cfmimo.oracle import (REFERENCE_SAMPLES, TERMS, reference_config, rows_to_csv, rows_to_text,
                            simulate_downlink_cbf,
-                           simulate_downlink_zfp, simulate_uplink_terms,
-                           validate_instance)
+                           simulate_downlink_zfp, simulate_links,
+                           simulate_uplink_terms, validate_instance)
 from cfmimo.propagation import FadingProfile, fading_profile, place_topology
 from cfmimo.scenario import ConfigError, ScenarioConfig, derive_noise_power, \
     drop_seed
@@ -224,8 +224,10 @@ def run_pass(which, cfg, profile, n, rng, k=0):
                                         k=4), "user index 4"),
     (lambda cfg, profile, rng: run_pass("cbf", cfg, profile, 0, rng),
      "at least 1 sample"),
+    (lambda cfg, profile, rng: simulate_links(profile, 0, cfg, 100, rng),
+     "no link requested"),
 ], ids=["zfp-nan-eta", "cbf-eta-shape", "cbf-nan-eta", "user-index",
-        "no-samples"])
+        "no-samples", "no-link"])
 def test_passes_reject_bad_inputs(call, message):
     # config errors, not an SINR of inf or a bare numpy broadcast error
     cfg, profile, rng = reference_profile(0)
@@ -354,3 +356,90 @@ def test_zf_redraw_budget_covers_the_whole_pass(monkeypatch, extra, fails):
         assert "18 of 1700" in str(est)
     else:
         assert est.n_resampled == 17
+
+
+# --- one joint pass for every link -----------------------------------------
+
+LINK_ARGS = {"ul": "uplink_pc", "cbf": "cbf_pc", "zfp": "zf_eta"}
+
+
+def run_links(links, cfg, profile, n, rng, zf_eta=ZF_ETA):
+    scales = {"ul": uplink.UplinkPowerControl.full_power(cfg.num_users),
+              "cbf": downlink.cbf_power(profile), "zfp": zf_eta}
+    return simulate_links(profile, 0, cfg, n, rng,
+                          **{LINK_ARGS[name]: scales[name] for name in links})
+
+
+def test_joint_pass_matches_each_closed_form():
+    # one call, one set of draws: every link still meets its closed form
+    cfg, profile, rng = reference_profile(13)
+    zf = downlink.zfp_moments(profile, cfg, rng, 20_000)
+    est = run_links(("ul", "cbf", "zfp"), cfg, profile, N_FAST, rng,
+                    zf_eta=zf.eta)
+    assert list(est) == ["ul", "cbf", "zfp"]
+    ul_pc = uplink.UplinkPowerControl.full_power(cfg.num_users)
+    cbf_pc = downlink.cbf_power(profile)
+    for name, closed, gamma in (
+            ("ul", uplink.uplink_term_variances(profile, ul_pc, 0, cfg),
+             uplink.uplink_sinr_all(profile, ul_pc, cfg)[0]),
+            ("cbf", downlink.cbf_term_variances(profile, cbf_pc, 0, cfg),
+             downlink.cbf_sinr_all(profile, cbf_pc, cfg)[0])):
+        for label in TERMS:
+            assert est[name].powers[label] == pytest.approx(
+                closed[label], rel=0.03), (name, label)
+        assert est[name].empirical_sinr == pytest.approx(gamma, rel=0.03)
+        assert est[name].max_est_iui is None
+    assert est["zfp"].empirical_sinr == pytest.approx(
+        downlink.zfp_sinr_all(profile, zf, cfg)[0], rel=0.05)
+    assert est["zfp"].max_est_iui < 1e-9
+
+
+@pytest.mark.parametrize("links", [("ul", "cbf", "zfp"), ("ul", "cbf"),
+                                   ("cbf", "zfp"), ("ul", "zfp")],
+                         ids="+".join)
+def test_joint_pass_draws_exactly_its_block_plan(monkeypatch, links):
+    # per block: estimates, errors, one symbol draw, the uplink's noise at
+    # every antenna if asked for, one noise draw at the user shared by CBF
+    # and ZF if either is asked for, and nothing else
+    cfg, profile, _ = reference_profile(12)
+    m, k = cfg.total_antennas, cfg.num_users
+    monkeypatch.setattr(oracle, "BLOCK_ELEMENTS", BLOCK_DRAWS * m * k)
+    rng = np.random.default_rng(6)
+    run_links(links, cfg, profile, N_BLOCKED, rng)
+    direct = np.random.default_rng(6)
+    for b in (BLOCK_DRAWS, BLOCK_DRAWS, N_BLOCKED - 2 * BLOCK_DRAWS):
+        direct.standard_normal((b, m, k, 2))
+        direct.standard_normal((b, m, k, 2))
+        direct.standard_normal((b, k, 2))
+        if "ul" in links:
+            direct.standard_normal((b, m, 2))
+        if "cbf" in links or "zfp" in links:
+            direct.standard_normal((b, 2))
+    assert rng.bit_generator.state == direct.bit_generator.state
+
+
+def test_validate_draws_each_joint_channel_once(monkeypatch):
+    # three links, one pass: n_samples joint draws in all, not one set per
+    # link (the ZF moments draw estimates alone, through another function)
+    drawn = []
+    real_draw = oracle.sample_channel_batch
+
+    def draw(profile, rng, n, out=None):
+        drawn.append(n)
+        return real_draw(profile, rng, n, out)
+
+    monkeypatch.setattr(oracle, "sample_channel_batch", draw)
+    validate_instance(reference_config(0), 3000)
+    assert sum(drawn) == 3000
+
+
+def test_joint_pass_holds_about_one_block_of_channels():
+    # all three links on 100k reference samples share one block's draws
+    cfg, profile, rng = reference_profile(0)
+    tracemalloc.start()
+    try:
+        run_links(("ul", "cbf", "zfp"), cfg, profile, REFERENCE_SAMPLES, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6, f"{peak / 1e6:.1f} MB"
