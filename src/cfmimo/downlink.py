@@ -2,7 +2,9 @@
 
 Conjugate beamforming (CBF) admits a fully closed-form treatment: with the
 statistics-aware per-site power normalization every antenna radiates its
-power budget exactly in expectation, and the per-user SINR is
+power budget exactly in expectation, and the per-user SINR, the one rule
+:func:`uplink.sinr_from_parts` applied to the five parts of
+:func:`cbf_term_variances`, is
 
     p_d n_t^2 (sum_q sqrt(eta_q) alpha_qk)^2
     ------------------------------------------------------------
@@ -18,8 +20,10 @@ it: the load of the busiest site, which sets the common power scale eta =
 
     chi[k, i] = E sum_q (beta_qk - alpha_qk) [X^H S_q X]_ii,
 
-the mean power of user k's estimation error in the stream of user i.  The
-SINR of user k is then
+the mean power of user k's estimation error in the stream of user i.
+User k's three parts (:func:`zfp_term_variances`) are its own stream,
+p_d eta, the residual leakage, p_d eta sum_i chi[k, i], and the noise,
+sigma^2, so the same rule gives the SINR
 
     p_d eta / (sigma^2 + p_d eta sum_i chi[k, i]).
 
@@ -47,10 +51,10 @@ The drop runner takes the equivalent when the share is below
 :data:`EQUIVALENT_SHARE_LIMIT` and otherwise, or when the fixed point does
 not converge, estimates both moments by Monte-Carlo over antenna-level
 estimate draws (:func:`zfp_moments`).  Either way the moments come as one
-:class:`ZfpMoments` record, which holds the rule for eta and which
-:func:`zfp_sinr_all` takes whole.  Antennas of one site share one
-expected load, so the sampled pass pools them before the maximum, which
-avoids the upward bias of a maximum over M noisy per-antenna loads.  It
+:class:`ZfpMoments` record, which holds the rule for eta and which the
+ZFP parts take whole.  Antennas of one site share one expected load, so
+the sampled pass pools them before the maximum, which avoids the upward
+bias of a maximum over M noisy per-antenna loads.  It
 runs in cache-sized blocks of draws that together consume the generator's
 stream exactly as one batch of all draws would, and it adds every draw into
 its sums in draw order, so its output is bit-for-bit independent of the
@@ -64,9 +68,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import BLOCK_ELEMENTS, GramPass, NumericalError, \
-    batch_sizes, expand_site_to_antennas, sample_estimates
+    batch_sizes, sample_estimates
 from .propagation import FadingProfile
 from .scenario import ConfigError, ScenarioConfig, derive_noise_power
+from .uplink import sinr_from_parts
 
 # largest single-antenna share max_mk alpha_mk t_k below which the drop
 # runner takes the deterministic equivalent instead of sampling: against
@@ -147,49 +152,40 @@ def cbf_power(profile: FadingProfile) -> CbfPowerControl:
     return CbfPowerControl(eta_site=1.0 / load)
 
 
+def cbf_term_variances(profile: FadingProfile, pc: CbfPowerControl,
+                       cfg: ScenarioConfig) -> dict:
+    """Closed-form powers of the five CBF received-sample parts of every user.
+
+    Keyed as :func:`uplink.uplink_term_variances` keys the uplink parts,
+    each value of shape (users,).
+    """
+    alpha, beta = profile.alpha, profile.beta
+    sites, users = alpha.shape
+    eta = pc.eta_site
+    if eta.shape != (sites,):
+        raise ConfigError(f"eta_site has shape {eta.shape} for {sites} sites")
+    n_t, p_d = profile.antennas_per_site, cfg.ap_per_antenna_tx_power
+
+    # own[i, k] = p_d n_t sum_q eta_q alpha_qi alpha_qk and spill the same
+    # with beta_qk - alpha_qk; off the diagonal, own + spill is stream i at k
+    weighted_t = (alpha * (p_d * n_t * eta)[:, None]).T
+    own = weighted_t @ alpha
+    spill = weighted_t @ (beta - alpha)
+    cross = own + spill
+    cross.flat[::users + 1] = 0.0
+    return {
+        "desired": p_d * (n_t * (alpha.T @ np.sqrt(eta))) ** 2,
+        "uncertainty": own.diagonal(),
+        "est_error": spill.diagonal(),
+        "inter_user": cross.sum(axis=0),
+        "noise": np.full(users, derive_noise_power(cfg)),
+    }
+
+
 def cbf_sinr_all(profile: FadingProfile, pc: CbfPowerControl,
                  cfg: ScenarioConfig) -> np.ndarray:
     """Closed-form CBF SINR of every user, shape (users,)."""
-    alpha, beta = profile.alpha, profile.beta
-    n_t = profile.antennas_per_site
-    eta = pc.eta_site
-    if eta.shape != (profile.num_sites,):
-        raise ConfigError(f"eta_site has shape {eta.shape} for "
-                          f"{profile.num_sites} sites")
-    p_d = cfg.ap_per_antenna_tx_power
-    sigma_n2 = derive_noise_power(cfg)
-
-    coherent = alpha.T @ np.sqrt(eta)          # sum_q sqrt(eta_q) alpha_qk
-    site_energy = eta * alpha.sum(axis=1)      # eta_q sum_i alpha_qi
-    den = sigma_n2 + p_d * n_t * (beta.T @ site_energy)
-    num = p_d * (n_t * coherent) ** 2
-    return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-
-
-def cbf_term_variances(profile: FadingProfile, pc: CbfPowerControl, k: int,
-                       cfg: ScenarioConfig) -> dict:
-    """Closed-form powers of the five CBF received-sample parts of user ``k``.
-
-    Keyed desired, uncertainty, est_error, inter_user and noise; the desired
-    power over the sum of the other four is :func:`cbf_sinr_all`'s entry k.
-    """
-    if not 0 <= k < profile.num_users:
-        raise ConfigError(f"user index {k} out of range")
-    beta_mk, alpha_mk = expand_site_to_antennas(profile)
-    eta_m = np.repeat(pc.eta_site, profile.antennas_per_site)
-    p_d = cfg.ap_per_antenna_tx_power
-    a_k, b_k = alpha_mk[:, k], beta_mk[:, k]
-    inter = 0.0
-    for i in range(profile.num_users):
-        if i != k:
-            inter += float((eta_m * b_k * alpha_mk[:, i]).sum())
-    return {
-        "desired": p_d * float((np.sqrt(eta_m) * a_k).sum()) ** 2,
-        "uncertainty": p_d * float((eta_m * a_k ** 2).sum()),
-        "est_error": p_d * float((eta_m * a_k * (b_k - a_k)).sum()),
-        "inter_user": p_d * inter,
-        "noise": derive_noise_power(cfg),
-    }
+    return sinr_from_parts(cbf_term_variances(profile, pc, cfg))
 
 
 def _add_in_order(total: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -343,14 +339,22 @@ def zfp_moments(profile: FadingProfile, cfg: ScenarioConfig,
                       n_resampled=grams.redrawn)
 
 
+def zfp_term_variances(profile: FadingProfile, zf: ZfpMoments,
+                       cfg: ScenarioConfig) -> dict:
+    """Closed-form powers of the three ZFP received-sample parts of every user.
+
+    Keyed desired, residual and noise, each of shape (users,).
+    """
+    users = profile.num_users
+    if zf.chi.shape != (users, users):
+        raise ConfigError(f"chi has shape {zf.chi.shape} for {users} users")
+    power = cfg.ap_per_antenna_tx_power * zf.eta
+    return {"desired": np.full(users, power),
+            "residual": power * zf.chi.sum(axis=1),
+            "noise": np.full(users, derive_noise_power(cfg))}
+
+
 def zfp_sinr_all(profile: FadingProfile, zf: ZfpMoments,
                  cfg: ScenarioConfig) -> np.ndarray:
     """ZFP SINR of every user under the common power scale, shape (users,)."""
-    if zf.chi.shape != (profile.num_users, profile.num_users):
-        raise ConfigError(f"chi has shape {zf.chi.shape} for "
-                          f"{profile.num_users} users")
-    eta = zf.eta
-    p_d = cfg.ap_per_antenna_tx_power
-    sigma_n2 = derive_noise_power(cfg)
-    leakage = zf.chi.sum(axis=1)               # sum_i chi[k, i]
-    return p_d * eta / (sigma_n2 + p_d * eta * leakage)
+    return sinr_from_parts(zfp_term_variances(profile, zf, cfg))

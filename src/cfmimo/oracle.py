@@ -439,9 +439,9 @@ def validate_instance(cfg: ScenarioConfig,
              uplink.uplink_sinr_all),
             ("cbf", cbf_pc, downlink.cbf_term_variances,
              downlink.cbf_sinr_all)):
-        closed = term_powers(profile, pc, 0, cfg)
+        closed = term_powers(profile, pc, cfg)
         for label in TERMS:
-            rows.append(_row(f"{prefix}_{label}", closed[label],
+            rows.append(_row(f"{prefix}_{label}", float(closed[label][0]),
                              est[prefix].powers[label], term_tol, n_samples))
         rows.append(_row(f"{prefix}_sinr",
                          float(sinr_all(profile, pc, cfg)[0]),

@@ -2,13 +2,14 @@
 
 The receiver combines with the conjugated channel estimates but detects
 using only the mean of the effective gain, so the received sample splits
-into five zero-mean-orthogonal parts: the deterministic desired part, the
+into five zero-mean-orthogonal parts (Ngo et al., "Cell-free massive MIMO
+versus small cells", IEEE TWC 2017): the deterministic desired part, the
 fluctuation of the effective gain around its mean (channel uncertainty),
 the estimation-error leakage, inter-user interference, and combined noise.
-Their powers have closed forms in the large-scale state alone
-(:func:`uplink_term_variances`, keyed like the CBF parts of
-:func:`downlink.cbf_term_variances`), and the effective SINR for user k
-with n_t antennas per site is
+Their powers have closed forms in the large-scale state alone, all users
+at once in :func:`uplink_term_variances`.  Every scheme takes its SINR
+from its parts by one rule, :func:`sinr_from_parts`: the desired power
+over the sum of the others, here, for user k with n_t antennas per site,
 
     p_u eta_k n_t^2 (sum_q alpha_qk)^2
     -----------------------------------------------------------------
@@ -46,59 +47,53 @@ class UplinkPowerControl:
         return cls(eta=np.ones(num_users))
 
 
-def _eta_vector(pc: UplinkPowerControl, num_users: int) -> np.ndarray:
-    if pc.eta.shape[0] != num_users:
-        raise ConfigError(f"eta has {pc.eta.shape[0]} entries for "
-                          f"{num_users} users")
-    return pc.eta
-
-
 def uplink_term_variances(profile: FadingProfile, pc: UplinkPowerControl,
-                          k: int, cfg: ScenarioConfig) -> dict:
-    """Closed-form powers of the five received-sample parts of user ``k``.
+                          cfg: ScenarioConfig) -> dict:
+    """Closed-form powers of the five received-sample parts of every user.
 
-    Keyed desired, uncertainty, est_error, inter_user and noise, as
-    :func:`downlink.cbf_term_variances` keys the CBF parts; the desired
-    power over the sum of the other four is :func:`uplink_sinr_all`'s
-    entry k.
+    Keyed desired, uncertainty, est_error, inter_user and noise, each of
+    shape (users,).
     """
     alpha, beta = profile.alpha, profile.beta
+    sites, users = alpha.shape
+    eta = pc.eta
+    if eta.shape[0] != users:
+        raise ConfigError(f"eta has {eta.shape[0]} entries for {users} users")
     n_t = profile.antennas_per_site
-    eta_vec = _eta_vector(pc, profile.num_users)
-    if not 0 <= k < profile.num_users:
-        raise ConfigError(f"user index {k} out of range")
-    p_u = cfg.ue_tx_power
-    sigma_n2 = derive_noise_power(cfg)
 
-    a = alpha[:, k]
-    a_k = float(a.sum())
-    power = p_u * eta_vec[k]                   # user k's transmit power
-    others = np.delete(np.arange(profile.num_users), k)
+    # own[k, i] = sum_q alpha_qk alpha_qi and spill the same with beta_qi -
+    # alpha_qi; off the diagonal, own + spill is user i's gain at k's combiner
+    own = alpha.T @ alpha
+    spill = alpha.T @ (beta - alpha)
+    cross = own + spill
+    cross.flat[::users + 1] = 0.0
+    a = np.ones(sites) @ alpha                 # sum_q alpha_qk
+    scaled = n_t * cfg.ue_tx_power * eta       # p_u eta_k n_t
     return {
-        "desired": power * (n_t * a_k) ** 2,
-        "uncertainty": power * (n_t * float((a ** 2).sum())),
-        "est_error": power * n_t * float((a * (beta[:, k] - a)).sum()),
-        "inter_user": p_u * n_t * float(
-            (eta_vec[others] * (a[:, None] * beta[:, others]).sum(axis=0)).sum()),
-        "noise": sigma_n2 * n_t * a_k,
+        "desired": scaled * n_t * a ** 2,
+        "uncertainty": scaled * own.diagonal(),
+        "est_error": scaled * spill.diagonal(),
+        "inter_user": cross @ scaled,
+        "noise": derive_noise_power(cfg) * n_t * a,
     }
 
 
 def uplink_sinr_all(profile: FadingProfile, pc: UplinkPowerControl,
                     cfg: ScenarioConfig) -> np.ndarray:
     """Effective SINR of every user at once, shape (users,)."""
-    alpha, beta = profile.alpha, profile.beta
-    n_t = profile.antennas_per_site
-    eta_vec = _eta_vector(pc, profile.num_users)
-    p_u = cfg.ue_tx_power
-    sigma_n2 = derive_noise_power(cfg)
+    return sinr_from_parts(uplink_term_variances(profile, pc, cfg))
 
-    a = alpha.sum(axis=0)                      # (users,)
-    site_load = beta @ eta_vec                 # sum_i eta_i beta_qi, (sites,)
-    interference = alpha.T @ site_load         # (users,)
-    num = p_u * eta_vec * (n_t * a) ** 2
-    den = p_u * n_t * interference + sigma_n2 * n_t * a
-    return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
+
+def sinr_from_parts(parts: dict) -> np.ndarray:
+    """Per-user SINR: the first part's power over the sum of the others'.
+
+    ``parts`` is a ``*_term_variances`` dict, the desired part first; a
+    user whose other parts sum to 0 gets SINR 0.
+    """
+    desired, first, *more = parts.values()
+    rest = sum(more, first)
+    # where the other parts sum to 0, dividing by inf gives the SINR 0
+    return desired / np.where(rest != 0, rest, np.inf)
 
 
 def per_user_rate(gamma) -> np.ndarray:

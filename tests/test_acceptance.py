@@ -97,8 +97,9 @@ def test_criterion_1_uplink_oracle(reference_instance, acceptance_record):
                                 np.random.default_rng(11))
     elapsed = time.perf_counter() - t0
 
-    closed = uplink_term_variances(profile, eta, 0, cfg)
-    term_errs = {lbl: _relerr(closed[lbl], est.powers[lbl]) for lbl in closed}
+    closed = uplink_term_variances(profile, eta, cfg)
+    term_errs = {lbl: _relerr(closed[lbl][0], est.powers[lbl])
+                 for lbl in closed}
     worst = max(term_errs, key=term_errs.get)
     sinr_err = _relerr(uplink_sinr_all(profile, eta, cfg)[0],
                        est.empirical_sinr)

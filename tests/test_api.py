@@ -48,3 +48,36 @@ def test_no_module_reads_another_modules_private_names():
         if reads:
             offenders[path.name] = reads
     assert offenders == {}
+
+
+def test_oracle_links_read_no_closed_form():
+    # the link classes and the pass that runs them take power scales from
+    # the closed-form modules and nothing else, so agreement is evidence;
+    # the SINR rule the closed forms share is never named in the oracle
+    from cfmimo import uplink
+    tree = ast.parse((SRC / "oracle.py").read_text())
+    links = {node.name for node in tree.body
+             if isinstance(node, ast.ClassDef)
+             and any(isinstance(b, ast.Name) and b.id == "_Link"
+                     for b in node.bases)}
+    assert {"_Uplink", "_Cbf", "_Zfp"} <= links
+    scopes = [node for node in tree.body if getattr(node, "name", None)
+              in links | {"_Link", "simulate_links"}]
+    direct = {a.asname or a.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 1
+              and node.module in ("uplink", "downlink") for a in node.names}
+    reads = set()
+    for scope in scopes:
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id in ("uplink", "downlink"):
+                reads.add(f"{node.value.id}.{node.attr}")
+            elif isinstance(node, ast.Name) and node.id in direct:
+                reads.add(node.id)
+    assert reads <= {"uplink.UplinkPowerControl", "downlink.CbfPowerControl"}
+
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)}
+    assert uplink.sinr_from_parts.__name__ not in named | direct

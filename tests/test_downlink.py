@@ -7,8 +7,9 @@ from cfmimo import downlink
 from cfmimo.channel import (complex_normal, expand_site_to_antennas,
                             sample_estimates)
 from cfmimo.downlink import (CbfPowerControl, NumericalError, cbf_power,
-                             cbf_sinr_all, zfp_equivalent, zfp_moments,
-                             zfp_sinr_all)
+                             cbf_sinr_all, cbf_term_variances, zfp_equivalent,
+                             zfp_moments, zfp_sinr_all)
+from cfmimo.oracle import reference_config
 from cfmimo.propagation import FadingProfile, fading_profile, place_topology
 from cfmimo.scenario import ConfigError, ScenarioConfig, derive_noise_power, \
     drop_seed
@@ -110,6 +111,20 @@ def test_cbf_sinr_validates_inputs():
         cbf_sinr_all(profile, CbfPowerControl(eta_site=-pc.eta_site), cfg)
     with pytest.raises(ConfigError):
         cbf_sinr_all(profile, CbfPowerControl(eta_site=np.ones(3)), cfg)
+
+
+@pytest.mark.parametrize("sites", [19, 21])
+def test_cbf_scales_must_match_the_sites(sites):
+    # the stock reference instance has 20 sites; both CBF closed forms
+    # reject one scale too few or too many as a config error
+    cfg = reference_config(0)
+    rng = np.random.default_rng(drop_seed(cfg.master_seed, 0))
+    profile = fading_profile(cfg, place_topology(cfg, rng), rng)
+    assert profile.num_sites == 20
+    pc = CbfPowerControl(eta_site=np.ones(sites))
+    for closed_form in (cbf_term_variances, cbf_sinr_all):
+        with pytest.raises(ConfigError, match="eta_site has shape"):
+            closed_form(profile, pc, cfg)
 
 
 @pytest.mark.parametrize("eta_site, message", [

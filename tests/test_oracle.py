@@ -27,9 +27,10 @@ def test_uplink_terms_match_closed_forms():
     cfg, profile, rng = reference_profile(1)
     eta = uplink.UplinkPowerControl.full_power(cfg.num_users)
     est = simulate_uplink_terms(profile, eta, 0, cfg, N_FAST, rng)
-    closed = uplink.uplink_term_variances(profile, eta, 0, cfg)
+    closed = uplink.uplink_term_variances(profile, eta, cfg)
     for label in TERMS:
-        assert est.powers[label] == pytest.approx(closed[label], rel=0.03), label
+        assert est.powers[label] == pytest.approx(closed[label][0],
+                                                  rel=0.03, abs=0), label
     # and the composed empirical SINR against the closed form
     gamma = uplink.uplink_sinr_all(profile, eta, cfg)[0]
     assert est.empirical_sinr == pytest.approx(gamma, rel=0.03)
@@ -50,8 +51,9 @@ def test_uplink_desired_power_is_deterministic_amplitude():
     eta = uplink.UplinkPowerControl.full_power(cfg.num_users)
     est = simulate_uplink_terms(profile, eta, 0, cfg, 5000, rng)
     # the desired part has constant amplitude, so even few samples nail it
-    terms = uplink.uplink_term_variances(profile, eta, 0, cfg)
-    assert est.powers["desired"] == pytest.approx(terms["desired"], rel=0.05)
+    terms = uplink.uplink_term_variances(profile, eta, cfg)
+    assert est.powers["desired"] == pytest.approx(terms["desired"][0],
+                                                  rel=0.05, abs=0)
     assert est.stderrs["desired"] < 0.05 * est.powers["desired"]
 
 
@@ -139,6 +141,33 @@ def test_zfp_oracle_matches_pipeline():
     assert est.max_est_iui < 1e-9
     residual = est.powers["residual"]
     assert residual < 1e-15 or est.max_est_iui ** 2 < 1e-9 * residual
+
+
+def test_closed_forms_and_oracle_name_the_same_parts():
+    # one key set, in one order, on both sides of every link
+    cfg, profile, rng = reference_profile(0)
+    ul_pc = uplink.UplinkPowerControl.full_power(cfg.num_users)
+    cbf_pc = downlink.cbf_power(profile)
+    zf = downlink.zfp_moments(profile, cfg, rng, 200)
+    closed = {"ul": uplink.uplink_term_variances(profile, ul_pc, cfg),
+              "cbf": downlink.cbf_term_variances(profile, cbf_pc, cfg),
+              "zfp": downlink.zfp_term_variances(profile, zf, cfg)}
+    est = simulate_links(profile, 0, cfg, 200, rng, uplink_pc=ul_pc,
+                         cbf_pc=cbf_pc, zf_eta=zf.eta)
+    for link, parts in closed.items():
+        assert list(parts) == list(est[link].powers), link
+        for power in parts.values():
+            assert power.shape == (cfg.num_users,), link
+
+    # the ZF parts are the SINR's own terms, bit for bit
+    p_d, s2 = cfg.ap_per_antenna_tx_power, derive_noise_power(cfg)
+    zfp = closed["zfp"]
+    assert np.array_equal(zfp["desired"], np.full(cfg.num_users, p_d * zf.eta))
+    assert np.array_equal(zfp["residual"], p_d * zf.eta * zf.chi.sum(1))
+    assert np.array_equal(zfp["noise"], np.full(cfg.num_users, s2))
+    assert np.array_equal(
+        downlink.zfp_sinr_all(profile, zf, cfg),
+        p_d * zf.eta / (s2 + p_d * zf.eta * zf.chi.sum(axis=1)))
 
 
 def test_zfp_oracle_matches_the_equivalent_where_it_runs():
@@ -380,13 +409,13 @@ def test_joint_pass_matches_each_closed_form():
     ul_pc = uplink.UplinkPowerControl.full_power(cfg.num_users)
     cbf_pc = downlink.cbf_power(profile)
     for name, closed, gamma in (
-            ("ul", uplink.uplink_term_variances(profile, ul_pc, 0, cfg),
+            ("ul", uplink.uplink_term_variances(profile, ul_pc, cfg),
              uplink.uplink_sinr_all(profile, ul_pc, cfg)[0]),
-            ("cbf", downlink.cbf_term_variances(profile, cbf_pc, 0, cfg),
+            ("cbf", downlink.cbf_term_variances(profile, cbf_pc, cfg),
              downlink.cbf_sinr_all(profile, cbf_pc, cfg)[0])):
         for label in TERMS:
             assert est[name].powers[label] == pytest.approx(
-                closed[label], rel=0.03), (name, label)
+                closed[label][0], rel=0.03, abs=0), (name, label)
         assert est[name].empirical_sinr == pytest.approx(gamma, rel=0.03)
         assert est[name].max_est_iui is None
     assert est["zfp"].empirical_sinr == pytest.approx(

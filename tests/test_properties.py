@@ -13,7 +13,8 @@ from hypothesis import strategies as st  # noqa: E402
 from cfmimo import channel, downlink, experiment, uplink  # noqa: E402
 from cfmimo.propagation import FadingProfile, fading_profile, \
     path_loss_db, place_topology  # noqa: E402
-from cfmimo.scenario import ScenarioConfig, drop_seed  # noqa: E402
+from cfmimo.scenario import ScenarioConfig, derive_noise_power, \
+    drop_seed  # noqa: E402
 from test_channel import svd_rule  # noqa: E402
 
 # few examples each: the whole file stays within a few seconds
@@ -147,6 +148,115 @@ def test_sinr_never_rises_with_noise_or_interference(cfg, index, extra_db,
         slack = 1e-12 * sinr
         assert (noisy[scheme] <= sinr + slack).all(), scheme
         assert (interfered[scheme] <= sinr + slack).all(), scheme
+
+
+def uplink_parts_of_user(profile, eta, k, cfg):
+    """Uplink MRC part powers of user ``k`` alone, one sum per part."""
+    alpha, beta = profile.alpha, profile.beta
+    n_t = profile.antennas_per_site
+    p_u = cfg.ue_tx_power
+    a = alpha[:, k]
+    a_k = float(a.sum())
+    power = p_u * eta[k]
+    others = np.delete(np.arange(profile.num_users), k)
+    return {
+        "desired": power * (n_t * a_k) ** 2,
+        "uncertainty": power * (n_t * float((a ** 2).sum())),
+        "est_error": power * n_t * float((a * (beta[:, k] - a)).sum()),
+        "inter_user": p_u * n_t * float(
+            (eta[others] * (a[:, None] * beta[:, others]).sum(axis=0)).sum()),
+        "noise": derive_noise_power(cfg) * n_t * a_k,
+    }
+
+
+def cbf_parts_of_user(profile, eta_site, k, cfg):
+    """CBF part powers of user ``k`` alone, summed antenna by antenna."""
+    beta_mk, alpha_mk = channel.expand_site_to_antennas(profile)
+    eta_m = np.repeat(eta_site, profile.antennas_per_site)
+    p_d = cfg.ap_per_antenna_tx_power
+    a_k, b_k = alpha_mk[:, k], beta_mk[:, k]
+    inter = 0.0
+    for i in range(profile.num_users):
+        if i != k:
+            inter += float((eta_m * b_k * alpha_mk[:, i]).sum())
+    return {
+        "desired": p_d * float((np.sqrt(eta_m) * a_k).sum()) ** 2,
+        "uncertainty": p_d * float((eta_m * a_k ** 2).sum()),
+        "est_error": p_d * float((eta_m * a_k * (b_k - a_k)).sum()),
+        "inter_user": p_d * inter,
+        "noise": derive_noise_power(cfg),
+    }
+
+
+@st.composite
+def part_instances(draw):
+    """A small profile with one unheard user, power scales and a config.
+
+    Gains span eight decades and every other estimate keeps a free share
+    of its gain, from a millionth to all of it; uplink power fractions are
+    0 or at least a millionth too.  Smaller shares and fractions only add
+    subnormal products.
+    """
+    sites, users = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    n = sites * users
+    log_beta = draw(st.lists(st.floats(-14.0, -6.0), min_size=n, max_size=n))
+    share = draw(st.lists(st.floats(1e-6, 1.0), min_size=n, max_size=n))
+    beta = 10.0 ** np.reshape(log_beta, (sites, users))
+    alpha = beta * np.reshape(share, (sites, users))
+    alpha[:, draw(st.integers(0, users - 1))] = 0.0
+    profile = FadingProfile(beta=beta, alpha=alpha,
+                            antennas_per_site=draw(st.integers(1, 4)))
+    fractions = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+    eta_ul = np.array(draw(st.lists(fractions, min_size=users,
+                                    max_size=users)))
+    eta_site = 10.0 ** np.array(draw(st.lists(
+        st.floats(6.0, 14.0), min_size=sites, max_size=sites)))
+    cfg = ScenarioConfig(ue_tx_power=draw(st.floats(1e-4, 10.0)),
+                         ap_per_antenna_tx_power=draw(st.floats(1e-4, 10.0)),
+                         bandwidth_hz=draw(st.floats(1e3, 1e8)))
+    return profile, eta_ul, eta_site, cfg
+
+
+def assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@FEW
+@given(part_instances())
+def test_part_powers_and_sinrs_match_their_written_forms(instance):
+    # every user's parts against the per-user references above, and the
+    # one SINR rule against the ratios the module docstrings state
+    profile, eta_ul, eta_site, cfg = instance
+    alpha, beta = profile.alpha, profile.beta
+    n_t, users = profile.antennas_per_site, profile.num_users
+    s2 = derive_noise_power(cfg)
+    ul_pc = uplink.UplinkPowerControl(eta=eta_ul)
+    cbf_pc = downlink.CbfPowerControl(eta_site=eta_site)
+    for parts, sinr_all, reference, scale in (
+            (uplink.uplink_term_variances(profile, ul_pc, cfg),
+             uplink.uplink_sinr_all(profile, ul_pc, cfg),
+             uplink_parts_of_user, eta_ul),
+            (downlink.cbf_term_variances(profile, cbf_pc, cfg),
+             downlink.cbf_sinr_all(profile, cbf_pc, cfg),
+             cbf_parts_of_user, eta_site)):
+        for k in range(users):
+            want = reference(profile, scale, k, cfg)
+            assert list(parts) == list(want)
+            assert_close([p[k] for p in parts.values()], list(want.values()))
+        assert np.array_equal(uplink.sinr_from_parts(parts), sinr_all)
+
+    p_u = cfg.ue_tx_power
+    a = alpha.sum(axis=0)
+    den = p_u * n_t * (alpha.T @ (beta @ eta_ul)) + s2 * n_t * a
+    mrc = np.zeros(users)
+    heard = a > 0
+    mrc[heard] = (p_u * eta_ul * (n_t * a) ** 2)[heard] / den[heard]
+    assert_close(uplink.uplink_sinr_all(profile, ul_pc, cfg), mrc)
+
+    p_d = cfg.ap_per_antenna_tx_power
+    cbf = (p_d * n_t ** 2 * (alpha.T @ np.sqrt(eta_site)) ** 2
+           / (s2 + p_d * n_t * (beta.T @ (eta_site * alpha.sum(axis=1)))))
+    assert_close(downlink.cbf_sinr_all(profile, cbf_pc, cfg), cbf)
 
 
 @FEW
