@@ -179,15 +179,26 @@ class GramPass:
     block, so a pass without redraws consumes only the caller's own draws.
     ``redrawn`` counts the replaced draws over the whole pass; more than
     :data:`SINGULAR_FRACTION` of the ``n`` requested raises
-    :class:`NumericalError`.
+    :class:`NumericalError`.  A pass that stops short of ``n`` holds its
+    redraws to the budget of the draws it used with :meth:`settle`.
     """
 
     def __init__(self, n: int, redraw: Callable[[int], tuple]):
         self.n = n
         self.redraw = redraw
-        self.budget = max(1, math.ceil(SINGULAR_FRACTION * n))
         self.redrawn = 0
         self._conj = self._gram = np.empty((0, 0, 0))
+
+    def settle(self, used: int) -> None:
+        """Raise unless the redraws fit the budget of ``used`` draws."""
+        self._hold(used, "used")
+
+    def _hold(self, n: int, label: str) -> None:
+        if self.redrawn > max(1, math.ceil(SINGULAR_FRACTION * n)):
+            raise NumericalError(
+                f"more than {SINGULAR_FRACTION:.0%} of estimate draws "
+                f"gave singular Gram matrices "
+                f"({self.redrawn} of {n} {label})")
 
     def invert(self, parts: tuple) -> GramBatch:
         """Conjugate, Gram matrix and inverse of one block of draws.
@@ -207,11 +218,7 @@ class GramPass:
         inv, bad = invert_grams(gram)
         while bad.any():
             self.redrawn += int(bad.sum())
-            if self.redrawn > self.budget:
-                raise NumericalError(
-                    f"more than {SINGULAR_FRACTION:.0%} of estimate draws "
-                    f"gave singular Gram matrices "
-                    f"({self.redrawn} of {self.n} requested)")
+            self._hold(self.n, "requested")
             idx = np.flatnonzero(bad)
             fresh = self.redraw(idx.size)
             for part, new in zip(parts, fresh):

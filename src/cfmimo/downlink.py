@@ -54,11 +54,17 @@ estimate draws (:func:`zfp_moments`).  Either way the moments come as one
 :class:`ZfpMoments` record, which holds the rule for eta and which the
 ZFP parts take whole.  Antennas of one site share one expected load, so
 the sampled pass pools them before the maximum, which avoids the upward
-bias of a maximum over M noisy per-antenna loads.  It
-runs in cache-sized blocks of draws that together consume the generator's
-stream exactly as one batch of all draws would, and it adds every draw into
-its sums in draw order, so its output is bit-for-bit independent of the
-block size.
+bias of a maximum over M noisy per-antenna loads.
+
+The sampled pass runs in cache-sized blocks of draws and stops at a
+precision target rather than a fixed count, a fixed-width sequential
+interval in the sense of Chow and Robbins (Ann. Math. Stat. 1965).  After
+each block, once :data:`MIN_MOMENT_DRAWS` draws are in, it stops when two
+relative standard errors are both at most the config's ``chi_rel_se``:
+that of the peak site load, which sets eta, and the worst over users of
+chi's row sums, which the SINR reads.  ``chi_samples`` caps the draws, and
+a target of 0 draws the whole cap.  The stop falls on a block boundary, so
+the draws used depend on the block size.
 """
 
 from __future__ import annotations
@@ -84,6 +90,8 @@ EQUIVALENT_SHARE_LIMIT = 0.5
 # after FIXED_POINT_ITERATIONS steps
 FIXED_POINT_TOLERANCE = 1e-14
 FIXED_POINT_ITERATIONS = 1000
+# draws a sampled moment pass takes before its precision target may stop it
+MIN_MOMENT_DRAWS = 50
 
 
 @dataclass(frozen=True)
@@ -105,13 +113,14 @@ class CbfPowerControl:
 class ZfpMoments:
     """Both ZFP moments of one drop, with their standard errors.
 
-    ``chi`` (users, users) is the leakage chi[k, i] and ``chi_stderr`` its
-    standard error.  ``site_load`` (sites,) is each site's mean precoder
-    energy per antenna, summed over the streams, and ``load_stderr`` its
-    standard error; the common power scale :attr:`eta` normalizes against
-    the largest.  ``n_samples`` is 0 for moments from the deterministic
-    equivalent, which carry no Monte-Carlo error (zero standard errors);
-    ``n_resampled`` counts the singular draws redrawn.
+    ``chi`` (users, users) is the leakage chi[k, i] and ``chi_stderr``
+    (users,) the standard error of its row sums, sum_i chi[k, i].
+    ``site_load`` (sites,) is each site's mean precoder energy per antenna,
+    summed over the streams, and ``load_stderr`` its standard error; the
+    common power scale :attr:`eta` normalizes against the largest.
+    ``n_samples`` counts the draws used, 0 for moments from the
+    deterministic equivalent, which carry no Monte-Carlo error (zero
+    standard errors); ``n_resampled`` counts the singular draws redrawn.
     """
 
     chi: np.ndarray
@@ -136,6 +145,17 @@ class ZfpMoments:
         """Relative standard error of the peak site load, which sets eta."""
         hot = int(np.argmax(self.site_load))
         return float(self.load_stderr[hot] / self.site_load[hot])
+
+    @property
+    def chi_rel_se(self) -> float:
+        """Worst relative standard error of chi's row sums over the users.
+
+        A zero row, a user without estimation error, has none.
+        """
+        rows = self.chi.sum(axis=1)
+        rel = np.divide(self.chi_stderr, rows, out=np.zeros_like(rows),
+                        where=rows > 0)
+        return float(rel.max())
 
 
 def cbf_power(profile: FadingProfile) -> CbfPowerControl:
@@ -188,15 +208,6 @@ def cbf_sinr_all(profile: FadingProfile, pc: CbfPowerControl,
     return sinr_from_parts(cbf_term_variances(profile, pc, cfg))
 
 
-def _add_in_order(total: np.ndarray, block: np.ndarray) -> np.ndarray:
-    # total + block[0] + block[1] + ..., left to right: the additions of one
-    # running sum over all draws, so the result is independent of blocking
-    stack = np.empty((len(block) + 1,) + total.shape)
-    stack[0] = total
-    stack[1:] = block
-    return stack.sum(axis=0)
-
-
 def _check_zf_antennas(profile: FadingProfile) -> None:
     q, k = profile.beta.shape
     m = q * profile.antennas_per_site
@@ -246,10 +257,18 @@ def zfp_equivalent(profile: FadingProfile
     load = np.linalg.solve(np.eye(k) - rhs @ alpha, rhs).T
     # every stream's loads sum to t_i > 0, so the peak is positive
     return (ZfpMoments(chi=(profile.beta - alpha).T @ load,
-                       chi_stderr=np.zeros((k, k)),
+                       chi_stderr=np.zeros(k),
                        site_load=load.sum(axis=1) / n_t,
                        load_stderr=np.zeros(q), n_samples=0, n_resampled=0),
             float((alpha * t).max()))
+
+
+def _stderr(sq_sum: np.ndarray, mean: np.ndarray, n: int) -> np.ndarray:
+    # standard error of a mean of n draws from their sum of squares; NaN
+    # for one draw, which has none
+    if n < 2:
+        return np.full(mean.shape, np.nan)
+    return np.sqrt(np.maximum(sq_sum - n * mean ** 2, 0.0) / ((n - 1) * n))
 
 
 def zfp_moments(profile: FadingProfile, cfg: ScenarioConfig,
@@ -265,42 +284,55 @@ def zfp_moments(profile: FadingProfile, cfg: ScenarioConfig,
     (:func:`channel.sample_estimates`).  ``site_load`` is each site's mean
     load per antenna, E[site load] / n_t, which sets the common power scale
     (:attr:`ZfpMoments.eta`), and ``load_stderr`` that mean's standard
-    error.  ``n_samples`` defaults to the config's ``chi_samples``.
+    error; ``chi_stderr`` is the standard error of chi's row sums, the
+    only form the SINR reads.
 
-    The pass streams over blocks of about :data:`channel.BLOCK_ELEMENTS`
-    estimate entries, so each block's intermediates stay in cache, and
-    every block reuses one set of buffers (draw, conjugate, Gram, W, |W|^2
-    and the sum stack), so no block faults in fresh pages.  The blocks draw
-    in turn from ``rng`` and together consume exactly the stream of one
-    ``n_samples`` batch; every draw's precoder is computed by the same
-    per-matrix products as in one batch, and the sums run draw by draw in
-    draw order, so the result does not depend on the block size.  Each
-    block is pushed to one :class:`channel.GramPass`: a draw whose Gram
-    matrix is singular (see :func:`channel.invert_grams`) is redrawn whole,
-    from the same stream, right after its block's draws, and more than one
-    percent of such draws over the pass aborts with :class:`NumericalError`.
+    The pass draws at most ``n_samples`` estimates, by default the config's
+    ``chi_samples``, in blocks of about :data:`channel.BLOCK_ELEMENTS`
+    entries that reuse one set of buffers, so each block's intermediates
+    stay in cache.  After each block, once :data:`MIN_MOMENT_DRAWS` draws
+    are in, it stops when the relative standard errors of the peak site
+    load (:attr:`ZfpMoments.peak_load_rel_se`) and of the worst row sum
+    (:attr:`ZfpMoments.chi_rel_se`) are both at most the config's
+    ``chi_rel_se``; a target of 0 draws all of them.  ``n_samples`` on the
+    result counts the draws used.  Each block is pushed to one
+    :class:`channel.GramPass`: a draw whose Gram matrix is singular (see
+    :func:`channel.invert_grams`) is redrawn whole, from the same stream,
+    right after its block's draws, and more than one percent of the draws
+    used aborts with :class:`NumericalError`.
     """
-    n = cfg.chi_samples if n_samples is None else n_samples
-    if n < 1:
-        raise ConfigError(f"n_samples must be >= 1, got {n}")
+    cap = cfg.chi_samples if n_samples is None else n_samples
+    if cap < 1:
+        raise ConfigError(f"n_samples must be >= 1, got {cap}")
     _check_zf_antennas(profile)
     n_t = profile.antennas_per_site
     q, k = profile.beta.shape
-    err_var_t = np.ascontiguousarray((profile.beta - profile.alpha).T)
+    err_var = profile.beta - profile.alpha
 
-    chi_sum = np.zeros((k, k))
-    chi_sq_sum = np.zeros((k, k))
-    site_sum = np.zeros((q, k))
+    antenna_sum = np.zeros((q * n_t, k))      # sum over draws of |W|^2
     load_sq_sum = np.zeros(q)
+    row_sum = np.zeros(k)             # sums over draws of chi's row sums
+    row_sq_sum = np.zeros(k)
+    ones = np.ones(k)
 
-    sizes = batch_sizes(n, max(1, BLOCK_ELEMENTS // (q * n_t * k)))
+    def moments(n: int) -> ZfpMoments:
+        site_sum = antenna_sum.reshape(q, n_t, k).sum(axis=1)
+        load = site_sum.sum(axis=1) / (n * n_t)
+        rows = row_sum / n
+        return ZfpMoments(chi=err_var.T @ site_sum / n,
+                          chi_stderr=_stderr(row_sq_sum, rows, n),
+                          site_load=load,
+                          load_stderr=_stderr(load_sq_sum, load, n),
+                          n_samples=n, n_resampled=grams.redrawn)
+
+    sizes = batch_sizes(cap, max(1, BLOCK_ELEMENTS // (q * n_t * k)))
     # one set of block buffers for the whole pass
     g_buf = np.empty((sizes[0], q * n_t, k), dtype=complex)
     w_buf = np.empty_like(g_buf)
     w2_buf = np.empty((2,) + g_buf.shape)
-    stack_buf = np.empty((sizes[0] + 1, q, k))
-    grams = GramPass(n, lambda b: (sample_estimates(profile, rng, b),))
+    grams = GramPass(cap, lambda b: (sample_estimates(profile, rng, b),))
 
+    used = 0
     for b in sizes:
         batch = grams.invert(
             (sample_estimates(profile, rng, b, out=g_buf[:b]),))
@@ -308,35 +340,27 @@ def zfp_moments(profile: FadingProfile, cfg: ScenarioConfig,
         w2, imag2 = w2_buf[:, :b]
         np.square(w.real, out=w2)
         w2 += np.square(w.imag, out=imag2)
-        # |W|^2 summed over each site's antennas, written under the running
-        # sum as _add_in_order would stack it
-        stack = stack_buf[:b + 1]
-        stack[0] = site_sum
-        np.sum(w2.reshape(b, q, n_t, k), axis=2, out=stack[1:])
-        site_sum = stack.sum(axis=0)
-        site_block = stack[1:]
-        load_sq_sum = _add_in_order(load_sq_sum,
-                                    (site_block.sum(axis=2) / n_t) ** 2)
-        chi_block = err_var_t @ site_block              # (block, users, users)
-        chi_sum = _add_in_order(chi_sum, chi_block)
-        chi_sq_sum = _add_in_order(chi_sq_sum, chi_block ** 2)
+        antenna_sum += w2.sum(axis=0)
+        # each draw's site loads over all streams (a product with ones: numpy
+        # reduces short rows slowly), and the row sums of its chi,
+        # sum_q (beta_qk - alpha_qk) times that load
+        total = (w2 @ ones).reshape(b, q, n_t).sum(axis=2)
+        load_sq_sum += np.square(total / n_t).sum(axis=0)
+        rows = total @ err_var
+        row_sum += rows.sum(axis=0)
+        row_sq_sum += np.square(rows).sum(axis=0)
+        used += b
+        if cfg.chi_rel_se > 0 and MIN_MOMENT_DRAWS <= used < cap:
+            zf = moments(used)
+            if zf.peak_load_rel_se <= cfg.chi_rel_se \
+                    and zf.chi_rel_se <= cfg.chi_rel_se:
+                break
 
-    chi = chi_sum / n
-    # per-antenna mean load of each site: sum_i E[site load of stream i] / n_t
-    load = (site_sum / n).sum(axis=1) / n_t
-    if n > 1:
-        var = np.maximum(chi_sq_sum - n * chi ** 2, 0.0) / (n - 1)
-        stderr = np.sqrt(var / n)
-        load_var = np.maximum(load_sq_sum - n * load ** 2, 0.0) / (n - 1)
-        load_se = np.sqrt(load_var / n)
-    else:
-        stderr = np.full((k, k), np.nan)
-        load_se = np.full(q, np.nan)
-    if not load.max() > 0:
+    grams.settle(used)
+    zf = moments(used)
+    if not zf.site_load.max() > 0:
         raise NumericalError("estimated precoder load is zero everywhere")
-    return ZfpMoments(chi=chi, chi_stderr=stderr, site_load=load,
-                      load_stderr=load_se, n_samples=n,
-                      n_resampled=grams.redrawn)
+    return zf
 
 
 def zfp_term_variances(profile: FadingProfile, zf: ZfpMoments,

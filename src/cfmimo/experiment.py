@@ -51,18 +51,21 @@ class RateReport:
 
     A zero-forcing report also carries the diagnostics of its moments: the
     largest single-antenna share of the deterministic equivalent (None when
-    its fixed point did not converge) and, for sampled moments, the singular
-    draws redrawn and the relative standard error of the peak site's load,
-    which sets the power scale.  Moments from the equivalent have no
-    Monte-Carlo error, so their ``peak_load_rel_se`` is None and their
-    ``n_resampled`` 0.  Other schemes leave all three None.
+    its fixed point did not converge) and, for sampled moments, the draws
+    used, the singular draws redrawn and two relative standard errors: of
+    the peak site's load, which sets the power scale, and the worst of the
+    leakage row sums.  Moments from the equivalent have no Monte-Carlo
+    error, so both standard errors are None and the counts 0.  Other
+    schemes leave all five None.
     """
 
     scheme: str
     drop_index: int
     per_user_se: np.ndarray      # bit/s/Hz, shape (users,)
     n_resampled: int | None = None
+    draws: int | None = None
     peak_load_rel_se: float | None = None
+    chi_rel_se: float | None = None
     antenna_share: float | None = None
 
     @property
@@ -92,13 +95,16 @@ class SweepRecord:
     cost_total: float
     gamma_ce: float
     master_seed: int
-    # ZF only, else None: singular draws redrawn over all drops, drops
-    # whose moments were sampled, the worst peak-load relative standard
-    # error over those (None when every drop took the deterministic
-    # equivalent) and the worst single-antenna share over the drops
+    # ZF only, else None: singular draws redrawn and moment draws used over
+    # all drops, drops whose moments were sampled, the worst peak-load and
+    # leakage row-sum relative standard errors over those (None when every
+    # drop took the deterministic equivalent) and the worst single-antenna
+    # share over the drops
     redraws: int | None = None
+    draws: int | None = None
     sampled_drops: int | None = None
     peak_load_rel_se: float | None = None
+    chi_rel_se: float | None = None
     antenna_share: float | None = None
 
 
@@ -118,7 +124,8 @@ def run_drop(cfg: ScenarioConfig, drop_index: int) -> tuple[RateReport, ...]:
     batch, so results depend on nothing outside (cfg, drop_index).  The
     ZFP moments come from :func:`downlink.zfp_equivalent` when its
     single-antenna share is below :data:`downlink.EQUIVALENT_SHARE_LIMIT`,
-    and from the sampled :func:`downlink.zfp_moments` otherwise.
+    and from the sampled :func:`downlink.zfp_moments` otherwise, which
+    draws until the config's ``chi_rel_se`` or ``chi_samples`` stops it.
     """
     try:
         rng = np.random.default_rng(drop_seed(cfg.master_seed, drop_index))
@@ -139,12 +146,14 @@ def run_drop(cfg: ScenarioConfig, drop_index: int) -> tuple[RateReport, ...]:
         # tag the failing drop but keep the error class for exit codes
         raise type(exc)(f"drop {drop_index}: {exc}") from exc
 
+    sampled = zf.n_samples > 0
     return (RateReport("mrc-ul", drop_index, se_ul),
             RateReport("cbf-dl", drop_index, se_cbf),
             RateReport("zfp-dl", drop_index, se_zfp,
-                       n_resampled=zf.n_resampled,
+                       n_resampled=zf.n_resampled, draws=zf.n_samples,
                        peak_load_rel_se=zf.peak_load_rel_se
-                       if zf.n_samples else None,
+                       if sampled else None,
+                       chi_rel_se=zf.chi_rel_se if sampled else None,
                        antenna_share=share))
 
 
@@ -225,11 +234,15 @@ def sweep(cfg: ScenarioConfig, nt_list=None, cv_ratios=None, jobs: int = 1,
             diagnostics = {}
             if scheme == "zfp-dl":
                 zf = [t[s] for t in triples]
-                rel_se = [r.peak_load_rel_se for r in zf if r.sampled]
+                sampled = [r for r in zf if r.sampled]
                 diagnostics = {
                     "redraws": sum(r.n_resampled for r in zf),
-                    "sampled_drops": len(rel_se),
-                    "peak_load_rel_se": max(rel_se, default=None),
+                    "draws": sum(r.draws for r in zf),
+                    "sampled_drops": len(sampled),
+                    "peak_load_rel_se": max((r.peak_load_rel_se
+                                             for r in sampled), default=None),
+                    "chi_rel_se": max((r.chi_rel_se for r in sampled),
+                                      default=None),
                     "antenna_share": max((r.antenna_share for r in zf
                                           if r.antenna_share is not None),
                                          default=None)}
@@ -277,9 +290,12 @@ def write_metadata(csv_path, cfg: ScenarioConfig, nt_list, cv_ratios,
     deterministic equivalent and how many sampled them;
     ``zf_max_antenna_share``, the worst single-antenna share of the
     equivalent seen (null if its fixed point never converged);
-    ``zf_redraws``, the singular draws redrawn over the sampled drops; and
+    ``zf_redraws`` and ``zf_draws``, the singular draws redrawn and the
+    moment draws used, each summed over the sampled drops;
     ``zf_peak_load_rel_se``, the worst relative standard error of a sampled
-    drop's peak site load, null when no drop sampled.  Content is a pure
+    drop's peak site load; and ``zf_chi_rel_se``, the worst relative
+    standard error of a leakage row sum over the users of the sampled
+    drops, both null when no drop sampled.  Content is a pure
     function of the run inputs and outputs (no timestamps), so reruns of
     the same experiment produce identical files.
     """
@@ -289,10 +305,12 @@ def write_metadata(csv_path, cfg: ScenarioConfig, nt_list, cv_ratios,
         if r.redraws is not None:
             for key, value in (
                     ("zf_redraws", r.redraws),
+                    ("zf_draws", r.draws),
                     ("zf_equivalent_drops", r.drops - r.sampled_drops),
                     ("zf_sampled_drops", r.sampled_drops),
                     ("zf_max_antenna_share", r.antenna_share),
-                    ("zf_peak_load_rel_se", r.peak_load_rel_se)):
+                    ("zf_peak_load_rel_se", r.peak_load_rel_se),
+                    ("zf_chi_rel_se", r.chi_rel_se)):
                 zf.setdefault(key, {})[str(r.n_t)] = value
     meta = {
         "version": __version__,
@@ -302,6 +320,7 @@ def write_metadata(csv_path, cfg: ScenarioConfig, nt_list, cv_ratios,
         "master_seed": cfg.master_seed,
         "drops": cfg.drops,
         "chi_samples": cfg.chi_samples,
+        "chi_rel_se": cfg.chi_rel_se,
         "percentile_pool_size": cfg.drops * cfg.num_users,
         "quick": bool(quick),
         "jobs": int(jobs),

@@ -33,7 +33,10 @@ class ScenarioConfig:
     """Physical and simulation parameters for one deployment scenario.
 
     ``total_antennas`` must split evenly into sites of ``antennas_per_ap``
-    antennas each; the number of sites is derived, never stored.
+    antennas each; the number of sites is derived, never stored.  Where a
+    drop samples its ZF moments, it draws until their relative standard
+    errors reach ``chi_rel_se`` or ``chi_samples`` draws are in, whichever
+    comes first; ``chi_rel_se`` 0 always draws all ``chi_samples``.
     """
 
     total_antennas: int = 300          # service antennas summed over all sites
@@ -52,7 +55,8 @@ class ScenarioConfig:
     breakpoint_d0_km: float = 0.01     # inner path-loss breakpoint
     breakpoint_d1_km: float = 0.05     # outer path-loss breakpoint
     drops: int = 200                   # Monte-Carlo topology draws
-    chi_samples: int = 500             # ZF moment draws per drop, where sampled
+    chi_samples: int = 500             # ZF moment draws per drop, at most
+    chi_rel_se: float = 0.05           # ZF moment target relative stderr
     master_seed: int = 0               # root of every random stream, u64
     ap_placement: str = "uniform"      # "uniform" or "grid"
     fixed_ap: bool = False             # reuse one site layout across all drops
@@ -105,6 +109,11 @@ def _validate(cfg: ScenarioConfig) -> list[str]:
             p.append(f"{name} must be a number, got {v!r}")
         elif not math.isfinite(v):
             p.append(f"{name} must be finite, got {v}")
+
+    if not _is_real(cfg.chi_rel_se):
+        p.append(f"chi_rel_se must be a number, got {cfg.chi_rel_se!r}")
+    elif not (math.isfinite(cfg.chi_rel_se) and cfg.chi_rel_se >= 0):
+        p.append(f"chi_rel_se must be finite and >= 0, got {cfg.chi_rel_se}")
 
     if _is_real(cfg.shadowing_sigma_db) and cfg.shadowing_sigma_db < 0:
         p.append(f"shadowing_sigma_db must be >= 0, got {cfg.shadowing_sigma_db}")

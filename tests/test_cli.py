@@ -254,10 +254,20 @@ def test_sweep_sidecar_carries_zf_diagnostics_for_any_worker_count(
                      "--output", str(out)]) == 0
         metas.append(json.loads((tmp_path / f"jobs{jobs}.csv.meta.json")
                                 .read_text(), parse_constant=strict))
-    for key in ("zf_redraws", "zf_equivalent_drops", "zf_sampled_drops",
-                "zf_max_antenna_share", "zf_peak_load_rel_se"):
+    for key in ("zf_redraws", "zf_draws", "zf_equivalent_drops",
+                "zf_sampled_drops", "zf_max_antenna_share",
+                "zf_peak_load_rel_se", "zf_chi_rel_se"):
         assert set(metas[0][key]) == {"1", "2", "3", "6"}
         assert metas[0][key] == metas[1][key]
+    # draws are counted over the sampled drops, each within the cap, and
+    # both standard errors are null exactly where no drop sampled
+    for n_t, sampled in metas[0]["zf_sampled_drops"].items():
+        draws = metas[0]["zf_draws"][n_t]
+        assert (draws > 0) == (sampled > 0)
+        assert draws <= sampled * TINY["chi_samples"]
+        for key in ("zf_peak_load_rel_se", "zf_chi_rel_se"):
+            assert (metas[0][key][n_t] is None) == (sampled == 0)
+    assert metas[0]["chi_rel_se"] == metas[0]["config"]["chi_rel_se"] == 0.05
     meta = metas[0]
     assert all(v == 0 for v in meta["zf_redraws"].values())
     # n_t = 3 has shares 0.97, 0.48, 0.49 and 0.73; n_t = 6 is bounded by
@@ -270,3 +280,22 @@ def test_sweep_sidecar_carries_zf_diagnostics_for_any_worker_count(
     rel_se = meta["zf_peak_load_rel_se"]
     assert rel_se["6"] is None
     assert all(0 < rel_se[n] < 1 for n in ("1", "2", "3"))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf"), -0.01, True])
+def test_bad_chi_rel_se_exits_1(tmp_path, capsys, value):
+    # json.dumps writes NaN and Infinity, which the config loader reads
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps(dict(TINY, chi_rel_se=value)))
+    assert main(["show-config", "--config", str(path)]) == 1
+    assert "chi_rel_se must be" in capsys.readouterr().err
+
+
+def test_show_config_echoes_chi_rel_se(tmp_path, capsys):
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps(dict(TINY, chi_rel_se=0.0)))
+    assert main(["show-config", "--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["chi_rel_se"] == 0.0
+    assert main(["show-config"]) == 0
+    assert json.loads(capsys.readouterr().out)["chi_rel_se"] == 0.05

@@ -22,8 +22,9 @@ def make_profile(beta, alpha, n_t=1):
 
 
 def random_profile(seed, m=40, n_t=2, k=4):
+    # chi_rel_se 0: a moment pass draws exactly the count it is given
     cfg = ScenarioConfig(total_antennas=m, antennas_per_ap=n_t, num_users=k,
-                         master_seed=seed)
+                         chi_rel_se=0.0, master_seed=seed)
     rng = np.random.default_rng(drop_seed(seed, 0))
     return cfg, fading_profile(cfg, place_topology(cfg, rng), rng)
 
@@ -159,7 +160,8 @@ def test_chi_matches_direct_interference_variance():
     beta = np.repeat(10 ** rng0.uniform(-1, 1, size=(4, 2)), 2, axis=0)
     alpha = beta * np.repeat(rng0.uniform(0.3, 0.9, size=(4, 2)), 2, axis=0)
     profile = make_profile(beta, alpha, n_t=1)
-    cfg = ScenarioConfig(total_antennas=8, antennas_per_ap=1, num_users=2)
+    cfg = ScenarioConfig(total_antennas=8, antennas_per_ap=1, num_users=2,
+                         chi_rel_se=0.0)
     n = 60_000
     zf = zfp_moments(profile, cfg, np.random.default_rng(77), n)
 
@@ -179,7 +181,8 @@ def test_chi_symmetric_scenario():
     beta = np.full((8, 2), 2.0)
     alpha = np.full((8, 2), 1.5)
     profile = make_profile(beta, alpha, n_t=1)
-    cfg = ScenarioConfig(total_antennas=8, antennas_per_ap=1, num_users=2)
+    cfg = ScenarioConfig(total_antennas=8, antennas_per_ap=1, num_users=2,
+                         chi_rel_se=0.0)
     zf = zfp_moments(profile, cfg, np.random.default_rng(8), 10_000)
     assert zf.chi.max() / zf.chi.min() == pytest.approx(1.0, abs=0.05)
 
@@ -199,7 +202,8 @@ def test_moments_scale_exactly_with_profile():
     alpha = beta * rng0.uniform(0.2, 0.95, size=beta.shape)
     prof1 = make_profile(beta, alpha, n_t=2)
     prof2 = make_profile(4.0 * beta, 4.0 * alpha, n_t=2)
-    cfg = ScenarioConfig(total_antennas=10, antennas_per_ap=2, num_users=3)
+    cfg = ScenarioConfig(total_antennas=10, antennas_per_ap=2, num_users=3,
+                         chi_rel_se=0.0)
     zf1 = zfp_moments(prof1, cfg, np.random.default_rng(6), 2000)
     zf2 = zfp_moments(prof2, cfg, np.random.default_rng(6), 2000)
     assert zf2.eta == pytest.approx(4.0 * zf1.eta, rel=1e-12)
@@ -277,7 +281,7 @@ def test_moment_estimation_needs_enough_antennas():
 
 def full_scale_profile(n_t, drop=0):
     cfg = ScenarioConfig(total_antennas=300, antennas_per_ap=n_t,
-                         num_users=16, master_seed=0)
+                         num_users=16, chi_rel_se=0.0, master_seed=0)
     rng = np.random.default_rng(drop_seed(0, drop))
     return cfg, fading_profile(cfg, place_topology(cfg, rng), rng)
 
@@ -315,9 +319,24 @@ def test_equivalent_is_exact_for_identical_gains():
     assert share == pytest.approx(1.0 / (m - k), rel=1e-12)
 
 
-def row_sum_stderr(zf):
-    # the entries' errors are correlated, so bound the row sum's by theirs
-    return zf.chi_stderr.sum(axis=1)
+def entry_stderr_row_sums(profile, rng, n, per=250):
+    """sum_i of the standard errors of chi[k, i] over ``n`` estimate draws.
+
+    A bound on the row sum's standard error, as the entries' errors are
+    correlated; drawn from ``rng`` in the order a moment pass draws.
+    """
+    q, k = profile.beta.shape
+    n_t = profile.antennas_per_site
+    err_t = (profile.beta - profile.alpha).T
+    total, squares = np.zeros((k, k)), np.zeros((k, k))
+    for start in range(0, n, per):
+        g = sample_estimates(profile, rng, min(per, n - start))
+        w = g.conj() @ np.linalg.inv(g.transpose(0, 2, 1) @ g.conj())
+        chi_d = err_t @ (np.abs(w) ** 2).reshape(len(g), q, n_t, k).sum(2)
+        total += chi_d.sum(axis=0)
+        squares += (chi_d ** 2).sum(axis=0)
+    var = (squares - total ** 2 / n) / (n - 1)
+    return np.sqrt(var / n).sum(axis=1)
 
 
 @pytest.mark.parametrize("n_t", [4, 10, 20])
@@ -328,7 +347,8 @@ def test_equivalent_matches_sampled_moments_at_full_scale(n_t):
     n = 20_000
     ref = zfp_moments(profile, cfg, np.random.default_rng(61), n)
     rows, ref_rows = zf.chi.sum(axis=1), ref.chi.sum(axis=1)
-    assert (np.abs(rows - ref_rows) <= 4 * row_sum_stderr(ref)).all()
+    bound = entry_stderr_row_sums(profile, np.random.default_rng(61), n)
+    assert (np.abs(rows - ref_rows) <= 4 * bound).all()
     # the equivalent's finite-size bias grows with the share: at n_t = 4
     # its eta is 0.6% (about 4 standard errors of this reference) above
     # the sampled one.  It must stay within one standard error of the
@@ -390,8 +410,10 @@ def test_zfp_moments_match_per_draw_pseudo_inverse():
         chi_d[d] = (beta_mk - alpha_mk).T @ w2[d]
     load_d = site_loads(w2, 2)
     load = load_d.mean(axis=0)
+    rows_d = chi_d.sum(axis=2)
+    assert zf.n_samples == n
     assert np.allclose(zf.chi, chi_d.mean(axis=0), rtol=1e-12, atol=0)
-    assert np.allclose(zf.chi_stderr, chi_d.std(axis=0, ddof=1) / np.sqrt(n),
+    assert np.allclose(zf.chi_stderr, rows_d.std(axis=0, ddof=1) / np.sqrt(n),
                        rtol=1e-12, atol=0)
     assert np.allclose(zf.site_load, load, rtol=1e-12, atol=0)
     assert np.allclose(zf.load_stderr, load_d.std(axis=0, ddof=1) / np.sqrt(n),
@@ -408,36 +430,25 @@ def one_batch_moments(profile, g):
     w = g.conj() @ np.linalg.solve(gram, np.eye(k))
     w2 = w.real ** 2 + w.imag ** 2
     site = w2.reshape(n, q, rows // q, k).sum(axis=2)
-    chi_d = np.ascontiguousarray((profile.beta - profile.alpha).T) @ site
-    chi = chi_d.sum(axis=0) / n
-    load = (site.sum(axis=0) / n).sum(axis=1) / n_t
-    chi_var = (chi_d ** 2).sum(axis=0) - n * chi ** 2
-    load_var = ((site.sum(axis=2) / n_t) ** 2).sum(axis=0) - n * load ** 2
-    return (chi, np.sqrt(np.maximum(chi_var, 0) / (n - 1) / n),
-            load, np.sqrt(np.maximum(load_var, 0) / (n - 1) / n))
+    chi_d = (profile.beta - profile.alpha).T @ site
+    rows_d = chi_d.sum(axis=2)
+    load_d = site.sum(axis=2) / n_t
+    return (chi_d.mean(axis=0), rows_d.std(axis=0, ddof=1) / np.sqrt(n),
+            load_d.mean(axis=0), load_d.std(axis=0, ddof=1) / np.sqrt(n))
 
 
-def assert_pass_equals(zf, want):
+def assert_pass_matches(zf, want):
     got = (zf.chi, zf.chi_stderr, zf.site_load, zf.load_stderr)
     for name, a, b in zip(("chi", "chi stderr", "load", "load stderr"),
                           got, want):
-        assert np.array_equal(a, b), name
-
-
-def test_block_pass_equals_one_batch_bit_for_bit():
-    # the same arithmetic on all draws at once: blocking must not change a bit
-    cfg, profile = random_profile(16, m=40, n_t=2, k=4)
-    n = 2 * block_draws(40, 4) + 11
-    zf = zfp_moments(profile, cfg, np.random.default_rng(9), n)
-    g = sample_estimates(profile, np.random.default_rng(9), n)
-    assert_pass_equals(zf, one_batch_moments(profile, g))
+        assert np.allclose(a, b, rtol=1e-12, atol=0), name
 
 
 @pytest.mark.parametrize("elements", [None, 1, 3 * 48 * 4, 10 ** 6])
 def test_pass_equals_one_batch_at_any_block_size(monkeypatch, elements):
     # n_t >= users draws antennas too: blocks of one draw, of three draws,
-    # the default and one block all equal one batch, and the pass leaves
-    # the generator where the batch does
+    # the default and one block all match one batch to rounding, and the
+    # pass leaves the generator where the batch does
     cfg, profile = random_profile(17, m=48, n_t=6, k=4)
     if elements is not None:
         monkeypatch.setattr(downlink, "BLOCK_ELEMENTS", elements)
@@ -446,7 +457,7 @@ def test_pass_equals_one_batch_at_any_block_size(monkeypatch, elements):
     zf = zfp_moments(profile, cfg, rng, n)
     g = sample_estimates(profile, ref, n)
     assert g.shape == (n, 48, 4)
-    assert_pass_equals(zf, one_batch_moments(profile, g))
+    assert_pass_matches(zf, one_batch_moments(profile, g))
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -480,7 +491,7 @@ def test_site_loads_are_antenna_loads_summed_per_site(monkeypatch, n_t):
                        atol=0)
     per_site = site_loads(w2[None], n_t)[0]
     assert np.allclose(zf.site_load, per_site, rtol=1e-12, atol=0)
-    assert zf.eta == pytest.approx(1 / per_site.max(), rel=1e-12)
+    assert zf.eta == pytest.approx(1 / per_site.max(), rel=1e-12, abs=0)
 
 
 def inject_singular(monkeypatch, at):
@@ -522,3 +533,94 @@ def test_singular_draws_beyond_the_budget_raise(monkeypatch):
     with pytest.raises(NumericalError) as err:
         zfp_moments(profile, cfg, np.random.default_rng(6), n)
     assert "7 of" in str(err.value)
+
+
+# --- the precision target --------------------------------------------------
+
+def small_blocks(monkeypatch, m=40, k=4, draws=20):
+    """Blocks of ``draws`` draws, so a target can stop the pass finely."""
+    monkeypatch.setattr(downlink, "BLOCK_ELEMENTS", draws * m * k)
+    return draws
+
+
+def stop_errors(zf):
+    return max(zf.peak_load_rel_se, zf.chi_rel_se)
+
+
+def test_zero_target_draws_the_whole_cap(monkeypatch):
+    small_blocks(monkeypatch)
+    cfg, profile = random_profile(20)
+    assert cfg.chi_rel_se == 0.0
+    rng, ref = np.random.default_rng(1), np.random.default_rng(1)
+    zf = zfp_moments(profile, cfg, rng, 300)
+    sample_estimates(profile, ref, 300)
+    assert zf.n_samples == 300
+    assert rng.bit_generator.state == ref.bit_generator.state
+    # a target this loose is met after two blocks, but stops the pass only
+    # at the first block past MIN_MOMENT_DRAWS
+    two = zfp_moments(profile, cfg, np.random.default_rng(1), 40)
+    assert stop_errors(two) <= 10.0
+    loose = dataclasses.replace(cfg, chi_rel_se=10.0)
+    assert zfp_moments(profile, loose, np.random.default_rng(1),
+                       300).n_samples == 60
+
+
+def test_target_stops_at_the_first_block_that_meets_it(monkeypatch):
+    per = small_blocks(monkeypatch)
+    cfg, profile = random_profile(20)
+    # a fixed pass of n draws is the target pass's state after n draws
+    bounds = range(per, 300 + 1, per)
+    fixed = {n: zfp_moments(profile, cfg, np.random.default_rng(2), n)
+             for n in bounds}
+    target = stop_errors(fixed[200])
+    first = min(n for n in bounds
+                if n >= downlink.MIN_MOMENT_DRAWS
+                and stop_errors(fixed[n]) <= target)
+    assert first <= 200
+    zf = zfp_moments(profile, dataclasses.replace(cfg, chi_rel_se=target),
+                     np.random.default_rng(2), 300)
+    assert zf.n_samples == first
+    for name in ("chi", "chi_stderr", "site_load", "load_stderr"):
+        assert np.array_equal(getattr(zf, name), getattr(fixed[first], name))
+    # a target it never meets runs to the cap, the last block short
+    tight = dataclasses.replace(cfg, chi_rel_se=1e-9)
+    assert zfp_moments(profile, tight, np.random.default_rng(2),
+                       290).n_samples == 290
+
+
+def test_target_pass_advances_the_generator_by_draws_used_and_redrawn(
+        monkeypatch):
+    small_blocks(monkeypatch)
+    cfg, profile = random_profile(20)
+    cfg = dataclasses.replace(cfg, chi_rel_se=10.0)
+    seen = inject_singular(monkeypatch, {25})
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    zf = zfp_moments(profile, cfg, rng, 1000)
+    assert (zf.n_samples, zf.n_resampled) == (60, 1)
+    assert seen[0] == 61
+    sample_estimates(profile, ref, 61)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_redraw_budget_counts_the_draws_used(monkeypatch):
+    # two redraws fit 1% of a 300-draw cap, but not of the 60 draws a loose
+    # target stops at
+    small_blocks(monkeypatch)
+    cfg, profile = random_profile(20)
+    inject_singular(monkeypatch, {3, 25})
+    assert zfp_moments(profile, cfg, np.random.default_rng(4),
+                       300).n_resampled == 2
+    inject_singular(monkeypatch, {3, 25})
+    loose = dataclasses.replace(cfg, chi_rel_se=10.0)
+    with pytest.raises(NumericalError) as err:
+        zfp_moments(profile, loose, np.random.default_rng(4), 300)
+    assert "2 of 60 used" in str(err.value)
+
+
+def test_chi_rel_se_is_the_worst_row_sum_error():
+    chi = np.array([[1.0, 3.0], [0.0, 0.0]])
+    zf = downlink.ZfpMoments(chi=chi, chi_stderr=np.array([0.2, 0.0]),
+                             site_load=np.ones(1), load_stderr=np.zeros(1),
+                             n_samples=2, n_resampled=0)
+    # row 0 sums to 4; the zero row has no error to weigh
+    assert zf.chi_rel_se == 0.05

@@ -219,32 +219,38 @@ def test_zf_report_carries_its_moment_diagnostics():
     # n_t = 2: share 0.92, so 60 draws, and the peak site's load is known
     # to some percent
     assert zfp.antenna_share >= EQUIVALENT_SHARE_LIMIT and zfp.sampled
-    assert zfp.n_resampled == 0
-    assert 0 < zfp.peak_load_rel_se < 0.5
+    assert (zfp.n_resampled, zfp.draws) == (0, 60)
+    assert 0 < zfp.peak_load_rel_se < 0.5 and 0 < zfp.chi_rel_se < 0.5
     # n_t = 3 has drops on both sides of the limit
     three = dataclasses.replace(SMALL, antennas_per_ap=3)
     zf = [run_drop(three, d)[2] for d in range(SMALL.drops)]
     assert [r.sampled for r in zf] \
         == [r.antenna_share >= EQUIVALENT_SHARE_LIMIT for r in zf]
     assert {r.sampled for r in zf} == {False, True}
-    assert all(r.n_resampled == 0 and r.peak_load_rel_se is None
+    assert all(r.n_resampled == 0 and r.draws == 0
+               and r.peak_load_rel_se is None and r.chi_rel_se is None
                for r in zf if not r.sampled)
     records = sweep(SMALL, nt_list=[3], cv_ratios=[0.1, 0.25])
-    want = (0, sum(r.sampled for r in zf),
+    want = (0, sum(r.draws for r in zf), sum(r.sampled for r in zf),
             max(r.peak_load_rel_se for r in zf if r.sampled),
+            max(r.chi_rel_se for r in zf if r.sampled),
             max(r.antenna_share for r in zf))
-    assert {(r.redraws, r.sampled_drops, r.peak_load_rel_se, r.antenna_share)
+    assert {(r.redraws, r.draws, r.sampled_drops, r.peak_load_rel_se,
+             r.chi_rel_se, r.antenna_share)
             for r in records if r.scheme == "zfp-dl"} == {want}
-    assert all(r.redraws is None and r.sampled_drops is None
+    assert all(r.redraws is None and r.draws is None
+               and r.sampled_drops is None and r.chi_rel_se is None
                and r.antenna_share is None
                for r in records if r.scheme != "zfp-dl")
 
 
 # A small area puts user-site distances on both sides of both path-loss
-# breakpoints, so every propagation constant reaches the rates.
+# breakpoints, so every propagation constant reaches the rates.  The ZF
+# moments draw their whole cap, which spans blocks of 910 draws, so both
+# the cap and a precision target that stops at a block boundary act.
 FIELD_BASE = ScenarioConfig(total_antennas=24, antennas_per_ap=2,
                             num_users=3, area_side_km=0.1, drops=2,
-                            chi_samples=20, master_seed=4)
+                            chi_samples=2000, chi_rel_se=0.0, master_seed=4)
 
 # one alternative value per ScenarioConfig field
 FIELD_ALTERNATIVES = {
@@ -265,6 +271,7 @@ FIELD_ALTERNATIVES = {
     "breakpoint_d1_km": 0.08,
     "drops": 3,
     "chi_samples": 30,
+    "chi_rel_se": 0.05,
     "master_seed": 5,
     "ap_placement": "grid",
     "fixed_ap": True,

@@ -93,7 +93,7 @@ def test_large_scale_gain_without_shadowing():
     cfg = ScenarioConfig()
     l0 = default_l0()
     g = large_scale_gain(1.0, 0.0, l0, cfg)
-    assert g == pytest.approx(10 ** (-l0 / 10), rel=1e-12)
+    assert g == pytest.approx(10 ** (-l0 / 10), rel=1e-12, abs=0)
     assert 10 * math.log10(g) == pytest.approx(-140.72, abs=0.01)
 
 

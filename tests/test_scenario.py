@@ -21,15 +21,17 @@ def test_noise_power_reference_value():
     # 10 ** ((-174 + 9 + 10*log10(5e6) - 30) / 10) = 1.58114e-13 W
     cfg = ScenarioConfig()
     assert derive_noise_power(cfg) == pytest.approx(1.5811388300841893e-13,
-                                                    rel=1e-12)
+                                                    rel=1e-12, abs=0)
     # quoted-to-4-digit figure for the same setup
-    assert derive_noise_power(cfg) == pytest.approx(1.584e-13, rel=2e-3)
+    assert derive_noise_power(cfg) == pytest.approx(1.584e-13, rel=2e-3,
+                                                    abs=0)
 
 
 def test_noise_power_one_hz_and_nf_factor():
     base = ScenarioConfig(noise_density_dbm_hz=-174.0, noise_figure_db=0.0,
                           bandwidth_hz=1.0)
-    assert derive_noise_power(base) == pytest.approx(10 ** -20.4, rel=1e-12)
+    assert derive_noise_power(base) == pytest.approx(10 ** -20.4, rel=1e-12,
+                                                     abs=0)
     with_nf = ScenarioConfig(noise_density_dbm_hz=-174.0, noise_figure_db=9.0,
                              bandwidth_hz=1.0)
     assert with_nf != base
