@@ -33,19 +33,12 @@ class _UsageError(Exception):
     pass
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _parse_list(text: str, flag: str, kind) -> list:
     try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
+        return [kind(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:
-        raise ConfigError(f"{flag} expects comma-separated integers, "
-                          f"got {text!r}") from exc
-
-
-def _parse_float_list(text: str, flag: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"{flag} expects comma-separated numbers, "
+        noun = "integers" if kind is int else "numbers"
+        raise ConfigError(f"{flag} expects comma-separated {noun}, "
                           f"got {text!r}") from exc
 
 
@@ -114,8 +107,8 @@ def _resolve_config(args) -> ScenarioConfig:
 
 def _cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
-    nt_list = _parse_int_list(args.nt, "--nt") if args.nt else None
-    ratios = _parse_float_list(args.ratios, "--ratios") if args.ratios else None
+    nt_list = _parse_list(args.nt, "--nt", int) if args.nt else None
+    ratios = _parse_list(args.ratios, "--ratios", float) if args.ratios else None
 
     def progress(n_t, done, total):
         print(f"\r  n_t={n_t}: drop {done}/{total}", end="",
@@ -126,11 +119,8 @@ def _cmd_sweep(args) -> int:
     records = experiment.sweep(cfg, nt_list, ratios, jobs=args.jobs,
                                progress=progress)
     experiment.write_records_csv(records, args.output)
-    experiment.write_metadata(
-        args.output, cfg,
-        experiment.DEFAULT_NT_SWEEP if nt_list is None else nt_list,
-        experiment.DEFAULT_COST_RATIOS if ratios is None else ratios,
-        records, quick=args.quick, jobs=args.jobs)
+    experiment.write_metadata(args.output, cfg, records, quick=args.quick,
+                              jobs=args.jobs)
     print(f"wrote {len(records)} records to {args.output} "
           f"(+ {experiment.metadata_path(args.output)})")
     return 0

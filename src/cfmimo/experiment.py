@@ -15,6 +15,19 @@ Costs are counted in units of the cost of one site, so a cost ratio is the
 price of one antenna in those units.  Splitting the antennas into ``n_ap``
 sites of ``n_t`` each costs ``n_ap * (1 + n_t * ratio)``, and the
 cost-effectiveness ``gamma_ce`` is the sum rate in bit/s/Hz per cost unit.
+
+Zero-forcing moment diagnostics keep one name from drop to sidecar: a ZF
+:class:`RateReport` carries its drop's share in a ``zf`` dict, a ZF
+:class:`SweepRecord` that dict reduced over its split's drops, and the
+sidecar each key per antenna count.  The counts ``zf_sampled_drops`` and
+``zf_equivalent_drops`` (drops that sampled their moments or took the
+deterministic equivalent), ``zf_redraws`` (singular draws redrawn) and
+``zf_draws`` (moment draws used) add up.  The rest keep the worst value
+seen, or None when no drop had one: ``zf_max_antenna_share``, the
+equivalent's largest single-antenna share (None where its fixed point did
+not converge), and ``zf_peak_load_rel_se`` and ``zf_chi_rel_se``, the
+relative standard errors of the peak site's load, which sets the power
+scale, and of the worst leakage row sum (None on the equivalent).
 """
 
 from __future__ import annotations
@@ -45,33 +58,22 @@ DEFAULT_NT_SWEEP = (1, 2, 4, 10, 12, 15, 20, 25, 30, 50)
 DEFAULT_COST_RATIOS = (0.05, 0.1, 0.25, 0.5)
 
 
+_ZF_COUNTS = ("zf_sampled_drops", "zf_equivalent_drops", "zf_redraws",
+              "zf_draws")
+
+
 @dataclass(frozen=True)
 class RateReport:
     """Per-user spectral efficiencies of one scheme on one drop.
 
-    A zero-forcing report also carries the diagnostics of its moments: the
-    largest single-antenna share of the deterministic equivalent (None when
-    its fixed point did not converge) and, for sampled moments, the draws
-    used, the singular draws redrawn and two relative standard errors: of
-    the peak site's load, which sets the power scale, and the worst of the
-    leakage row sums.  Moments from the equivalent have no Monte-Carlo
-    error, so both standard errors are None and the counts 0.  Other
-    schemes leave all five None.
+    ``zf`` holds a zero-forcing drop's moment diagnostics, keyed as in the
+    module docstring; other schemes leave it None.
     """
 
     scheme: str
     drop_index: int
     per_user_se: np.ndarray      # bit/s/Hz, shape (users,)
-    n_resampled: int | None = None
-    draws: int | None = None
-    peak_load_rel_se: float | None = None
-    chi_rel_se: float | None = None
-    antenna_share: float | None = None
-
-    @property
-    def sampled(self) -> bool:
-        """True for a zero-forcing report whose moments were sampled."""
-        return self.peak_load_rel_se is not None
+    zf: dict | None = None
 
     @property
     def sum_rate(self) -> float:
@@ -95,17 +97,7 @@ class SweepRecord:
     cost_total: float
     gamma_ce: float
     master_seed: int
-    # ZF only, else None: singular draws redrawn and moment draws used over
-    # all drops, drops whose moments were sampled, the worst peak-load and
-    # leakage row-sum relative standard errors over those (None when every
-    # drop took the deterministic equivalent) and the worst single-antenna
-    # share over the drops
-    redraws: int | None = None
-    draws: int | None = None
-    sampled_drops: int | None = None
-    peak_load_rel_se: float | None = None
-    chi_rel_se: float | None = None
-    antenna_share: float | None = None
+    zf: dict | None = None       # ZF only: the split's reduced diagnostics
 
 
 def deployment_cost(n_ap: int, n_t: int, ratio: float) -> float:
@@ -147,14 +139,17 @@ def run_drop(cfg: ScenarioConfig, drop_index: int) -> tuple[RateReport, ...]:
         raise type(exc)(f"drop {drop_index}: {exc}") from exc
 
     sampled = zf.n_samples > 0
+    diagnostics = {
+        "zf_sampled_drops": int(sampled),
+        "zf_equivalent_drops": int(not sampled),
+        "zf_redraws": zf.n_resampled,
+        "zf_draws": zf.n_samples,
+        "zf_max_antenna_share": share,
+        "zf_peak_load_rel_se": zf.peak_load_rel_se if sampled else None,
+        "zf_chi_rel_se": zf.chi_rel_se if sampled else None}
     return (RateReport("mrc-ul", drop_index, se_ul),
             RateReport("cbf-dl", drop_index, se_cbf),
-            RateReport("zfp-dl", drop_index, se_zfp,
-                       n_resampled=zf.n_resampled, draws=zf.n_samples,
-                       peak_load_rel_se=zf.peak_load_rel_se
-                       if sampled else None,
-                       chi_rel_se=zf.chi_rel_se if sampled else None,
-                       antenna_share=share))
+            RateReport("zfp-dl", drop_index, se_zfp, zf=diagnostics))
 
 
 def percentile(values, p: float) -> float:
@@ -165,6 +160,14 @@ def percentile(values, p: float) -> float:
     if not 0.0 < p < 1.0:
         raise ValueError(f"percentile level must lie in (0, 1), got {p}")
     return float(np.quantile(arr, p, method="linear"))
+
+
+def _reduce_zf(drops: list[dict]) -> dict:
+    """A split's ZF diagnostics: counts add, the rest keep the worst."""
+    return {key: sum(d[key] for d in drops) if key in _ZF_COUNTS
+            else max((d[key] for d in drops if d[key] is not None),
+                     default=None)
+            for key in drops[0]}
 
 
 def _run_drop_star(args) -> tuple[RateReport, ...]:
@@ -195,9 +198,10 @@ def sweep(cfg: ScenarioConfig, nt_list=None, cv_ratios=None, jobs: int = 1,
           progress=None) -> list[SweepRecord]:
     """Antenna-split sweep at a fixed antenna budget.
 
-    Every entry of ``nt_list`` must divide the config's antenna total; that
-    is checked up front so a bad grid fails before any computation.  Each
-    cost ratio prices the split through :func:`deployment_cost`.
+    Every entry of ``nt_list`` must divide the config's antenna total, and
+    neither grid may repeat an entry; that is checked up front so a bad
+    grid fails before any computation.  Each cost ratio prices the split
+    through :func:`deployment_cost`.
     """
     nt_list = list(DEFAULT_NT_SWEEP if nt_list is None else nt_list)
     cv_ratios = list(DEFAULT_COST_RATIOS if cv_ratios is None else cv_ratios)
@@ -213,6 +217,10 @@ def sweep(cfg: ScenarioConfig, nt_list=None, cv_ratios=None, jobs: int = 1,
     bad_r = [r for r in cv_ratios if not (r > 0 and math.isfinite(r))]
     if bad_r:
         raise ConfigError(f"cost ratios must be finite and > 0, got {bad_r}")
+    for name, grid in (("antenna counts", nt_list),
+                       ("cost ratios", cv_ratios)):
+        if len(set(grid)) < len(grid):
+            raise ConfigError(f"repeated {name} in {grid}")
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
 
@@ -231,21 +239,8 @@ def sweep(cfg: ScenarioConfig, nt_list=None, cv_ratios=None, jobs: int = 1,
                 if len(sums) > 1 else 0.0
             p05 = percentile(pooled, 0.05)
             p50 = percentile(pooled, 0.50)
-            diagnostics = {}
-            if scheme == "zfp-dl":
-                zf = [t[s] for t in triples]
-                sampled = [r for r in zf if r.sampled]
-                diagnostics = {
-                    "redraws": sum(r.n_resampled for r in zf),
-                    "draws": sum(r.draws for r in zf),
-                    "sampled_drops": len(sampled),
-                    "peak_load_rel_se": max((r.peak_load_rel_se
-                                             for r in sampled), default=None),
-                    "chi_rel_se": max((r.chi_rel_se for r in sampled),
-                                      default=None),
-                    "antenna_share": max((r.antenna_share for r in zf
-                                          if r.antenna_share is not None),
-                                         default=None)}
+            zf = _reduce_zf([t[s].zf for t in triples]) \
+                if triples[0][s].zf else None
             for ratio in cv_ratios:
                 cost = deployment_cost(n_ap, n_t, ratio)
                 records.append(SweepRecord(
@@ -254,7 +249,7 @@ def sweep(cfg: ScenarioConfig, nt_list=None, cv_ratios=None, jobs: int = 1,
                     sum_rate_stderr=stderr, se_p05=p05, se_p50=p50,
                     cv_cf_ratio=ratio, cost_total=cost,
                     gamma_ce=mean / cost,
-                    master_seed=sub.master_seed, **diagnostics))
+                    master_seed=sub.master_seed, zf=zf))
     return records
 
 
@@ -279,44 +274,29 @@ def metadata_path(csv_path) -> str:
     return str(csv_path) + ".meta.json"
 
 
-def write_metadata(csv_path, cfg: ScenarioConfig, nt_list, cv_ratios,
-                   records: list[SweepRecord], quick: bool = False,
-                   jobs: int = 1) -> None:
+def write_metadata(csv_path, cfg: ScenarioConfig, records: list[SweepRecord],
+                   quick: bool = False, jobs: int = 1) -> None:
     """JSON sidecar: config, grids, seeds, sample sizes and run statistics.
 
+    The antenna counts and cost ratios are read off ``records`` in their
+    order, which :func:`sweep` makes exact by rejecting repeated entries.
     Per antenna count it records the sum-rate standard error of each scheme
-    and the ZF moment diagnostics: ``zf_equivalent_drops`` and
-    ``zf_sampled_drops``, how many drops took their moments from the
-    deterministic equivalent and how many sampled them;
-    ``zf_max_antenna_share``, the worst single-antenna share of the
-    equivalent seen (null if its fixed point never converged);
-    ``zf_redraws`` and ``zf_draws``, the singular draws redrawn and the
-    moment draws used, each summed over the sampled drops;
-    ``zf_peak_load_rel_se``, the worst relative standard error of a sampled
-    drop's peak site load; and ``zf_chi_rel_se``, the worst relative
-    standard error of a leakage row sum over the users of the sampled
-    drops, both null when no drop sampled.  Content is a pure
-    function of the run inputs and outputs (no timestamps), so reruns of
-    the same experiment produce identical files.
+    and each key of the ZF records' ``zf`` dicts (see the module
+    docstring).  Content is a pure function of the run inputs and outputs
+    (no timestamps), so reruns of the same experiment produce identical
+    files.
     """
     stderr, zf = {}, {}
     for r in records:
         stderr.setdefault(r.scheme, {})[str(r.n_t)] = float(r.sum_rate_stderr)
-        if r.redraws is not None:
-            for key, value in (
-                    ("zf_redraws", r.redraws),
-                    ("zf_draws", r.draws),
-                    ("zf_equivalent_drops", r.drops - r.sampled_drops),
-                    ("zf_sampled_drops", r.sampled_drops),
-                    ("zf_max_antenna_share", r.antenna_share),
-                    ("zf_peak_load_rel_se", r.peak_load_rel_se),
-                    ("zf_chi_rel_se", r.chi_rel_se)):
-                zf.setdefault(key, {})[str(r.n_t)] = value
+        for key, value in (r.zf or {}).items():
+            zf.setdefault(key, {})[str(r.n_t)] = value
     meta = {
         "version": __version__,
         "config": config_to_dict(cfg),
-        "nt_list": list(nt_list),
-        "cv_cf_ratios": [float(x) for x in cv_ratios],
+        "nt_list": list(dict.fromkeys(r.n_t for r in records)),
+        "cv_cf_ratios": list(dict.fromkeys(float(r.cv_cf_ratio)
+                                           for r in records)),
         "master_seed": cfg.master_seed,
         "drops": cfg.drops,
         "chi_samples": cfg.chi_samples,

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from cfmimo import experiment
 from cfmimo.cli import main
+from cfmimo.experiment import DEFAULT_COST_RATIOS, DEFAULT_NT_SWEEP
 
 TINY = {"total_antennas": 24, "antennas_per_ap": 2, "num_users": 3,
         "drops": 4, "chi_samples": 40, "master_seed": 11}
@@ -97,16 +99,38 @@ def test_sweep_quick_scales_drops(tmp_path):
     assert meta["quick"] is True
 
 
-def test_sweep_invalid_nt_exits_1(tmp_path, tiny_config, capsys):
-    # a bad antenna count or a non-finite cost ratio stops the run before
-    # it writes anything
-    for flag, value in (("--nt", "5"), ("--ratios", "0.1,inf")):
+def test_sweep_invalid_nt_exits_1(tmp_path, tiny_config, capsys,
+                                  monkeypatch):
+    # a bad antenna count, a non-finite cost ratio or a repeated entry in
+    # either grid stops the run before any drop runs or anything is written;
+    # a repeated entry would run its drops twice and write each row twice
+    def no_drop(*args):
+        raise AssertionError("a drop ran")
+
+    monkeypatch.setattr(experiment, "run_drop", no_drop)
+    for grid, why in ((["--nt", "5"], "do not divide"),
+                      (["--nt", "2", "--ratios", "0.1,inf"], "finite"),
+                      (["--nt", "2,2"], "repeated antenna counts"),
+                      (["--nt", "2", "--ratios", "0.1,0.1"],
+                       "repeated cost ratios")):
         out = tmp_path / "x.csv"
-        code = main(["sweep", "--config", tiny_config, flag, value,
+        code = main(["sweep", "--config", tiny_config, *grid,
                      "--output", str(out)])
         assert code == 1
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and why in err
         assert not out.exists()
+
+
+def test_sweep_sidecar_lists_the_default_grids(tmp_path):
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({"total_antennas": 300, "num_users": 3,
+                                "drops": 1}))
+    out = tmp_path / "default.csv"
+    assert main(["sweep", "--config", str(path), "--output", str(out)]) == 0
+    meta = json.loads((tmp_path / "default.csv.meta.json").read_text())
+    assert meta["nt_list"] == list(DEFAULT_NT_SWEEP)
+    assert meta["cv_cf_ratios"] == list(DEFAULT_COST_RATIOS)
 
 
 def test_missing_config_exits_1(tmp_path, capsys):

@@ -49,7 +49,7 @@ def test_run_drop_error_carries_drop_index(monkeypatch):
         raise NumericalError("synthetic failure")
 
     # drop 3 of SMALL (n_t = 2) has share 1.09, so it samples its moments
-    assert run_drop(SMALL, 3)[2].sampled
+    assert run_drop(SMALL, 3)[2].zf["zf_sampled_drops"] == 1
     monkeypatch.setattr(exp, "zfp_moments", boom)
     with pytest.raises(NumericalError) as err:
         run_drop(SMALL, 3)
@@ -135,6 +135,11 @@ def test_sweep_rejects_bad_grids_before_running():
         with pytest.raises(ConfigError) as err:
             sweep(SMALL, nt_list=[2], cv_ratios=[0.1, ratio])
         assert "cost ratios must be finite and > 0" in str(err.value)
+    # a repeated entry would run its drops twice and write its rows twice
+    with pytest.raises(ConfigError, match=r"repeated antenna counts"):
+        sweep(SMALL, nt_list=[2, 5, 2], cv_ratios=[0.1])
+    with pytest.raises(ConfigError, match=r"repeated cost ratios"):
+        sweep(SMALL, nt_list=[2], cv_ratios=[0.1, 0.25, 0.1])
     with pytest.raises(ConfigError):
         sweep(SMALL, nt_list=[], cv_ratios=[0.1])
     with pytest.raises(ConfigError):
@@ -184,7 +189,7 @@ def test_csv_and_metadata_outputs(tmp_path):
     records = sweep(SMALL, nt_list=[2], cv_ratios=[0.1, 0.25])
     out = tmp_path / "out.csv"
     write_records_csv(records, out)
-    write_metadata(out, SMALL, [2], [0.1, 0.25], records, quick=False, jobs=1)
+    write_metadata(out, SMALL, records, quick=False, jobs=1)
     lines = out.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 1 + len(records)
@@ -195,6 +200,7 @@ def test_csv_and_metadata_outputs(tmp_path):
     meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
     assert meta["config"]["total_antennas"] == 30
     assert meta["nt_list"] == [2]
+    assert meta["cv_cf_ratios"] == [0.1, 0.25]
     assert meta["drops"] == 6
     assert meta["master_seed"] == 77
     assert "sum_rate_stderr" in meta
@@ -213,35 +219,44 @@ def test_csv_floats_have_six_significant_digits(tmp_path):
 
 
 def test_zf_report_carries_its_moment_diagnostics():
-    mrc, cbf, zfp = run_drop(SMALL, 0)
-    assert mrc.n_resampled is None and cbf.peak_load_rel_se is None
-    assert mrc.antenna_share is None and cbf.antenna_share is None
-    # n_t = 2: share 0.92, so 60 draws, and the peak site's load is known
-    # to some percent
-    assert zfp.antenna_share >= EQUIVALENT_SHARE_LIMIT and zfp.sampled
-    assert (zfp.n_resampled, zfp.draws) == (0, 60)
-    assert 0 < zfp.peak_load_rel_se < 0.5 and 0 < zfp.chi_rel_se < 0.5
-    # n_t = 3 has drops on both sides of the limit
+    # n_t = 3 of SMALL has drops on both sides of the limit
     three = dataclasses.replace(SMALL, antennas_per_ap=3)
-    zf = [run_drop(three, d)[2] for d in range(SMALL.drops)]
-    assert [r.sampled for r in zf] \
-        == [r.antenna_share >= EQUIVALENT_SHARE_LIMIT for r in zf]
-    assert {r.sampled for r in zf} == {False, True}
-    assert all(r.n_resampled == 0 and r.draws == 0
-               and r.peak_load_rel_se is None and r.chi_rel_se is None
-               for r in zf if not r.sampled)
+    reports = [run_drop(three, d) for d in range(SMALL.drops)]
+    assert all(mrc.zf is None and cbf.zf is None
+               for mrc, cbf, _ in reports)
+    zf = [zfp.zf for _, _, zfp in reports]
+    sampled = [d["zf_sampled_drops"] for d in zf]
+    assert sampled == [int(d["zf_max_antenna_share"]
+                           >= EQUIVALENT_SHARE_LIMIT) for d in zf]
+    assert set(sampled) == {0, 1}
+    for d in zf:
+        # scalars only, so the pool ships no moment arrays
+        assert all(v is None or isinstance(v, (int, float))
+                   for v in d.values())
+        assert d["zf_equivalent_drops"] == 1 - d["zf_sampled_drops"]
+        assert d["zf_redraws"] == 0
+        if d["zf_sampled_drops"]:
+            assert 50 <= d["zf_draws"] <= SMALL.chi_samples
+            assert 0 < d["zf_peak_load_rel_se"] < 0.5
+            assert 0 < d["zf_chi_rel_se"] < 0.5
+        else:
+            assert d["zf_draws"] == 0
+            assert d["zf_peak_load_rel_se"] is None
+            assert d["zf_chi_rel_se"] is None
+    # the split sums the counts and keeps the worst of the rest
+    want = {
+        "zf_sampled_drops": sum(sampled),
+        "zf_equivalent_drops": len(zf) - sum(sampled),
+        "zf_redraws": 0,
+        "zf_draws": sum(d["zf_draws"] for d in zf),
+        "zf_max_antenna_share": max(d["zf_max_antenna_share"] for d in zf),
+        "zf_peak_load_rel_se": max(d["zf_peak_load_rel_se"] for d in zf
+                                   if d["zf_sampled_drops"]),
+        "zf_chi_rel_se": max(d["zf_chi_rel_se"] for d in zf
+                             if d["zf_sampled_drops"])}
     records = sweep(SMALL, nt_list=[3], cv_ratios=[0.1, 0.25])
-    want = (0, sum(r.draws for r in zf), sum(r.sampled for r in zf),
-            max(r.peak_load_rel_se for r in zf if r.sampled),
-            max(r.chi_rel_se for r in zf if r.sampled),
-            max(r.antenna_share for r in zf))
-    assert {(r.redraws, r.draws, r.sampled_drops, r.peak_load_rel_se,
-             r.chi_rel_se, r.antenna_share)
-            for r in records if r.scheme == "zfp-dl"} == {want}
-    assert all(r.redraws is None and r.draws is None
-               and r.sampled_drops is None and r.chi_rel_se is None
-               and r.antenna_share is None
-               for r in records if r.scheme != "zfp-dl")
+    assert [r.zf for r in records if r.scheme == "zfp-dl"] == [want, want]
+    assert all(r.zf is None for r in records if r.scheme != "zfp-dl")
 
 
 # A small area puts user-site distances on both sides of both path-loss

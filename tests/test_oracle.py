@@ -185,7 +185,7 @@ def test_zfp_oracle_matches_the_equivalent_where_it_runs():
     # equivalent's own eta its closed-form SINR must hold criterion 3's 5%
     # bound against the link level
     cfg = dataclasses.replace(reference_config(0), antennas_per_ap=4)
-    assert not experiment.run_drop(cfg, 0)[2].sampled
+    assert experiment.run_drop(cfg, 0)[2].zf["zf_sampled_drops"] == 0
     rng = np.random.default_rng(drop_seed(cfg.master_seed, 0))
     profile = fading_profile(cfg, place_topology(cfg, rng), rng)
     zf, share = downlink.zfp_equivalent(profile)
