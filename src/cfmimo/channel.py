@@ -16,10 +16,10 @@ estimates alone, so :func:`sample_estimates` draws just those.
 
 Zero-forcing needs the inverse of each estimate's Gram matrix, so the
 singularity rule, its cheap screen and the redraw budget live here too.
-The moment pass and the link-level oracle both draw their own blocks and
-push each to one :class:`GramPass`, which forms the block's conjugate,
-Gram matrix and inverse once, redraws singular draws in place right after
-their block, and counts the redraws against one budget for the pass.
+The moment pass and the link-level oracle draw the blocks :func:`block_sizes`
+plans and push each to one :class:`GramPass`, which forms the block's
+conjugate, Gram matrix and inverse once, redraws singular draws in place
+right after their block, and counts the redraws against one budget.
 """
 
 from __future__ import annotations
@@ -121,8 +121,10 @@ class NumericalError(RuntimeError):
     """Degenerate linear algebra beyond the tolerated rate."""
 
 
-def batch_sizes(n: int, per: int) -> list[int]:
-    """``n`` draws split into batches of ``per``, the remainder last."""
+def block_sizes(n: int, entries: int) -> list[int]:
+    """``n`` draws of ``entries`` channel entries each, in blocks of
+    ``BLOCK_ELEMENTS // entries`` draws (at least one), the remainder last."""
+    per = max(1, BLOCK_ELEMENTS // entries)
     return [per] * (n // per) + ([n % per] if n % per else [])
 
 
@@ -177,6 +179,7 @@ class GramPass:
     matrix :func:`invert_grams` flags is replaced in place, in every part
     of the block, by a fresh draw from ``redraw(count)``, right after the
     block, so a pass without redraws consumes only the caller's own draws.
+    A block with redraws is solved again whole once they are all regular.
     ``redrawn`` counts the replaced draws over the whole pass; more than
     :data:`SINGULAR_FRACTION` of the ``n`` requested raises
     :class:`NumericalError`.  A pass that stops short of ``n`` holds its
@@ -226,13 +229,8 @@ class GramPass:
             fresh_conj = fresh[0].conj()
             g_conj[idx] = fresh_conj
             gram[idx] = fresh[0].transpose(0, 2, 1) @ fresh_conj
-            sub_inv, still = invert_grams(gram[idx])
-            if inv is not None and sub_inv is not None:
-                inv[idx] = sub_inv
-            else:
-                inv = None
-            bad = np.zeros_like(bad)
-            bad[idx[still]] = True
+            bad[idx] = invert_grams(gram[idx])[1]
+            inv = None
         if inv is None:
             inv = np.linalg.solve(gram, np.eye(gram.shape[-1]))
         return GramBatch(g_conj, gram, inv)

@@ -15,10 +15,10 @@ import sys
 
 from . import __version__, experiment, oracle
 from .channel import NumericalError
-from .scenario import ConfigError, ScenarioConfig, config_to_dict, load_config
+from .scenario import ConfigError, ScenarioConfig, derive_site_count, \
+    load_config
 
 QUICK_FACTOR = 10          # --quick divides drops and oracle samples by this
-VALIDATE_SAMPLES = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,21 +83,21 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write the report as CSV")
     p_val.add_argument("--samples", type=int, metavar="N",
                        help=f"oracle sample count "
-                            f"(default {VALIDATE_SAMPLES})")
+                            f"(default {oracle.REFERENCE_SAMPLES})")
 
     p_show = sub.add_parser("show-config", help="print the resolved config")
     common(p_show)
     return parser
 
 
-def _resolve_config(args) -> ScenarioConfig:
-    cfg = load_config(args.config) if args.config else ScenarioConfig()
+def _resolve_config(args, default=ScenarioConfig) -> ScenarioConfig:
+    cfg = load_config(args.config) if args.config else default()
     changes = {}
     if args.seed is not None:
         changes["master_seed"] = args.seed
-    if args.drops is not None:
+    if getattr(args, "drops", None) is not None:   # validate has no --drops
         changes["drops"] = args.drops
-    if getattr(args, "quick", False):
+    if args.quick:
         changes["drops"] = max(1, changes.get("drops", cfg.drops)
                                // QUICK_FACTOR)
     if changes:
@@ -107,8 +107,9 @@ def _resolve_config(args) -> ScenarioConfig:
 
 def _cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
-    nt_list = _parse_list(args.nt, "--nt", int) if args.nt else None
-    ratios = _parse_list(args.ratios, "--ratios", float) if args.ratios else None
+    nt_list = None if args.nt is None else _parse_list(args.nt, "--nt", int)
+    ratios = None if args.ratios is None \
+        else _parse_list(args.ratios, "--ratios", float)
 
     def progress(n_t, done, total):
         print(f"\r  n_t={n_t}: drop {done}/{total}", end="",
@@ -132,8 +133,7 @@ def _cmd_drop(args) -> int:
         raise ConfigError(f"drop index {args.index} outside [0, {cfg.drops})")
     reports = experiment.run_drop(cfg, args.index)
     print(f"drop {args.index} (seed {cfg.master_seed}, "
-          f"n_t={cfg.antennas_per_ap}, "
-          f"{cfg.total_antennas // cfg.antennas_per_ap} sites, "
+          f"n_t={cfg.antennas_per_ap}, {derive_site_count(cfg)} sites, "
           f"{cfg.num_users} users)")
     for rep in reports:
         users = "  ".join(f"{se:7.4f}" for se in rep.per_user_se)
@@ -143,13 +143,8 @@ def _cmd_drop(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    if args.config:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, master_seed=args.seed)
-    else:
-        cfg = oracle.reference_config(args.seed if args.seed is not None else 0)
-    n = VALIDATE_SAMPLES if args.samples is None else args.samples
+    cfg = _resolve_config(args, oracle.reference_config)
+    n = oracle.REFERENCE_SAMPLES if args.samples is None else args.samples
     if n < 2:
         raise ConfigError(f"validate needs at least 2 samples, got {n}")
     if args.quick:
@@ -168,7 +163,7 @@ def _cmd_validate(args) -> int:
 def _cmd_show_config(args) -> int:
     import json
     cfg = _resolve_config(args)
-    print(json.dumps(config_to_dict(cfg), indent=2, sort_keys=True))
+    print(json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True))
     return 0
 
 

@@ -56,15 +56,15 @@ ZFP parts take whole.  Antennas of one site share one expected load, so
 the sampled pass pools them before the maximum, which avoids the upward
 bias of a maximum over M noisy per-antenna loads.
 
-The sampled pass runs in cache-sized blocks of draws and stops at a
-precision target rather than a fixed count, a fixed-width sequential
-interval in the sense of Chow and Robbins (Ann. Math. Stat. 1965).  After
-each block, once :data:`MIN_MOMENT_DRAWS` draws are in, it stops when two
-relative standard errors are both at most the config's ``chi_rel_se``:
-that of the peak site load, which sets eta, and the worst over users of
-chi's row sums, which the SINR reads.  ``chi_samples`` caps the draws, and
-a target of 0 draws the whole cap.  The stop falls on a block boundary, so
-the draws used depend on the block size.
+The sampled pass runs in the blocks :func:`channel.block_sizes` plans and
+stops at a precision target rather than a fixed count, a fixed-width
+sequential interval in the sense of Chow and Robbins (Ann. Math. Stat.
+1965).  After each block, once :data:`MIN_MOMENT_DRAWS` draws are in, it
+stops when two relative standard errors are both at most the config's
+``chi_rel_se``: that of the peak site load, which sets eta, and the worst
+over users of chi's row sums, which the SINR reads.  ``chi_samples`` caps
+the draws, and a target of 0 draws the whole cap.  The stop falls on a
+block boundary, so the draws used depend on the block size.
 """
 
 from __future__ import annotations
@@ -73,8 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BLOCK_ELEMENTS, GramPass, NumericalError, \
-    batch_sizes, sample_estimates
+from .channel import GramPass, NumericalError, block_sizes, sample_estimates
 from .propagation import FadingProfile
 from .scenario import ConfigError, ScenarioConfig, derive_noise_power
 from .uplink import sinr_from_parts
@@ -288,11 +287,11 @@ def zfp_moments(profile: FadingProfile, cfg: ScenarioConfig,
     only form the SINR reads.
 
     The pass draws at most ``n_samples`` estimates, by default the config's
-    ``chi_samples``, in blocks of about :data:`channel.BLOCK_ELEMENTS`
-    entries that reuse one set of buffers, so each block's intermediates
-    stay in cache.  After each block, once :data:`MIN_MOMENT_DRAWS` draws
-    are in, it stops when the relative standard errors of the peak site
-    load (:attr:`ZfpMoments.peak_load_rel_se`) and of the worst row sum
+    ``chi_samples``, in the blocks :func:`channel.block_sizes` plans, which
+    reuse one set of buffers, so each block's intermediates stay in cache.
+    After each block, once :data:`MIN_MOMENT_DRAWS` draws are in, it stops
+    when the relative standard errors of the peak site load
+    (:attr:`ZfpMoments.peak_load_rel_se`) and of the worst row sum
     (:attr:`ZfpMoments.chi_rel_se`) are both at most the config's
     ``chi_rel_se``; a target of 0 draws all of them.  ``n_samples`` on the
     result counts the draws used.  Each block is pushed to one
@@ -325,7 +324,7 @@ def zfp_moments(profile: FadingProfile, cfg: ScenarioConfig,
                           load_stderr=_stderr(load_sq_sum, load, n),
                           n_samples=n, n_resampled=grams.redrawn)
 
-    sizes = batch_sizes(cap, max(1, BLOCK_ELEMENTS // (q * n_t * k)))
+    sizes = block_sizes(cap, q * n_t * k)
     # one set of block buffers for the whole pass
     g_buf = np.empty((sizes[0], q * n_t, k), dtype=complex)
     w_buf = np.empty_like(g_buf)

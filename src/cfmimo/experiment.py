@@ -45,8 +45,8 @@ from . import __version__
 from .downlink import EQUIVALENT_SHARE_LIMIT, cbf_power, cbf_sinr_all, \
     zfp_equivalent, zfp_moments, zfp_sinr_all
 from .propagation import fading_profile, place_topology
-from .scenario import ConfigError, ScenarioConfig, config_to_dict, \
-    derive_site_count, drop_seed
+from .scenario import ConfigError, ScenarioConfig, derive_site_count, \
+    drop_seed
 from .uplink import UplinkPowerControl, per_user_rate, uplink_sinr_all
 
 SCHEMES = ("mrc-ul", "cbf-dl", "zfp-dl")
@@ -71,7 +71,6 @@ class RateReport:
     """
 
     scheme: str
-    drop_index: int
     per_user_se: np.ndarray      # bit/s/Hz, shape (users,)
     zf: dict | None = None
 
@@ -147,9 +146,8 @@ def run_drop(cfg: ScenarioConfig, drop_index: int) -> tuple[RateReport, ...]:
         "zf_max_antenna_share": share,
         "zf_peak_load_rel_se": zf.peak_load_rel_se if sampled else None,
         "zf_chi_rel_se": zf.chi_rel_se if sampled else None}
-    return (RateReport("mrc-ul", drop_index, se_ul),
-            RateReport("cbf-dl", drop_index, se_cbf),
-            RateReport("zfp-dl", drop_index, se_zfp, zf=diagnostics))
+    return (RateReport("mrc-ul", se_ul), RateReport("cbf-dl", se_cbf),
+            RateReport("zfp-dl", se_zfp, zf=diagnostics))
 
 
 def percentile(values, p: float) -> float:
@@ -170,10 +168,6 @@ def _reduce_zf(drops: list[dict]) -> dict:
             for key in drops[0]}
 
 
-def _run_drop_star(args) -> tuple[RateReport, ...]:
-    return run_drop(*args)
-
-
 def _collect_drops(pairs: list, jobs: int, progress=None) -> list:
     """``run_drop`` over (config, drop index) pairs, in the pairs' order.
 
@@ -185,7 +179,7 @@ def _collect_drops(pairs: list, jobs: int, progress=None) -> list:
     workers = min(jobs, len(pairs))
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or nullcontext():
-        triples = (pool.map if pool else map)(_run_drop_star, pairs)
+        triples = (pool.map if pool else map)(run_drop, *zip(*pairs))
         results = []
         for (sub, index), triple in zip(pairs, triples):
             results.append(triple)
@@ -293,7 +287,7 @@ def write_metadata(csv_path, cfg: ScenarioConfig, records: list[SweepRecord],
             zf.setdefault(key, {})[str(r.n_t)] = value
     meta = {
         "version": __version__,
-        "config": config_to_dict(cfg),
+        "config": dataclasses.asdict(cfg),
         "nt_list": list(dict.fromkeys(r.n_t for r in records)),
         "cv_cf_ratios": list(dict.fromkeys(float(r.cv_cf_ratio)
                                            for r in records)),

@@ -6,10 +6,9 @@ parts, the CBF downlink parts, and the ZF downlink parts with a fresh
 precoder per draw.  No closed form is reused on this side, so agreement
 between the two paths is evidence, not circularity.
 
-Every pass is one loop over blocks of about :data:`channel.BLOCK_ELEMENTS`
-channel entries (409 draws at 40 antennas and 4 users), and one pass
-serves every link it is asked for (:func:`simulate_links`).  A block draws,
-in this order:
+Every pass is one loop over the blocks :func:`channel.block_sizes` plans
+(409 draws at 40 antennas and 4 users), and one pass serves every link it
+is asked for (:func:`simulate_links`).  A block draws, in this order:
 
 - the estimates, then the errors (:func:`channel.sample_channel_batch`);
 - one unit-power symbol per user, (b, users), which every link reads;
@@ -48,8 +47,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import downlink, uplink
-from .channel import BLOCK_ELEMENTS, GramBatch, GramPass, batch_sizes, \
-    complex_normal, expand_site_to_antennas, sample_channel_batch
+from .channel import GramBatch, GramPass, block_sizes, complex_normal, \
+    expand_site_to_antennas, sample_channel_batch
 from .propagation import FadingProfile, fading_profile, place_topology
 from .scenario import ConfigError, ScenarioConfig, derive_noise_power, \
     drop_seed
@@ -301,10 +300,10 @@ def simulate_links(profile: FadingProfile, k: int, cfg: ScenarioConfig,
         raise ConfigError("no link requested")
     m, users = alpha.shape
     sigma_n2 = derive_noise_power(cfg)
-    per = min(n_samples, max(1, BLOCK_ELEMENTS // (m * users)))
-    hat_buf, err_buf, scratch = (np.empty((per, m, users), dtype=complex)
+    sizes = block_sizes(n_samples, m * users)
+    hat_buf, err_buf, scratch = (np.empty((sizes[0], m, users), dtype=complex)
                                  for _ in range(3))
-    for b in batch_sizes(n_samples, per):
+    for b in sizes:
         g_hat, g_err = sample_channel_batch(profile, rng, b,
                                             out=(hat_buf[:b], err_buf[:b]))
         x = complex_normal(rng, 1.0, (b, users))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 _U64_MASK = (1 << 64) - 1
 # Odd Weyl increment; together with the finalizer below it makes the
@@ -204,10 +204,6 @@ def ap_layout_seed(master_seed: int) -> int:
     scheme of :func:`drop_seed`, so it never collides with any drop.
     """
     return _mix64(master_seed & _U64_MASK)
-
-
-def config_to_dict(cfg: ScenarioConfig) -> dict:
-    return asdict(cfg)
 
 
 def load_config(path) -> ScenarioConfig:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from cfmimo import channel
 from cfmimo.channel import (RCOND_FLOOR, GramBatch, GramPass, NumericalError,
-                            batch_sizes, complex_normal,
+                            block_sizes, complex_normal,
                             expand_site_to_antennas, invert_grams,
                             sample_channel_batch, sample_estimates)
 from cfmimo.propagation import FadingProfile
@@ -169,10 +170,12 @@ def regular_grams(rng, n, k=4):
     return g.transpose(0, 2, 1) @ g.conj()
 
 
-def test_batch_sizes_split_with_remainder_last():
-    assert batch_sizes(10, 4) == [4, 4, 2]
-    assert batch_sizes(8, 4) == [4, 4]
-    assert batch_sizes(3, 4) == [3]
+def test_block_sizes_split_with_remainder_last(monkeypatch):
+    monkeypatch.setattr(channel, "BLOCK_ELEMENTS", 8)
+    assert block_sizes(10, 2) == [4, 4, 2]
+    assert block_sizes(8, 2) == [4, 4]
+    assert block_sizes(3, 2) == [3]
+    assert block_sizes(3, 9) == [1, 1, 1]     # at least one draw per block
 
 
 def test_screen_flags_exactly_what_the_svd_rule_flags():
@@ -274,3 +277,27 @@ def test_gram_pass_redraws_every_part_in_place_and_keeps_one_budget():
         grams.invert(block(7))
     assert "more than 1%" in str(err.value)
     assert "2 of 100 requested" in str(err.value)
+
+
+def test_gram_pass_inverse_after_a_redraw_is_the_plain_solve():
+    # a draw with two nearly equal columns: LU solves its Gram matrix, but
+    # the SVD rule flags it, so the block keeps an inverse through the redraw
+    rng = np.random.default_rng(5)
+    g = complex_normal(rng, 1.0, (5, 12, 4))
+    g[2, :, 3] = g[2, :, 2] + 1e-10 * complex_normal(rng, 1.0, (12,))
+    inv, bad = invert_grams(g.transpose(0, 2, 1) @ g.conj())
+    assert inv is not None
+    assert bad.tolist() == [False, False, True, False, False]
+    redraws = []
+
+    def redraw(b):
+        redraws.append(b)
+        return (complex_normal(rng, 1.0, (b, 12, 4)),)
+
+    grams = GramPass(100, redraw)
+    batch = grams.invert((g,))
+    assert redraws == [1] and grams.redrawn == 1
+    assert not invert_grams(batch.gram)[1].any()
+    for i in range(5):
+        assert np.array_equal(batch.inv[i],
+                              np.linalg.solve(batch.gram[i], np.eye(4)))

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from cfmimo import experiment
+from cfmimo import experiment, oracle
+from cfmimo.channel import NumericalError
 from cfmimo.cli import main
 from cfmimo.experiment import DEFAULT_COST_RATIOS, DEFAULT_NT_SWEEP
 
@@ -101,9 +102,10 @@ def test_sweep_quick_scales_drops(tmp_path):
 
 def test_sweep_invalid_nt_exits_1(tmp_path, tiny_config, capsys,
                                   monkeypatch):
-    # a bad antenna count, a non-finite cost ratio or a repeated entry in
-    # either grid stops the run before any drop runs or anything is written;
-    # a repeated entry would run its drops twice and write each row twice
+    # a bad antenna count, a non-finite cost ratio, a repeated entry in
+    # either grid, an empty grid or a non-number stops the run before any
+    # drop runs or anything is written; a repeated entry would run its drops
+    # twice and write each row twice, and an empty flag is not an absent one
     def no_drop(*args):
         raise AssertionError("a drop ran")
 
@@ -112,7 +114,10 @@ def test_sweep_invalid_nt_exits_1(tmp_path, tiny_config, capsys,
                       (["--nt", "2", "--ratios", "0.1,inf"], "finite"),
                       (["--nt", "2,2"], "repeated antenna counts"),
                       (["--nt", "2", "--ratios", "0.1,0.1"],
-                       "repeated cost ratios")):
+                       "repeated cost ratios"),
+                      (["--nt", ""], "empty antenna sweep"),
+                      (["--nt", "2", "--ratios", ""], "empty cost-ratio list"),
+                      (["--nt", "2,x"], "expects comma-separated integers")):
         out = tmp_path / "x.csv"
         code = main(["sweep", "--config", tiny_config, *grid,
                      "--output", str(out)])
@@ -120,6 +125,19 @@ def test_sweep_invalid_nt_exits_1(tmp_path, tiny_config, capsys,
         err = capsys.readouterr().err
         assert "config error" in err and why in err
         assert not out.exists()
+
+
+def test_sweep_numerical_failure_exits_2(tmp_path, tiny_config, capsys,
+                                         monkeypatch):
+    def singular(cfg, index):
+        raise NumericalError(f"drop {index}: singular Gram matrices")
+
+    monkeypatch.setattr(experiment, "run_drop", singular)
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", tiny_config, "--nt", "2",
+                 "--output", str(out)]) == 2
+    assert "numerical failure: drop 0: singular" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_sidecar_lists_the_default_grids(tmp_path):
@@ -241,6 +259,24 @@ def test_validate_takes_zf_draws_from_the_config(tmp_path, capsys):
         rows = [line.split() for line in capsys.readouterr().out.splitlines()]
         closed[n] = [r[1] for r in rows if r and r[0] == "zfp_sinr"]
     assert len(closed[50]) == 1 and closed[50] != closed[5000]
+
+
+def test_validate_failing_row_exits_2(monkeypatch, capsys):
+    # the report is printed whole, then a failing row is a numerical failure;
+    # the stock run checks the reference instance at the reference count
+    seen = []
+
+    def failing(cfg, n):
+        seen.append((cfg, n))
+        return [oracle.ValidationRow("ul_sinr", 1.0, 2.0, 1.0, 0.03, n,
+                                     False)]
+
+    monkeypatch.setattr(oracle, "validate_instance", failing)
+    assert main(["validate", "--seed", "4"]) == 2
+    captured = capsys.readouterr()
+    assert "FAIL" in captured.out and "SOME CHECKS FAILED" in captured.out
+    assert "numerical failure" in captured.err
+    assert seen == [(oracle.reference_config(4), oracle.REFERENCE_SAMPLES)]
 
 
 def test_validate_rejects_drops(capsys):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cfmimo import downlink
+from cfmimo import channel, downlink
 from cfmimo.channel import (complex_normal, expand_site_to_antennas,
                             sample_estimates)
 from cfmimo.downlink import (CbfPowerControl, NumericalError, cbf_power,
@@ -385,7 +385,7 @@ def test_moments_hold_one_load_per_site_and_eta_from_the_peak(n_t):
 # --- the block pass --------------------------------------------------------
 
 def block_draws(m, k):
-    return downlink.BLOCK_ELEMENTS // (m * k)
+    return channel.BLOCK_ELEMENTS // (m * k)
 
 
 def site_loads(w2, n_t):
@@ -451,7 +451,7 @@ def test_pass_equals_one_batch_at_any_block_size(monkeypatch, elements):
     # pass leaves the generator where the batch does
     cfg, profile = random_profile(17, m=48, n_t=6, k=4)
     if elements is not None:
-        monkeypatch.setattr(downlink, "BLOCK_ELEMENTS", elements)
+        monkeypatch.setattr(channel, "BLOCK_ELEMENTS", elements)
     n = 301
     rng, ref = np.random.default_rng(3), np.random.default_rng(3)
     zf = zfp_moments(profile, cfg, rng, n)
@@ -539,7 +539,7 @@ def test_singular_draws_beyond_the_budget_raise(monkeypatch):
 
 def small_blocks(monkeypatch, m=40, k=4, draws=20):
     """Blocks of ``draws`` draws, so a target can stop the pass finely."""
-    monkeypatch.setattr(downlink, "BLOCK_ELEMENTS", draws * m * k)
+    monkeypatch.setattr(channel, "BLOCK_ELEMENTS", draws * m * k)
     return draws
 
 

@@ -166,8 +166,8 @@ class SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 @pytest.mark.parametrize("nt_list, drops, jobs, opened", [
@@ -318,5 +318,5 @@ def test_every_config_field_changes_the_output(field, value, tmp_path):
 
 
 def test_rate_report_sum():
-    rep = RateReport("mrc-ul", 0, np.array([1.0, 2.5]))
+    rep = RateReport("mrc-ul", np.array([1.0, 2.5]))
     assert rep.sum_rate == 3.5

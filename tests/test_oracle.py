@@ -301,7 +301,7 @@ def test_passes_draw_exactly_their_block_plan(monkeypatch, which):
     # estimates, errors, symbols, noise: block by block, nothing else
     cfg, profile, _ = reference_profile(12)
     m, k = cfg.total_antennas, cfg.num_users
-    monkeypatch.setattr(oracle, "BLOCK_ELEMENTS", BLOCK_DRAWS * m * k)
+    monkeypatch.setattr(channel, "BLOCK_ELEMENTS", BLOCK_DRAWS * m * k)
     rng = np.random.default_rng(6)
     run_pass(which, cfg, profile, N_BLOCKED, rng)
     direct = np.random.default_rng(6)
@@ -320,7 +320,7 @@ def singular_zf_pass(monkeypatch, zeroed):
     # log of the draws and of the Gram inversions, in call order
     cfg, profile, _ = reference_profile(12)
     entries = cfg.total_antennas * cfg.num_users
-    monkeypatch.setattr(oracle, "BLOCK_ELEMENTS", BLOCK_DRAWS * entries)
+    monkeypatch.setattr(channel, "BLOCK_ELEMENTS", BLOCK_DRAWS * entries)
     real_draw, real_invert = oracle.sample_channel_batch, channel.invert_grams
     used, redraws, log = [], [], []
 
@@ -441,7 +441,7 @@ def test_joint_pass_draws_exactly_its_block_plan(monkeypatch, links):
     # and ZF if either is asked for, and nothing else
     cfg, profile, _ = reference_profile(12)
     m, k = cfg.total_antennas, cfg.num_users
-    monkeypatch.setattr(oracle, "BLOCK_ELEMENTS", BLOCK_DRAWS * m * k)
+    monkeypatch.setattr(channel, "BLOCK_ELEMENTS", BLOCK_DRAWS * m * k)
     rng = np.random.default_rng(6)
     run_links(links, cfg, profile, N_BLOCKED, rng)
     direct = np.random.default_rng(6)

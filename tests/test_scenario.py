@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,8 +6,8 @@ import sys
 import pytest
 
 from cfmimo.scenario import (ConfigError, ScenarioConfig, ap_layout_seed,
-                             config_to_dict, derive_noise_power,
-                             derive_site_count, drop_seed, load_config)
+                             derive_noise_power, derive_site_count,
+                             drop_seed, load_config)
 
 
 def test_defaults_are_valid():
@@ -97,6 +98,9 @@ def test_site_count_rejects_non_divisor():
     {"ap_placement": "grid", "fixed_ap": True},  # a lattice is fixed already
     {"total_antennas": 7.5},
     {"ue_tx_power": "strong"},
+    {"master_seed": "7"},
+    {"noise_figure_db": "high"},
+    {"shadowing_sigma_db": float("nan")},
 ])
 def test_validation_rejects(kwargs):
     with pytest.raises(ConfigError):
@@ -159,7 +163,7 @@ def test_load_config_round_trip(tmp_path):
     assert cfg.antennas_per_ap == 3
     assert cfg.master_seed == 9
     assert cfg.bandwidth_hz == 5e6          # untouched default
-    assert config_to_dict(cfg)["drops"] == 12
+    assert dataclasses.asdict(cfg)["drops"] == 12
 
 
 def test_load_config_unknown_key(tmp_path):
@@ -184,10 +188,12 @@ def test_load_config_missing_file(tmp_path):
 
 
 def test_load_config_bad_json(tmp_path):
+    # not JSON at all, or JSON that is not one object
     path = tmp_path / "cfg.json"
-    path.write_text("{not json")
-    with pytest.raises(ConfigError):
-        load_config(path)
+    for text in ("{not json", "[1, 2]"):
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            load_config(path)
 
 
 def test_load_config_with_cost_section(tmp_path):
