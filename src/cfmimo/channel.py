@@ -12,7 +12,8 @@ which a caller forms only where it needs it.  That joint construction is
 what the closed forms downstream assume, and the link-level oracle draws it
 whole.  The zero-forcing moment pass, which runs only on drops where the
 deterministic equivalent of :mod:`downlink` does not hold, reads the
-estimates alone, so :func:`sample_estimates` draws just those.
+estimates alone.  :func:`sample_estimates` is the one rule that draws
+them, for that pass and for the estimate half of every joint draw.
 
 Zero-forcing needs the inverse of each estimate's Gram matrix, so the
 singularity rule, its cheap screen and the redraw budget live here too.
@@ -32,24 +33,13 @@ import numpy as np
 from .propagation import FadingProfile
 
 
-def expand_site_to_antennas(profile: FadingProfile) -> tuple[np.ndarray, np.ndarray]:
-    """Antenna-level (beta, alpha), each (sites * antennas_per_site, users).
+def expand_site_to_antennas(profile: FadingProfile) -> np.ndarray:
+    """Antenna-level alpha, (sites * antennas_per_site, users).
 
     Row ``(q * n_t + j)`` repeats site row ``q``: co-located antennas share
     their site's large-scale state.
     """
-    n_t = profile.antennas_per_site
-    beta = np.repeat(profile.beta, n_t, axis=0)
-    alpha = np.repeat(profile.alpha, n_t, axis=0)
-    return beta, alpha
-
-
-def _error_variance(profile: FadingProfile) -> np.ndarray:
-    beta, alpha = expand_site_to_antennas(profile)
-    err = beta - alpha
-    if (err < -1e-12 * beta - 1e-300).any():
-        raise ValueError("estimate variance exceeds channel gain")
-    return np.maximum(err, 0.0)
+    return np.repeat(profile.alpha, profile.antennas_per_site, axis=0)
 
 
 def complex_normal(rng: np.random.Generator, variance, size,
@@ -82,7 +72,7 @@ def sample_estimates(profile: FadingProfile, rng: np.random.Generator,
     draws the same bits.  ``out``, a C-contiguous complex array of the
     result's shape, receives the draws in place of a new array.
     """
-    _, alpha = expand_site_to_antennas(profile)
+    alpha = expand_site_to_antennas(profile)
     return complex_normal(rng, alpha, (n,) + alpha.shape, out)
 
 
@@ -91,16 +81,18 @@ def sample_channel_batch(profile: FadingProfile, rng: np.random.Generator,
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Batch of joint draws: (g_hat, g_err), each (n, antennas, users).
 
-    The estimate is drawn before the error, one block each, so a given
-    generator state always yields the same channels.  The true channel is
-    their sum, left to the caller.  ``out``, a pair of C-contiguous complex
-    arrays of the result's shape, receives the draws in place of new
-    arrays, the same bits.
+    The estimate is drawn first, by :func:`sample_estimates`, then the
+    error, one block each, so a given generator state always yields the
+    same channels.  The error variance beta - alpha is clipped at zero,
+    where rounding leaves alpha a hair above beta.  The true channel is
+    their sum, left to the caller.
+    ``out``, a pair of C-contiguous complex arrays of the result's shape,
+    receives the draws in place of new arrays, the same bits.
     """
-    _, alpha = expand_site_to_antennas(profile)
-    err_var = _error_variance(profile)
     hat_out, err_out = (None, None) if out is None else out
-    g_hat = complex_normal(rng, alpha, (n,) + alpha.shape, hat_out)
+    g_hat = sample_estimates(profile, rng, n, hat_out)
+    err_var = np.repeat(np.maximum(profile.beta - profile.alpha, 0.0),
+                        profile.antennas_per_site, axis=0)
     g_err = complex_normal(rng, err_var, (n,) + err_var.shape, err_out)
     return g_hat, g_err
 

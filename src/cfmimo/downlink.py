@@ -349,14 +349,13 @@ def zfp_moments(profile: FadingProfile, cfg: ScenarioConfig,
         row_sum += rows.sum(axis=0)
         row_sq_sum += np.square(rows).sum(axis=0)
         used += b
-        if cfg.chi_rel_se > 0 and MIN_MOMENT_DRAWS <= used < cap:
-            zf = moments(used)
-            if zf.peak_load_rel_se <= cfg.chi_rel_se \
-                    and zf.chi_rel_se <= cfg.chi_rel_se:
-                break
+        zf = moments(used)
+        if cfg.chi_rel_se > 0 and used >= MIN_MOMENT_DRAWS \
+                and zf.peak_load_rel_se <= cfg.chi_rel_se \
+                and zf.chi_rel_se <= cfg.chi_rel_se:
+            break
 
     grams.settle(used)
-    zf = moments(used)
     if not zf.site_load.max() > 0:
         raise NumericalError("estimated precoder load is zero everywhere")
     return zf

@@ -4,7 +4,9 @@ A drop is one topology plus its large-scale fading; the three schemes
 (uplink MRC, downlink CBF, downlink ZFP) are evaluated on the same drop so
 their comparison is paired.  Drops are seeded individually from the master
 seed, reduced in index order, and therefore reproduce byte-for-byte for
-any worker count.
+any worker count.  :func:`draw_drop` is the one pipeline from seed to ZF
+moments: the sweep's :func:`run_drop` and the oracle's validation both
+call it, so the validation checks the ZF route the sweep takes.
 
 The sweep varies antennas per site at a fixed antenna total, crosses the
 resulting rates with per-antenna/per-site cost ratios, and writes one CSV
@@ -51,8 +53,10 @@ from .uplink import UplinkPowerControl, per_user_rate, uplink_sinr_all
 
 SCHEMES = ("mrc-ul", "cbf-dl", "zfp-dl")
 
-CSV_HEADER = ("scheme,n_t,n_ap,k,drops,sum_rate_mean,se_p05,se_p50,"
-              "cv_cf_ratio,cost_total,gamma_ce,master_seed")
+# the CSV's columns, each a SweepRecord field of the same name
+CSV_COLUMNS = ("scheme", "n_t", "n_ap", "k", "drops", "sum_rate_mean",
+               "se_p05", "se_p50", "cv_cf_ratio", "cost_total", "gamma_ce",
+               "master_seed")
 
 DEFAULT_NT_SWEEP = (1, 2, 4, 10, 12, 15, 20, 25, 30, 50)
 DEFAULT_COST_RATIOS = (0.05, 0.1, 0.25, 0.5)
@@ -107,31 +111,33 @@ def deployment_cost(n_ap: int, n_t: int, ratio: float) -> float:
     return n_ap * (1.0 + n_t * ratio)
 
 
-def run_drop(cfg: ScenarioConfig, drop_index: int) -> tuple[RateReport, ...]:
-    """Evaluate all three schemes on drop ``drop_index``.
+def draw_drop(cfg: ScenarioConfig, drop_index: int):
+    """Drop ``drop_index`` from its own substream: (rng, profile, zf, share).
 
-    Randomness comes only from the drop's own substream; the draw order is
-    topology, shadowing, then, where the ZFP moments are sampled, their
-    batch, so results depend on nothing outside (cfg, drop_index).  The
-    ZFP moments come from :func:`downlink.zfp_equivalent` when its
-    single-antenna share is below :data:`downlink.EQUIVALENT_SHARE_LIMIT`,
-    and from the sampled :func:`downlink.zfp_moments` otherwise, which
-    draws until the config's ``chi_rel_se`` or ``chi_samples`` stops it.
+    The stream draws the topology, the shadowing and, where the ZFP
+    moments are sampled, their batch, in that order, so the drop depends
+    on nothing outside (cfg, drop_index); ``rng`` is left after them, for
+    the oracle to read on.  ``zf`` comes from :func:`downlink.zfp_equivalent`
+    when its single-antenna ``share`` is below
+    :data:`downlink.EQUIVALENT_SHARE_LIMIT`, and otherwise from
+    :func:`downlink.zfp_moments` under the config's ``chi_rel_se`` and
+    ``chi_samples``; ``share`` is None where the fixed point failed.
     """
-    try:
-        rng = np.random.default_rng(drop_seed(cfg.master_seed, drop_index))
-        topo = place_topology(cfg, rng)
-        profile = fading_profile(cfg, topo, rng)
+    rng = np.random.default_rng(drop_seed(cfg.master_seed, drop_index))
+    profile = fading_profile(cfg, place_topology(cfg, rng), rng)
+    zf, share = zfp_equivalent(profile) or (None, None)
+    if share is None or not share < EQUIVALENT_SHARE_LIMIT:
+        zf = zfp_moments(profile, cfg, rng)
+    return rng, profile, zf, share
 
+
+def run_drop(cfg: ScenarioConfig, drop_index: int) -> tuple[RateReport, ...]:
+    """Evaluate all three schemes on the drop :func:`draw_drop` draws."""
+    try:
+        _, profile, zf, share = draw_drop(cfg, drop_index)
         eta_ul = UplinkPowerControl.full_power(cfg.num_users)
         se_ul = per_user_rate(uplink_sinr_all(profile, eta_ul, cfg))
-
-        pc_cbf = cbf_power(profile)
-        se_cbf = per_user_rate(cbf_sinr_all(profile, pc_cbf, cfg))
-
-        zf, share = zfp_equivalent(profile) or (None, None)
-        if share is None or not share < EQUIVALENT_SHARE_LIMIT:
-            zf = zfp_moments(profile, cfg, rng)
+        se_cbf = per_user_rate(cbf_sinr_all(profile, cbf_power(profile), cfg))
         se_zfp = per_user_rate(zfp_sinr_all(profile, zf, cfg))
     except (ValueError, RuntimeError) as exc:
         # tag the failing drop but keep the error class for exit codes
@@ -241,25 +247,19 @@ def sweep(cfg: ScenarioConfig, nt_list=None, cv_ratios=None, jobs: int = 1,
                     scheme=scheme, n_t=n_t, n_ap=n_ap, k=sub.num_users,
                     drops=sub.drops, sum_rate_mean=mean,
                     sum_rate_stderr=stderr, se_p05=p05, se_p50=p50,
-                    cv_cf_ratio=ratio, cost_total=cost,
+                    cv_cf_ratio=float(ratio), cost_total=cost,
                     gamma_ce=mean / cost,
                     master_seed=sub.master_seed, zf=zf))
     return records
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
-
-
 def write_records_csv(records: list[SweepRecord], path) -> None:
-    """Write sweep rows with six-significant-digit floats."""
-    lines = [CSV_HEADER]
+    """Write sweep rows in :data:`CSV_COLUMNS`, floats to six digits."""
+    lines = [",".join(CSV_COLUMNS)]
     for r in records:
-        lines.append(",".join([
-            r.scheme, str(r.n_t), str(r.n_ap), str(r.k), str(r.drops),
-            _fmt(r.sum_rate_mean), _fmt(r.se_p05), _fmt(r.se_p50),
-            _fmt(r.cv_cf_ratio), _fmt(r.cost_total), _fmt(r.gamma_ce),
-            str(r.master_seed)]))
+        values = (getattr(r, column) for column in CSV_COLUMNS)
+        lines.append(",".join(f"{v:.6g}" if isinstance(v, float) else str(v)
+                              for v in values))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -289,8 +289,7 @@ def write_metadata(csv_path, cfg: ScenarioConfig, records: list[SweepRecord],
         "version": __version__,
         "config": dataclasses.asdict(cfg),
         "nt_list": list(dict.fromkeys(r.n_t for r in records)),
-        "cv_cf_ratios": list(dict.fromkeys(float(r.cv_cf_ratio)
-                                           for r in records)),
+        "cv_cf_ratios": list(dict.fromkeys(r.cv_cf_ratio for r in records)),
         "master_seed": cfg.master_seed,
         "drops": cfg.drops,
         "chi_samples": cfg.chi_samples,

@@ -19,20 +19,17 @@ def make_profile(beta, alpha, n_t=1):
 def test_expand_identity_for_single_antenna_sites():
     profile = make_profile([[1.0, 2.0], [3.0, 4.0]],
                            [[0.5, 1.0], [1.5, 2.0]], n_t=1)
-    beta, alpha = expand_site_to_antennas(profile)
-    assert np.array_equal(beta, profile.beta)
-    assert np.array_equal(alpha, profile.alpha)
+    assert np.array_equal(expand_site_to_antennas(profile), profile.alpha)
 
 
 def test_expand_replicates_site_rows_in_order():
     profile = make_profile([[1.0], [2.0]], [[0.5], [1.0]], n_t=3)
-    beta, alpha = expand_site_to_antennas(profile)
-    assert beta.shape == (6, 1)
+    alpha = expand_site_to_antennas(profile)
+    assert alpha.shape == (6, 1)
     # antennas of site 0 first, then site 1
-    assert np.array_equal(beta[:, 0], [1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
     assert np.array_equal(alpha[:, 0], [0.5, 0.5, 0.5, 1.0, 1.0, 1.0])
     # column sums scale by the antenna count
-    assert beta.sum(axis=0) == pytest.approx(3 * profile.beta.sum(axis=0))
+    assert alpha.sum(axis=0) == pytest.approx(3 * profile.alpha.sum(axis=0))
 
 
 def test_sample_decomposition_is_exact():
@@ -79,7 +76,8 @@ def test_moments_match_profile():
     profile = make_profile(beta, alpha, n_t=2)
     g_hat, g_err = sample_channel_batch(profile, np.random.default_rng(9), n)
     g_true = g_hat + g_err
-    beta_mk, alpha_mk = expand_site_to_antennas(profile)
+    alpha_mk = expand_site_to_antennas(profile)
+    beta_mk = np.repeat(beta, 2, axis=0)
     assert np.allclose((np.abs(g_hat) ** 2).mean(axis=0), alpha_mk, rtol=0.02)
     assert np.allclose((np.abs(g_true) ** 2).mean(axis=0), beta_mk, rtol=0.02)
     assert np.allclose((np.abs(g_err) ** 2).mean(axis=0),
@@ -105,7 +103,7 @@ def test_sample_estimates_statistics_and_determinism():
                              ([[1.0, 4.0]] * 2, [[0.5, 3.0], [0.25, 1.0]], 5)):
         profile = make_profile(beta, alpha, n_t=n_t)
         a = sample_estimates(profile, np.random.default_rng(5), 50_000)
-        _, alpha_mk = expand_site_to_antennas(profile)
+        alpha_mk = expand_site_to_antennas(profile)
         assert a.shape == (50_000,) + alpha_mk.shape
         assert np.allclose((np.abs(a) ** 2).mean(axis=0), alpha_mk,
                            rtol=0.03)
@@ -119,7 +117,7 @@ def test_antenna_rows_are_the_antenna_level_stream():
     profile = make_profile([[1.0, 2.0, 3.0]] * 4, [[0.5, 1.0, 2.5]] * 4,
                            n_t=2)
     rng, ref = np.random.default_rng(4), np.random.default_rng(4)
-    _, alpha_mk = expand_site_to_antennas(profile)
+    alpha_mk = expand_site_to_antennas(profile)
     assert np.array_equal(sample_estimates(profile, rng, 9),
                           complex_normal(ref, alpha_mk, (9, 8, 3)))
     # into a caller's buffer: the same bits

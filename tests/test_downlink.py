@@ -72,7 +72,8 @@ def test_cbf_sinr_matches_independent_antenna_level_form():
     # re-derive the SINR at antenna level with an independent expression
     cfg, profile = random_profile(3, m=30, n_t=3, k=5)
     pc = cbf_power(profile)
-    beta_mk, alpha_mk = expand_site_to_antennas(profile)
+    beta_mk = np.repeat(profile.beta, 3, axis=0)
+    alpha_mk = expand_site_to_antennas(profile)
     eta_m = np.repeat(pc.eta_site, 3)
     p_d = cfg.ap_per_antenna_tx_power
     s2 = derive_noise_power(cfg)
@@ -268,6 +269,12 @@ def test_zfp_sinr_validates_inputs():
         zfp_sinr_all(profile, other, cfg)
 
 
+def test_moment_pass_needs_one_draw():
+    cfg, profile = random_profile(5)
+    with pytest.raises(ConfigError, match="n_samples must be >= 1, got 0"):
+        zfp_moments(profile, cfg, np.random.default_rng(0), 0)
+
+
 def test_moment_estimation_needs_enough_antennas():
     profile = make_profile(np.ones((2, 3)), np.full((2, 3), 0.5), n_t=1)
     cfg = ScenarioConfig(total_antennas=4, antennas_per_ap=1, num_users=3)
@@ -401,7 +408,8 @@ def test_zfp_moments_match_per_draw_pseudo_inverse():
     n = 3 * block_draws(40, 4) + 57
     zf = zfp_moments(profile, cfg, np.random.default_rng(4), n)
 
-    beta_mk, alpha_mk = expand_site_to_antennas(profile)
+    beta_mk = np.repeat(profile.beta, 2, axis=0)
+    alpha_mk = expand_site_to_antennas(profile)
     g = sample_estimates(profile, np.random.default_rng(4), n)
     chi_d = np.empty((n, 4, 4))
     w2 = np.empty((n, 40, 4))
@@ -468,7 +476,7 @@ def test_pass_below_the_user_count_draws_the_antenna_stream():
     n = 2 * block_draws(40, 4) + 5
     rng, ref = np.random.default_rng(8), np.random.default_rng(8)
     zfp_moments(profile, cfg, rng, n)
-    _, alpha_mk = expand_site_to_antennas(profile)
+    alpha_mk = expand_site_to_antennas(profile)
     complex_normal(ref, alpha_mk, (n, 40, 4))
     assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -479,14 +487,15 @@ def test_site_loads_are_antenna_loads_summed_per_site(monkeypatch, n_t):
     # summed over each site, below the user count and from it on
     cfg, profile = random_profile(19, m=24, n_t=n_t, k=4)
     g = complex_normal(np.random.default_rng(2),
-                       expand_site_to_antennas(profile)[1], (1, 24, 4))
+                       expand_site_to_antennas(profile), (1, 24, 4))
     monkeypatch.setattr(downlink, "sample_estimates",
                         lambda profile, rng, n, out=None: g.copy())
     zf = zfp_moments(profile, cfg, np.random.default_rng(0), 1)
 
     w = np.linalg.pinv(g[0].T)                          # (antennas, users)
     w2 = np.abs(w) ** 2
-    beta_mk, alpha_mk = expand_site_to_antennas(profile)
+    beta_mk = np.repeat(profile.beta, n_t, axis=0)
+    alpha_mk = expand_site_to_antennas(profile)
     assert np.allclose(zf.chi, (beta_mk - alpha_mk).T @ w2, rtol=1e-12,
                        atol=0)
     per_site = site_loads(w2[None], n_t)[0]

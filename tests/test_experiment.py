@@ -6,7 +6,7 @@ import pytest
 
 from cfmimo import experiment
 from cfmimo.downlink import EQUIVALENT_SHARE_LIMIT
-from cfmimo.experiment import (CSV_HEADER, DEFAULT_COST_RATIOS,
+from cfmimo.experiment import (CSV_COLUMNS, DEFAULT_COST_RATIOS,
                                DEFAULT_NT_SWEEP, RateReport, metadata_path,
                                percentile, run_drop, sweep,
                                write_metadata, write_records_csv)
@@ -191,7 +191,7 @@ def test_csv_and_metadata_outputs(tmp_path):
     write_records_csv(records, out)
     write_metadata(out, SMALL, records, quick=False, jobs=1)
     lines = out.read_text().splitlines()
-    assert lines[0] == CSV_HEADER
+    assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 1 + len(records)
     first = lines[1].split(",")
     assert first[0] == "mrc-ul"

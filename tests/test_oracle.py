@@ -197,6 +197,19 @@ def test_zfp_oracle_matches_the_equivalent_where_it_runs():
     assert est.max_est_iui < 1e-9
 
 
+def test_validate_checks_the_zf_route_the_sweep_takes():
+    # drop 0 of seed 5 has share 0.35, so the sweep takes the deterministic
+    # equivalent there, and validate must check that closed form, not one
+    # from sampled moments
+    cfg, profile, _ = reference_profile(5)
+    zf, share = downlink.zfp_equivalent(profile)
+    assert share < downlink.EQUIVALENT_SHARE_LIMIT
+    rows = {r.name: r for r in validate_instance(cfg, 2000)}
+    assert rows["zfp_sinr"].closed_form == \
+        downlink.zfp_sinr_all(profile, zf, cfg)[0]
+    assert all(r.passed for r in rows.values())
+
+
 def test_zfp_oracle_perfect_csi():
     cfg = reference_config(10)
     rng = np.random.default_rng(drop_seed(cfg.master_seed, 0))
@@ -221,6 +234,11 @@ def test_validation_report_passes_and_serializes(tmp_path):
         (r.name, r.rel_error) for r in rows if not r.passed]
     text = rows_to_text(rows)
     assert "all checks pass" in text
+    # the vanishing audit row prints its absolute error and tolerance
+    iui = text.splitlines()[names.index("zfp_est_iui") + 1].split()
+    assert len(iui) == 7
+    assert float(iui[3]) == pytest.approx(rows[-1].rel_error, rel=0.05)
+    assert iui[4] == "1e-09"
     out = tmp_path / "report.csv"
     rows_to_csv(rows, out)
     lines = out.read_text().strip().splitlines()
@@ -264,8 +282,15 @@ def run_pass(which, cfg, profile, n, rng, k=0):
      "at least 1 sample"),
     (lambda cfg, profile, rng: simulate_links(profile, 0, cfg, 100, rng),
      "no link requested"),
+    (lambda cfg, profile, rng: simulate_uplink_terms(
+        profile, uplink.UplinkPowerControl.full_power(profile.num_users + 1),
+        0, cfg, 100, rng), "eta has 5 entries for 4 users"),
+    (lambda cfg, profile, rng: simulate_downlink_zfp(
+        FadingProfile(beta=profile.beta[:1], alpha=profile.alpha[:1],
+                      antennas_per_site=2), ZF_ETA, 0, cfg, 100, rng),
+     "at least as many antennas as users, got 2 x 4"),
 ], ids=["zfp-nan-eta", "cbf-eta-shape", "cbf-nan-eta", "user-index",
-        "no-samples", "no-link"])
+        "no-samples", "no-link", "ul-eta-length", "zf-few-antennas"])
 def test_passes_reject_bad_inputs(call, message):
     # config errors, not an SINR of inf or a bare numpy broadcast error
     cfg, profile, rng = reference_profile(0)

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cfmimo.propagation import (FadingProfile, fading_profile, l0_constant,
-                                large_scale_gain, mmse_alpha, path_loss_db,
-                                place_topology)
+from cfmimo.propagation import (FadingProfile, Topology, fading_profile,
+                                l0_constant, large_scale_gain, mmse_alpha,
+                                path_loss_db, place_topology)
 from cfmimo.scenario import ConfigError, ScenarioConfig, derive_noise_power, \
     drop_seed
 
@@ -126,6 +126,8 @@ def test_mmse_alpha_reference_and_limits():
     assert all(v < 1e-10 for v in vals)
     assert vals == sorted(vals)
     assert vals[-1] == pytest.approx(1e-10, rel=1e-3)
+    with pytest.raises(ConfigError, match="p_u and sigma_n2"):
+        mmse_alpha(-0.2, 1e-10, 1e-13)
 
 
 def test_mmse_alpha_never_exceeds_beta():
@@ -233,4 +235,16 @@ def test_profile_invariants_enforced():
     with pytest.raises(ConfigError):
         FadingProfile(beta=np.ones((2, 2)), alpha=np.ones((2, 3)),
                       antennas_per_site=1)
+    with pytest.raises(ConfigError, match="antennas_per_site must be >= 1"):
+        FadingProfile(beta=np.ones((2, 2)), alpha=np.ones((2, 2)),
+                      antennas_per_site=0)
+    with pytest.raises(ConfigError, match="must be finite"):
+        FadingProfile(beta=np.array([[np.nan]]), alpha=np.array([[0.0]]),
+                      antennas_per_site=1)
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 3), (3, 2, 1)])
+def test_topology_needs_n_by_2_coordinates(shape):
+    with pytest.raises(ConfigError, match=r"must be an \(n, 2\) array"):
+        Topology(ap_positions=np.zeros(shape), ue_positions=np.zeros((4, 2)))
 

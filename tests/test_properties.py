@@ -171,7 +171,8 @@ def uplink_parts_of_user(profile, eta, k, cfg):
 
 def cbf_parts_of_user(profile, eta_site, k, cfg):
     """CBF part powers of user ``k`` alone, summed antenna by antenna."""
-    beta_mk, alpha_mk = channel.expand_site_to_antennas(profile)
+    beta_mk = np.repeat(profile.beta, profile.antennas_per_site, axis=0)
+    alpha_mk = channel.expand_site_to_antennas(profile)
     eta_m = np.repeat(eta_site, profile.antennas_per_site)
     p_d = cfg.ap_per_antenna_tx_power
     a_k, b_k = alpha_mk[:, k], beta_mk[:, k]
