@@ -47,18 +47,14 @@ def complex_normal(rng: np.random.Generator, variance, size,
     """CN(0, variance) draws of the given shape.
 
     ``variance`` broadcasts against ``size``; real and imaginary parts each
-    carry half of it.  ``out``, a C-contiguous complex array of shape
-    ``size``, receives the draws in place of a new array, the same bits.
+    carry half of it.  The draws fill ``out``, a C-contiguous complex array
+    of shape ``size``, or a new one.
     """
     v = np.asarray(variance, dtype=float)
     if (v < 0).any():
         raise ValueError("variance must be >= 0")
-    if out is None:
-        z = rng.standard_normal(size=tuple(size) + (2,))
-        z = z.view(np.complex128)[..., 0]
-    else:
-        rng.standard_normal(out=out.view(float).reshape(tuple(size) + (2,)))
-        z = out
+    z = np.empty(size, complex) if out is None else out
+    rng.standard_normal(out=z.view(float).reshape(tuple(size) + (2,)))
     z *= np.sqrt(v / 2.0)                  # in place: no second array
     return z
 
@@ -141,12 +137,16 @@ def invert_grams(gram: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
     the computed inverse) proves the matrix regular.  Only the draws that
     screen cannot clear, or the whole batch when the solve itself fails,
     get the SVD, so the mask is the SVD rule's.  The inverse is None when
-    the solve failed.
+    the solve failed; a failed solve the SVD rule flags nothing in raises
+    :class:`NumericalError`.
     """
     try:
         inv = np.linalg.solve(gram, np.eye(gram.shape[-1]))
     except np.linalg.LinAlgError:
-        return None, _svd_singular(gram)
+        bad = _svd_singular(gram)
+        if not bad.any():
+            raise NumericalError("Gram solve failed on regular matrices")
+        return None, bad
     product = np.linalg.norm(gram, axis=(1, 2)) \
         * np.linalg.norm(inv, axis=(1, 2))
     unclear = np.flatnonzero(~(product * RCOND_FLOOR < 0.5))
@@ -170,8 +170,8 @@ class GramPass:
     :meth:`invert` takes a block the caller has drawn.  A draw whose Gram
     matrix :func:`invert_grams` flags is replaced in place, in every part
     of the block, by a fresh draw from ``redraw(count)``, right after the
-    block, so a pass without redraws consumes only the caller's own draws.
-    A block with redraws is solved again whole once they are all regular.
+    block, and the whole block is inverted again until nothing is flagged,
+    so a pass without redraws consumes only the caller's own draws.
     ``redrawn`` counts the replaced draws over the whole pass; more than
     :data:`SINGULAR_FRACTION` of the ``n`` requested raises
     :class:`NumericalError`.  A pass that stops short of ``n`` holds its
@@ -221,8 +221,5 @@ class GramPass:
             fresh_conj = fresh[0].conj()
             g_conj[idx] = fresh_conj
             gram[idx] = fresh[0].transpose(0, 2, 1) @ fresh_conj
-            bad[idx] = invert_grams(gram[idx])[1]
-            inv = None
-        if inv is None:
-            inv = np.linalg.solve(gram, np.eye(gram.shape[-1]))
+            inv, bad = invert_grams(gram)
         return GramBatch(g_conj, gram, inv)

@@ -145,8 +145,6 @@ def _cmd_drop(args) -> int:
 def _cmd_validate(args) -> int:
     cfg = _resolve_config(args, oracle.reference_config)
     n = oracle.REFERENCE_SAMPLES if args.samples is None else args.samples
-    if n < 2:
-        raise ConfigError(f"validate needs at least 2 samples, got {n}")
     if args.quick:
         # the 1000-sample floor never raises an explicit, smaller count
         n = min(n, max(1000, n // QUICK_FACTOR))

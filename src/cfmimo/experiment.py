@@ -198,10 +198,10 @@ def sweep(cfg: ScenarioConfig, nt_list=None, cv_ratios=None, jobs: int = 1,
           progress=None) -> list[SweepRecord]:
     """Antenna-split sweep at a fixed antenna budget.
 
-    Every entry of ``nt_list`` must divide the config's antenna total, and
-    neither grid may repeat an entry; that is checked up front so a bad
-    grid fails before any computation.  Each cost ratio prices the split
-    through :func:`deployment_cost`.
+    Each ``nt_list`` entry must make a valid :class:`ScenarioConfig` (an
+    integer >= 1 dividing the antenna total), and neither grid may repeat
+    an entry; both are checked before any drop runs.  Each cost ratio
+    prices the split through :func:`deployment_cost`.
     """
     nt_list = list(DEFAULT_NT_SWEEP if nt_list is None else nt_list)
     cv_ratios = list(DEFAULT_COST_RATIOS if cv_ratios is None else cv_ratios)
@@ -209,14 +209,10 @@ def sweep(cfg: ScenarioConfig, nt_list=None, cv_ratios=None, jobs: int = 1,
         raise ConfigError("empty antenna sweep")
     if not cv_ratios:
         raise ConfigError("empty cost-ratio list")
-    bad = [n for n in nt_list
-           if not isinstance(n, int) or n < 1 or cfg.total_antennas % n != 0]
+    subs = [dataclasses.replace(cfg, antennas_per_ap=n_t) for n_t in nt_list]
+    bad = [r for r in cv_ratios if not (r > 0 and math.isfinite(r))]
     if bad:
-        raise ConfigError(f"antenna counts {bad} do not divide "
-                          f"total_antennas ({cfg.total_antennas})")
-    bad_r = [r for r in cv_ratios if not (r > 0 and math.isfinite(r))]
-    if bad_r:
-        raise ConfigError(f"cost ratios must be finite and > 0, got {bad_r}")
+        raise ConfigError(f"cost ratios must be finite and > 0, got {bad}")
     for name, grid in (("antenna counts", nt_list),
                        ("cost ratios", cv_ratios)):
         if len(set(grid)) < len(grid):
@@ -224,7 +220,6 @@ def sweep(cfg: ScenarioConfig, nt_list=None, cv_ratios=None, jobs: int = 1,
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
 
-    subs = [dataclasses.replace(cfg, antennas_per_ap=n_t) for n_t in nt_list]
     reports = _collect_drops([(sub, i) for sub in subs
                               for i in range(cfg.drops)], jobs, progress)
     records: list[SweepRecord] = []

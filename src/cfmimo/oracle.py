@@ -415,9 +415,13 @@ def validate_instance(cfg: ScenarioConfig,
     :func:`simulate_links` pass of ``n_samples`` joint draws for all three
     links.  User 0 is inspected, and one row is returned per compared
     quantity.  Relative tolerances hold as stated at the reference sample
-    count and widen like 1/sqrt(n) below it, so quick runs stay
-    meaningful without being vacuous.
+    count and widen like 1/sqrt(n) below it; at 250 samples or fewer the
+    widest would reach 100% and pass anything, so such counts are rejected.
     """
+    floor = REFERENCE_SAMPLES * max(TERM_TOL, SINR_TOL, ZFP_SINR_TOL) ** 2
+    if not n_samples > floor:
+        raise ConfigError(f"validate needs more than {floor:.0f} samples "
+                          f"(a tolerance reaches 100% there), got {n_samples}")
     widen = max(1.0, math.sqrt(REFERENCE_SAMPLES / n_samples))
     term_tol = TERM_TOL * widen
     sinr_tol = SINR_TOL * widen

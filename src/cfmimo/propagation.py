@@ -93,7 +93,7 @@ def path_loss_db(d_km, l0_db: float, d0_km: float, d1_km: float):
     Beyond ``d1`` the loss follows a 3.5-exponent slope, between the
     breakpoints a square-law slope, and inside ``d0`` it stays flat at the
     ``d0`` value, so the curve is continuous and bounded as d -> 0.
-    Accepts scalars or arrays.
+    Returns an array shaped like ``d_km``.
     """
     if not 0 < d0_km < d1_km:
         raise ConfigError(f"need 0 < d0 < d1, got d0={d0_km}, d1={d1_km}")
@@ -106,10 +106,7 @@ def path_loss_db(d_km, l0_db: float, d0_km: float, d1_km: float):
     far = -l0_db - 35.0 * np.log10(d_far)
     mid = -l0_db - 10.0 * np.log10(d1_km ** 1.5 * d_mid ** 2)
     near = -l0_db - 10.0 * math.log10(d1_km ** 1.5 * d0_km ** 2)
-    out = np.where(d > d1_km, far, np.where(d > d0_km, mid, near))
-    if np.ndim(d_km) == 0:
-        return float(out)
-    return out
+    return np.where(d > d1_km, far, np.where(d > d0_km, mid, near))
 
 
 def large_scale_gain(d_km, shadow_db, l0_db: float, cfg: ScenarioConfig):
@@ -118,7 +115,7 @@ def large_scale_gain(d_km, shadow_db, l0_db: float, cfg: ScenarioConfig):
     return 10.0 ** ((pl + np.asarray(shadow_db, dtype=float)) / 10.0)
 
 
-def mmse_alpha(p_u: float, beta, sigma_n2: float):
+def mmse_alpha(p_u: float, beta, sigma_n2: float) -> np.ndarray:
     """Variance of the linear-MMSE channel estimate.
 
     ``alpha = p_u beta^2 / (p_u beta + sigma_n2)``; zero where the channel
@@ -130,10 +127,7 @@ def mmse_alpha(p_u: float, beta, sigma_n2: float):
     b = np.asarray(beta, dtype=float)
     denom = p_u * b + sigma_n2
     safe = np.where(denom > 0, denom, 1.0)
-    out = np.where(denom > 0, p_u * b * b / safe, 0.0)
-    if np.ndim(beta) == 0:
-        return float(out)
-    return out
+    return np.where(denom > 0, p_u * b * b / safe, 0.0)
 
 
 def _grid_positions(n: int, side: float) -> np.ndarray:

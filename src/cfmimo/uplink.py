@@ -101,7 +101,4 @@ def per_user_rate(gamma) -> np.ndarray:
     g = np.asarray(gamma, dtype=float)
     if (g < 0).any():
         raise ValueError("SINR must be >= 0")
-    out = np.log2(1.0 + g)
-    if np.ndim(gamma) == 0:
-        return float(out)
-    return out
+    return np.log2(1.0 + g)

@@ -204,6 +204,24 @@ def test_screen_flags_exactly_what_the_svd_rule_flags():
     assert bad.tolist() == [svd_rule(a) for a in batch]
 
 
+def test_invert_grams_raises_when_the_solve_fails_on_regular_matrices(
+        monkeypatch):
+    # the SVD rule flags nothing, so no redraw could mend the block and a
+    # pass must not go on without an inverse
+    rng = np.random.default_rng(4)
+
+    def failing_solve(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(channel.np.linalg, "solve", failing_solve)
+    with pytest.raises(NumericalError, match="solve failed on regular"):
+        invert_grams(regular_grams(rng, 3))
+    g = complex_normal(rng, 1.0, (3, 12, 4))
+    with pytest.raises(NumericalError, match="solve failed on regular"):
+        GramPass(3, lambda b: (complex_normal(rng, 1.0, (b, 12, 4)),)
+                 ).invert((g,))
+
+
 def test_gram_pass_keeps_the_stream_without_redraws():
     profile = make_profile([[1.0, 2.0, 0.5]] * 4, [[0.5, 1.0, 0.25]] * 4,
                            n_t=2)

@@ -386,11 +386,11 @@ def test_zf_pass_redraws_a_singular_draw_right_after_its_block(monkeypatch):
     est, used, redraws, log, cfg, profile = singular_zf_pass(
         monkeypatch, {0: [1], 2: [100]})
     assert est.n_resampled == 2
-    # each block, its inversion, then its redraw and the redraw's inversion
+    # each block, its inversion, then its redraw and the block's inversion
     assert log == [("block", 700), ("invert", 700), ("redraw", 1),
-                   ("invert", 1), ("block", 700), ("invert", 700),
+                   ("invert", 700), ("block", 700), ("invert", 700),
                    ("block", 300), ("invert", 300), ("redraw", 1),
-                   ("invert", 1)]
+                   ("invert", 300)]
     # both parts of each singular draw are replaced in place by the redraw
     for (hat, err), index, (new_hat, new_err) in zip(
             [used[0], used[2]], [1, 100], redraws):
