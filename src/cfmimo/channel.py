@@ -184,11 +184,8 @@ class GramPass:
         self.redrawn = 0
         self._conj = self._gram = np.empty((0, 0, 0))
 
-    def settle(self, used: int) -> None:
-        """Raise unless the redraws fit the budget of ``used`` draws."""
-        self._hold(used, "used")
-
-    def _hold(self, n: int, label: str) -> None:
+    def settle(self, n: int, label: str = "used") -> None:
+        """Raise unless the redraws fit the budget of ``n`` draws."""
         if self.redrawn > max(1, math.ceil(SINGULAR_FRACTION * n)):
             raise NumericalError(
                 f"more than {SINGULAR_FRACTION:.0%} of estimate draws "
@@ -213,7 +210,7 @@ class GramPass:
         inv, bad = invert_grams(gram)
         while bad.any():
             self.redrawn += int(bad.sum())
-            self._hold(self.n, "requested")
+            self.settle(self.n, "requested")
             idx = np.flatnonzero(bad)
             fresh = self.redraw(idx.size)
             for part, new in zip(parts, fresh):

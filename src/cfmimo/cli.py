@@ -120,8 +120,7 @@ def _cmd_sweep(args) -> int:
     records = experiment.sweep(cfg, nt_list, ratios, jobs=args.jobs,
                                progress=progress)
     experiment.write_records_csv(records, args.output)
-    experiment.write_metadata(args.output, cfg, records, quick=args.quick,
-                              jobs=args.jobs)
+    experiment.write_metadata(args.output, cfg, records)
     print(f"wrote {len(records)} records to {args.output} "
           f"(+ {experiment.metadata_path(args.output)})")
     return 0

@@ -10,8 +10,8 @@ call it, so the validation checks the ZF route the sweep takes.
 
 The sweep varies antennas per site at a fixed antenna total, crosses the
 resulting rates with per-antenna/per-site cost ratios, and writes one CSV
-row per (scheme, antenna count, cost ratio) plus a JSON sidecar recording
-exactly how the run was produced.
+row per (scheme, antenna count, cost ratio) plus a JSON sidecar of the
+config, grids and per-split statistics, byte-identical for any worker count.
 
 Costs are counted in units of the cost of one site, so a cost ratio is the
 price of one antenna in those units.  Splitting the antennas into ``n_ap``
@@ -198,13 +198,16 @@ def sweep(cfg: ScenarioConfig, nt_list=None, cv_ratios=None, jobs: int = 1,
           progress=None) -> list[SweepRecord]:
     """Antenna-split sweep at a fixed antenna budget.
 
-    Each ``nt_list`` entry must make a valid :class:`ScenarioConfig` (an
-    integer >= 1 dividing the antenna total), and neither grid may repeat
-    an entry; both are checked before any drop runs.  Each cost ratio
-    prices the split through :func:`deployment_cost`.
+    Each ``nt_list`` entry replaces ``cfg.antennas_per_ap``, which must be
+    1, and must be an integer >= 1 dividing the antenna total; neither grid
+    may repeat an entry.  All is checked before any drop runs.  Each cost
+    ratio prices the split through :func:`deployment_cost`.
     """
     nt_list = list(DEFAULT_NT_SWEEP if nt_list is None else nt_list)
     cv_ratios = list(DEFAULT_COST_RATIOS if cv_ratios is None else cv_ratios)
+    if cfg.antennas_per_ap != 1:
+        raise ConfigError(f"antennas_per_ap must be 1 under sweep, which "
+                          f"takes it from --nt, got {cfg.antennas_per_ap}")
     if not nt_list:
         raise ConfigError("empty antenna sweep")
     if not cv_ratios:
@@ -263,17 +266,17 @@ def metadata_path(csv_path) -> str:
     return str(csv_path) + ".meta.json"
 
 
-def write_metadata(csv_path, cfg: ScenarioConfig, records: list[SweepRecord],
-                   quick: bool = False, jobs: int = 1) -> None:
-    """JSON sidecar: config, grids, seeds, sample sizes and run statistics.
+def write_metadata(csv_path, cfg: ScenarioConfig,
+                   records: list[SweepRecord]) -> None:
+    """JSON sidecar: each fact that fixes the CSV, once.
 
-    The antenna counts and cost ratios are read off ``records`` in their
-    order, which :func:`sweep` makes exact by rejecting repeated entries.
-    Per antenna count it records the sum-rate standard error of each scheme
-    and each key of the ZF records' ``zf`` dicts (see the module
-    docstring).  Content is a pure function of the run inputs and outputs
-    (no timestamps), so reruns of the same experiment produce identical
-    files.
+    The keys are ``version``; ``config``, which holds the seed, drops and
+    ZF draw controls; ``nt_list`` and ``cv_cf_ratios``, read off
+    ``records`` in their order, which :func:`sweep` makes exact by
+    rejecting repeated entries; ``sum_rate_stderr`` per scheme and antenna
+    count; and each key of the ZF records' ``zf`` dicts per antenna count
+    (see the module docstring).  With no timestamp or worker count, a rerun
+    at any ``jobs`` writes the same bytes.
     """
     stderr, zf = {}, {}
     for r in records:
@@ -285,13 +288,6 @@ def write_metadata(csv_path, cfg: ScenarioConfig, records: list[SweepRecord],
         "config": dataclasses.asdict(cfg),
         "nt_list": list(dict.fromkeys(r.n_t for r in records)),
         "cv_cf_ratios": list(dict.fromkeys(r.cv_cf_ratio for r in records)),
-        "master_seed": cfg.master_seed,
-        "drops": cfg.drops,
-        "chi_samples": cfg.chi_samples,
-        "chi_rel_se": cfg.chi_rel_se,
-        "percentile_pool_size": cfg.drops * cfg.num_users,
-        "quick": bool(quick),
-        "jobs": int(jobs),
         "sum_rate_stderr": stderr,
         **zf,
     }

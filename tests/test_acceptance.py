@@ -304,8 +304,8 @@ def test_criterion_8_cost_effectiveness_decreases(full_scale_sweep,
 def test_criterion_9_worker_count_determinism(tmp_path, acceptance_record):
     cfg_path = tmp_path / "det.json"
     cfg_path.write_text(json.dumps(
-        {"total_antennas": 24, "antennas_per_ap": 2, "num_users": 3,
-         "drops": 6, "chi_samples": 50, "master_seed": 9}))
+        {"total_antennas": 24, "num_users": 3, "drops": 6,
+         "chi_samples": 50, "master_seed": 9}))
     outputs = {}
     for jobs in ("1", "2"):
         out = tmp_path / f"jobs{jobs}.csv"
@@ -313,9 +313,11 @@ def test_criterion_9_worker_count_determinism(tmp_path, acceptance_record):
                          "--ratios", "0.1,0.5", "--jobs", jobs,
                          "--output", str(out)])
         assert code == 0
-        outputs[jobs] = out.read_bytes()
+        outputs[jobs] = (out.read_bytes(),
+                         (tmp_path / f"jobs{jobs}.csv.meta.json").read_bytes())
     ok = outputs["1"] == outputs["2"]
-    detail = (f"same seed with 1 and 2 workers wrote byte-identical result "
-              f"files ({len(outputs['1'])} bytes)")
+    detail = (f"same seed with 1 and 2 workers wrote byte-identical CSV and "
+              f"sidecar ({len(outputs['1'][0])} and {len(outputs['1'][1])} "
+              f"bytes)")
     acceptance_record(9, ok, detail)
     assert ok, detail

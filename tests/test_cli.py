@@ -1,4 +1,3 @@
-import hashlib
 import json
 
 import pytest
@@ -8,8 +7,8 @@ from cfmimo.channel import NumericalError
 from cfmimo.cli import main
 from cfmimo.experiment import DEFAULT_COST_RATIOS, DEFAULT_NT_SWEEP
 
-TINY = {"total_antennas": 24, "antennas_per_ap": 2, "num_users": 3,
-        "drops": 4, "chi_samples": 40, "master_seed": 11}
+TINY = {"total_antennas": 24, "num_users": 3, "drops": 4, "chi_samples": 40,
+        "master_seed": 11}
 
 
 @pytest.fixture
@@ -65,15 +64,17 @@ def test_sweep_sidecar_is_strict_json_at_the_fewest_zf_draws(tmp_path,
 
 
 def test_sweep_deterministic_across_worker_counts(tmp_path, tiny_config):
-    digests = {}
+    # the CSV and its sidecar both
+    outputs = {}
     for jobs in ("1", "2"):
         out = tmp_path / f"j{jobs}.csv"
         code = main(["sweep", "--config", tiny_config, "--nt", "1,3",
                      "--ratios", "0.05,0.25", "--jobs", jobs,
                      "--output", str(out)])
         assert code == 0
-        digests[jobs] = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digests["1"] == digests["2"]
+        outputs[jobs] = (out.read_bytes(),
+                         (tmp_path / f"j{jobs}.csv.meta.json").read_bytes())
+    assert outputs["1"] == outputs["2"]
 
 
 def test_sweep_rerun_is_byte_identical(tmp_path, tiny_config):
@@ -97,19 +98,22 @@ def test_sweep_quick_scales_drops(tmp_path):
     row = out.read_text().splitlines()[1].split(",")
     assert row[4] == "4"          # 40 drops scaled down 10x
     meta = json.loads((tmp_path / "q.csv.meta.json").read_text())
-    assert meta["quick"] is True
+    assert meta["config"]["drops"] == 4
 
 
 def test_sweep_invalid_nt_exits_1(tmp_path, tiny_config, capsys,
                                   monkeypatch):
     # a bad antenna count, a non-finite cost ratio, a repeated entry in
-    # either grid, an empty grid or a non-number stops the run before any
-    # drop runs or anything is written; a repeated entry would run its drops
-    # twice and write each row twice, and an empty flag is not an absent one
+    # either grid, an empty grid, a non-number or a config antennas_per_ap
+    # that --nt would overwrite stops the run before any drop runs or
+    # anything is written; a repeated entry would run its drops twice and
+    # write each row twice, and an empty flag is not an absent one
     def no_drop(*args):
         raise AssertionError("a drop ran")
 
     monkeypatch.setattr(experiment, "run_drop", no_drop)
+    split = tmp_path / "split.json"
+    split.write_text(json.dumps(dict(TINY, antennas_per_ap=2)))
     for grid, why in ((["--nt", "5"], "must divide"),
                       (["--nt", "0"], "must be >= 1"),
                       (["--nt", "2", "--ratios", "0.1,inf"], "finite"),
@@ -118,7 +122,10 @@ def test_sweep_invalid_nt_exits_1(tmp_path, tiny_config, capsys,
                        "repeated cost ratios"),
                       (["--nt", ""], "empty antenna sweep"),
                       (["--nt", "2", "--ratios", ""], "empty cost-ratio list"),
-                      (["--nt", "2,x"], "expects comma-separated integers")):
+                      (["--nt", "2,x"], "expects comma-separated integers"),
+                      (["--nt", "2", "--config", str(split)],
+                       "antennas_per_ap must be 1 under sweep, which takes "
+                       "it from --nt")):
         out = tmp_path / "x.csv"
         code = main(["sweep", "--config", tiny_config, *grid,
                      "--output", str(out)])
@@ -126,6 +133,7 @@ def test_sweep_invalid_nt_exits_1(tmp_path, tiny_config, capsys,
         err = capsys.readouterr().err
         assert "config error" in err and why in err
         assert not out.exists()
+
 
 
 def test_sweep_numerical_failure_exits_2(tmp_path, tiny_config, capsys,
@@ -318,11 +326,11 @@ def test_sweep_sidecar_carries_zf_diagnostics_for_any_worker_count(
                      "--output", str(out)]) == 0
         metas.append(json.loads((tmp_path / f"jobs{jobs}.csv.meta.json")
                                 .read_text(), parse_constant=strict))
+    assert metas[0] == metas[1]
     for key in ("zf_redraws", "zf_draws", "zf_equivalent_drops",
                 "zf_sampled_drops", "zf_max_antenna_share",
                 "zf_peak_load_rel_se", "zf_chi_rel_se"):
         assert set(metas[0][key]) == {"1", "2", "3", "6"}
-        assert metas[0][key] == metas[1][key]
     # draws are counted over the sampled drops, each within the cap, and
     # both standard errors are null exactly where no drop sampled
     for n_t, sampled in metas[0]["zf_sampled_drops"].items():
@@ -331,7 +339,7 @@ def test_sweep_sidecar_carries_zf_diagnostics_for_any_worker_count(
         assert draws <= sampled * TINY["chi_samples"]
         for key in ("zf_peak_load_rel_se", "zf_chi_rel_se"):
             assert (metas[0][key][n_t] is None) == (sampled == 0)
-    assert metas[0]["chi_rel_se"] == metas[0]["config"]["chi_rel_se"] == 0.05
+    assert metas[0]["config"]["chi_rel_se"] == 0.05
     meta = metas[0]
     assert all(v == 0 for v in meta["zf_redraws"].values())
     # n_t = 3 has shares 0.97, 0.48, 0.49 and 0.73; n_t = 6 is bounded by

@@ -12,8 +12,8 @@ from cfmimo.experiment import (CSV_COLUMNS, DEFAULT_COST_RATIOS,
                                write_metadata, write_records_csv)
 from cfmimo.scenario import ConfigError, ScenarioConfig
 
-SMALL = ScenarioConfig(total_antennas=30, antennas_per_ap=2, num_users=4,
-                       drops=6, chi_samples=60, master_seed=77)
+SMALL = ScenarioConfig(total_antennas=30, num_users=4, drops=6,
+                       chi_samples=60, master_seed=77)
 
 
 def test_run_drop_shapes_and_determinism():
@@ -48,11 +48,12 @@ def test_run_drop_error_carries_drop_index(monkeypatch):
     def boom(*args, **kwargs):
         raise NumericalError("synthetic failure")
 
-    # drop 3 of SMALL (n_t = 2) has share 1.09, so it samples its moments
-    assert run_drop(SMALL, 3)[2].zf["zf_sampled_drops"] == 1
+    # drop 3 of SMALL at n_t = 2 has share 1.09, so it samples its moments
+    two = dataclasses.replace(SMALL, antennas_per_ap=2)
+    assert run_drop(two, 3)[2].zf["zf_sampled_drops"] == 1
     monkeypatch.setattr(exp, "zfp_moments", boom)
     with pytest.raises(NumericalError) as err:
-        run_drop(SMALL, 3)
+        run_drop(two, 3)
     assert str(err.value).startswith("drop 3:")
     # the equivalent runs first on every drop, so its failure is tagged too
     monkeypatch.setattr(exp, "zfp_equivalent", boom)
@@ -118,8 +119,8 @@ def test_sweep_record_grid_and_invariants():
 
 
 def test_sweep_defaults_shape():
-    cfg = dataclasses.replace(SMALL, total_antennas=300, antennas_per_ap=1,
-                              num_users=4, drops=1, chi_samples=30)
+    cfg = dataclasses.replace(SMALL, total_antennas=300, num_users=4,
+                              drops=1, chi_samples=30)
     records = sweep(cfg)
     assert len(records) == 3 * len(DEFAULT_NT_SWEEP) * len(DEFAULT_COST_RATIOS)
     assert {r.n_t for r in records} == set(DEFAULT_NT_SWEEP)
@@ -189,7 +190,7 @@ def test_csv_and_metadata_outputs(tmp_path):
     records = sweep(SMALL, nt_list=[2], cv_ratios=[0.1, 0.25])
     out = tmp_path / "out.csv"
     write_records_csv(records, out)
-    write_metadata(out, SMALL, records, quick=False, jobs=1)
+    write_metadata(out, SMALL, records)
     lines = out.read_text().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 1 + len(records)
@@ -198,12 +199,14 @@ def test_csv_and_metadata_outputs(tmp_path):
     assert first[1] == "2" and first[2] == "15"
     assert first[11] == "77"
     meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
+    # each fact once: seeds, drops and draw controls live in the config
+    assert set(meta) == {"version", "config", "nt_list", "cv_cf_ratios",
+                         "sum_rate_stderr", *records[-1].zf}
     assert meta["config"]["total_antennas"] == 30
+    assert meta["config"]["drops"] == 6
+    assert meta["config"]["master_seed"] == 77
     assert meta["nt_list"] == [2]
     assert meta["cv_cf_ratios"] == [0.1, 0.25]
-    assert meta["drops"] == 6
-    assert meta["master_seed"] == 77
-    assert "sum_rate_stderr" in meta
     assert metadata_path(out) == str(out) + ".meta.json"
 
 
@@ -263,9 +266,9 @@ def test_zf_report_carries_its_moment_diagnostics():
 # breakpoints, so every propagation constant reaches the rates.  The ZF
 # moments draw their whole cap, which spans blocks of 910 draws, so both
 # the cap and a precision target that stops at a block boundary act.
-FIELD_BASE = ScenarioConfig(total_antennas=24, antennas_per_ap=2,
-                            num_users=3, area_side_km=0.1, drops=2,
-                            chi_samples=2000, chi_rel_se=0.0, master_seed=4)
+FIELD_BASE = ScenarioConfig(total_antennas=24, num_users=3,
+                            area_side_km=0.1, drops=2, chi_samples=2000,
+                            chi_rel_se=0.0, master_seed=4)
 
 # one alternative value per ScenarioConfig field
 FIELD_ALTERNATIVES = {
@@ -308,8 +311,10 @@ def _output(cfg: ScenarioConfig, path) -> str:
 def test_every_config_field_changes_the_output(field, value, tmp_path):
     changed = dataclasses.replace(FIELD_BASE, **{field: value})
     if field == "antennas_per_ap":
-        # the sweep takes antennas per site from its n_t grid; the field
-        # acts where one split is run
+        # the sweep takes antennas per site from its n_t grid and rejects
+        # the field; it acts where one split is run
+        with pytest.raises(ConfigError, match="antennas_per_ap must be 1"):
+            _output(changed, tmp_path / "alt.csv")
         base, alt = run_drop(FIELD_BASE, 0), run_drop(changed, 0)
         assert not np.array_equal(base[0].per_user_se, alt[0].per_user_se)
         return

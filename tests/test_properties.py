@@ -302,7 +302,8 @@ def test_invert_grams_screen_flags_what_the_svd_rule_flags(k, log_conds,
 @given(small_configs(), st.integers(1, 3), st.integers(8, 40))
 def test_sweep_records_do_not_depend_on_the_worker_count(cfg, drops,
                                                          chi_samples):
-    cfg = dataclasses.replace(cfg, drops=drops, chi_samples=chi_samples)
     nt_list = sorted({1, cfg.antennas_per_ap})
+    cfg = dataclasses.replace(cfg, antennas_per_ap=1, drops=drops,
+                              chi_samples=chi_samples)
     assert experiment.sweep(cfg, nt_list, [0.1], jobs=1) \
         == experiment.sweep(cfg, nt_list, [0.1], jobs=2)
