@@ -97,7 +97,7 @@ def _resolve_config(args, default=ScenarioConfig) -> ScenarioConfig:
         changes["master_seed"] = args.seed
     if getattr(args, "drops", None) is not None:   # validate has no --drops
         changes["drops"] = args.drops
-    if args.quick:
+    if args.quick and hasattr(args, "drops"):       # nor drops to scale
         changes["drops"] = max(1, changes.get("drops", cfg.drops)
                                // QUICK_FACTOR)
     if changes:

@@ -8,7 +8,8 @@ between the two paths is evidence, not circularity.
 
 Every pass is one loop over the blocks :func:`channel.block_sizes` plans
 (409 draws at 40 antennas and 4 users), and one pass serves every link it
-is asked for (:func:`simulate_links`).  A block draws, in this order:
+is asked for (:func:`simulate_links`) and every user of each link.  A
+block draws, in this order:
 
 - the estimates, then the errors (:func:`channel.sample_channel_batch`);
 - one unit-power symbol per user, (b, users), which every link reads;
@@ -29,8 +30,11 @@ Carlo Methods in Financial Engineering*, 2003, sec. 4.2).  Each link reads
 joint channels, symbols and noise of exactly the law it reads when it runs
 alone, independent from draw to draw, so every row of the report keeps its
 law and its standard error; only the estimates of different links become
-correlated with each other.  A redraw conditions on a singular Gram matrix
-not occurring, an event of probability zero, so it changes no link's law.
+correlated with each other.  So it is between the users of a link, who all
+read the one uplink noise draw per antenna, or the one noise sample at the
+user that CBF and ZF share: each user's noise part keeps its law
+CN(0, sigma^2).  A redraw conditions on a singular Gram matrix not
+occurring, an event of probability zero, so it changes no link's law.
 
 All estimators are plain sample means with standard errors; the validation
 report pairs them with their closed-form counterparts and flags relative
@@ -69,8 +73,9 @@ ZFP_IUI_ABS_TOL = 1e-9
 
 @dataclass(frozen=True)
 class TermEstimate:
-    """Empirical powers of the received-sample parts of one link, one user.
+    """Empirical powers of the received-sample parts of one link.
 
+    Each value but the last two is a (users,) array, or a dict of them.
     ``powers``/``stderrs`` are keyed by part label, the desired part first;
     ``correlations`` holds the normalized cross moments
     |E t_a conj(t_b)| / sqrt(P_a P_b) keyed "a/b" (orthogonal parts should
@@ -85,7 +90,7 @@ class TermEstimate:
     powers: dict
     stderrs: dict
     correlations: dict
-    empirical_sinr: float
+    empirical_sinr: np.ndarray
     n_resampled: int = 0
     max_est_iui: float | None = None
 
@@ -110,130 +115,123 @@ class _Block(NamedTuple):
 
 
 class _Link:
-    """One link's estimator for user ``k``: per-draw parts, folded into sums.
+    """One link's estimator for every user: per-draw parts, folded into sums.
 
     A subclass checks its power scale and precomputes what every block
-    shares in its constructor, and splits a block into per-draw parts,
-    keyed by ``labels`` with the desired part first, in :meth:`parts`.
-    :meth:`add` reduces a block before the next is drawn; :meth:`estimate`
-    applies the one SINR rule, and ZF extends it with its audit.
+    shares in its constructor, and splits a block into per-draw parts in
+    :meth:`parts`: one (b, users) array per label, the desired part first,
+    or (b, 1) for a part every user reads alike.  :meth:`add` reduces a
+    block before the next is drawn; :meth:`estimate` applies the one SINR
+    rule, and ZF extends it with its audit.
     """
 
     labels = TERMS
 
-    def __init__(self, alpha: np.ndarray, k: int):
-        self.k = k
+    def __init__(self, alpha: np.ndarray):
         self.m, self.users = alpha.shape
-        self.others = np.delete(np.arange(self.users), k)
+        self.diag = np.arange(self.users)
         size = len(self.labels)
-        self._sums, self._sq_sums = np.zeros(size), np.zeros(size)
-        self._cross = np.zeros((size, size), dtype=complex)
-        self._rest_sq = 0.0
+        self._sq_sums = np.zeros((self.users, size))
+        # per user, the sum over draws of t t^H, t the draw's parts
+        self._moments = np.zeros((self.users, size, size), dtype=complex)
+
+    def matched(self, mean, own, err, sent) -> dict:
+        """The four signal parts of a filter matched to the estimates.
+
+        Entry [k, i] of ``own`` (overwritten) and ``err``, (b, users, users),
+        carries stream i to user k through the estimates and the errors;
+        ``mean`` (users,) is the mean of ``own``'s diagonal and ``sent``
+        (b, users) the symbols times their amplitudes.
+        """
+        gain = own.diagonal(axis1=1, axis2=2).real
+        uncertainty = (gain - mean) * sent
+        own += err
+        own[:, self.diag, self.diag] = 0.0
+        return {"desired": mean * sent, "uncertainty": uncertainty,
+                "est_error": err.diagonal(axis1=1, axis2=2) * sent,
+                "inter_user": np.matmul(own, sent[:, :, None])[:, :, 0]}
 
     def add(self, block: _Block) -> None:
         """Fold one block's per-draw parts into the link's sums."""
         parts = self.parts(block)
-        t = np.stack([parts[a] for a in self.labels])        # (labels, b)
+        t = np.empty((self.users, len(self.labels), len(block.x)), complex)
+        for i, label in enumerate(self.labels):
+            t[:, i] = parts[label].T
+        self._moments += t @ t.conj().transpose(0, 2, 1)
         p = t.real ** 2 + t.imag ** 2
-        self._sums += p.sum(axis=1)
-        self._sq_sums += (p ** 2).sum(axis=1)
-        self._cross += t @ t.conj().T
-        rest = t[1:].sum(axis=0)
-        self._rest_sq += float((rest.real ** 2 + rest.imag ** 2).sum())
+        self._sq_sums += (p ** 2).sum(axis=2)
 
     def estimate(self, n: int) -> TermEstimate:
         """The link's estimate over its ``n`` draws."""
-        labels = self.labels
-        powers = self._sums / n
-        stderrs = np.sqrt(np.maximum(self._sq_sums / n - powers ** 2, 0.0) / n)
+        labels, moments = self.labels, self._moments / n
+        powers = moments.diagonal(axis1=1, axis2=2).real
+        stderrs = np.sqrt(np.maximum(self._sq_sums / n - powers ** 2, 0) / n)
         correlations = {}
         for i, a in enumerate(labels):
             for j in range(i + 1, len(labels)):
-                denom = math.sqrt(powers[i] * powers[j])
-                correlations[f"{a}/{labels[j]}"] = \
-                    abs(self._cross[i, j] / n) / denom if denom > 0 else 0.0
-        rest = self._rest_sq / n
-        sinr = float(powers[0]) / rest if rest > 0 else math.inf
-        return TermEstimate(powers=dict(zip(labels, powers.tolist())),
-                            stderrs=dict(zip(labels, stderrs.tolist())),
+                denom = np.sqrt(powers[:, i] * powers[:, j])
+                correlations[f"{a}/{labels[j]}"] = np.divide(
+                    np.abs(moments[:, i, j]), denom,
+                    out=np.zeros(self.users), where=denom > 0)
+        rest = moments[:, 1:, 1:].sum(axis=(1, 2)).real
+        sinr = np.divide(powers[:, 0], rest,
+                         out=np.full(self.users, math.inf), where=rest > 0)
+        return TermEstimate(powers=dict(zip(labels, powers.T.copy())),
+                            stderrs=dict(zip(labels, stderrs.T.copy())),
                             correlations=correlations, empirical_sinr=sinr)
 
 
 class _Uplink(_Link):
-    """Uplink MRC: the combined sample split as the closed form splits it."""
+    """Uplink MRC: each combined sample split as the closed form splits it."""
 
-    def __init__(self, alpha, k, cfg, pc: uplink.UplinkPowerControl):
-        super().__init__(alpha, k)
+    def __init__(self, alpha, cfg, pc: uplink.UplinkPowerControl):
+        super().__init__(alpha)
         eta = pc.eta
         if eta.shape[0] != self.users:
             raise ConfigError(f"eta has {eta.shape[0]} entries for "
                               f"{self.users} users")
-        p_u = cfg.ue_tx_power
-        self.a_k = float(alpha[:, k].sum())
-        self.scale_k = math.sqrt(p_u * eta[k])
-        self.amp = np.sqrt(p_u * eta)
+        self.a = alpha.sum(axis=0)
+        self.amp = np.sqrt(cfg.ue_tx_power * eta)
 
     def parts(self, block):
-        k, others, x = self.k, self.others, block.x
-        g_hat, g_err = block.g_hat, block.g_err
-        comb = g_hat[:, :, k].conj()                       # (b, antennas)
-        gain = (comb * g_hat[:, :, k]).sum(axis=1).real    # |g_hat_k|^2
-        g_true = np.add(g_hat, g_err, out=block.scratch)
-        proj = np.einsum("cm,cmi->ci", comb, g_true)
-        return {
-            "desired": self.scale_k * self.a_k * x[:, k],
-            "uncertainty": self.scale_k * (gain - self.a_k) * x[:, k],
-            "est_error": self.scale_k * (comb * g_err[:, :, k]).sum(axis=1)
-            * x[:, k],
-            "inter_user": (self.amp[others] * proj[:, others]
-                           * x[:, others]).sum(axis=1),
-            "noise": (comb * block.w_ul).sum(axis=1),
-        }
+        comb = np.conjugate(block.g_hat, out=block.scratch).transpose(0, 2, 1)
+        return {**self.matched(self.a, comb @ block.g_hat,
+                               comb @ block.g_err, self.amp * block.x),
+                "noise": np.matmul(comb, block.w_ul[:, :, None])[:, :, 0]}
 
 
 class _Cbf(_Link):
-    """Downlink CBF at user k; only user k's true channel column is formed."""
+    """Downlink CBF at every user."""
 
-    def __init__(self, alpha, k, cfg, pc: downlink.CbfPowerControl,
+    def __init__(self, alpha, cfg, pc: downlink.CbfPowerControl,
                  profile: FadingProfile):
-        super().__init__(alpha, k)
+        super().__init__(alpha)
         if pc.eta_site.shape != (profile.num_sites,):
             raise ConfigError(f"eta_site has shape {pc.eta_site.shape} for "
                               f"{profile.num_sites} sites")
-        self.sqrt_eta_m = np.sqrt(np.repeat(pc.eta_site,
-                                            profile.antennas_per_site))
+        self.sqrt_eta_m = np.sqrt(np.repeat(
+            pc.eta_site, profile.antennas_per_site))[:, None]
         self.sp = math.sqrt(cfg.ap_per_antenna_tx_power)
-        self.coherent = float((self.sqrt_eta_m * alpha[:, k]).sum())
+        self.coherent = (self.sqrt_eta_m * alpha).sum(axis=0)
 
     def parts(self, block):
-        k, sp, u, sqrt_eta_m = self.k, self.sp, block.x, self.sqrt_eta_m
-        hat_k, err_k = block.g_hat[:, :, k], block.g_err[:, :, k]
-        gain = ((hat_k.real ** 2 + hat_k.imag ** 2) * sqrt_eta_m).sum(axis=1)
         weighted = np.conjugate(block.g_hat, out=block.scratch)
-        weighted *= sqrt_eta_m[None, :, None]
-        proj = np.einsum("cm,cmi->ci", hat_k + err_k, weighted)
-        return {
-            "desired": sp * self.coherent * u[:, k],
-            "uncertainty": sp * (gain - self.coherent) * u[:, k],
-            "est_error": sp * (hat_k.conj() * err_k * sqrt_eta_m).sum(axis=1)
-            * u[:, k],
-            "inter_user": sp * (proj[:, self.others]
-                                * u[:, self.others]).sum(axis=1),
-            "noise": block.w_dl,
-        }
+        weighted *= self.sqrt_eta_m                     # every user's beam
+        return {**self.matched(self.coherent,
+                               block.g_hat.transpose(0, 2, 1) @ weighted,
+                               block.g_err.transpose(0, 2, 1) @ weighted,
+                               self.sp * block.x),
+                "noise": block.w_dl[:, None]}
 
 
 class _Zfp(_Link):
-    """Downlink ZFP at user k with a fresh precoder per draw.
-
-    ``grams`` is the pass's :class:`channel.GramPass`, whose redraws and
-    one budget this link reports.
-    """
+    """Downlink ZFP with a fresh precoder per draw; ``grams`` is the pass's
+    :class:`channel.GramPass`, whose redraws and one budget it reports."""
 
     labels = ("desired", "residual", "noise")
 
-    def __init__(self, alpha, k, cfg, eta_common: float, grams: GramPass):
-        super().__init__(alpha, k)
+    def __init__(self, alpha, cfg, eta_common: float, grams: GramPass):
+        super().__init__(alpha)
         if not (math.isfinite(eta_common) and eta_common >= 0):
             raise ConfigError(f"eta_common must be finite and >= 0, "
                               f"got {eta_common}")
@@ -247,50 +245,49 @@ class _Zfp(_Link):
 
     def parts(self, block):
         batch, u = block.zf, block.x
-        # the unscaled precoder
+        # the unscaled precoder, the signal it sends from every antenna, and
+        # what each user receives of that through its error
         w_mat = np.matmul(batch.g_conj, batch.inv, out=block.scratch)
-        leak = np.einsum("cm,cmi->ci", block.g_err[:, :, self.k], w_mat)
+        leak = (u[:, None, :] @ w_mat.transpose(0, 2, 1) @ block.g_err)[:, 0]
         response = batch.gram @ batch.inv - self.eye   # estimated-channel IUI
         self.max_iui = max(self.max_iui, float(np.abs(response).max()))
-        return {"desired": self.sqrt_pe * u[:, self.k],
-                "residual": self.sqrt_pe * (leak * u).sum(axis=1),
-                "noise": block.w_dl}
+        return {"desired": self.sqrt_pe * u,
+                "residual": self.sqrt_pe * leak,
+                "noise": block.w_dl[:, None]}
 
     def estimate(self, n):
         return replace(super().estimate(n), n_resampled=self.grams.redrawn,
                        max_est_iui=self.max_iui * math.sqrt(self.eta))
 
 
-def simulate_links(profile: FadingProfile, k: int, cfg: ScenarioConfig,
+def simulate_links(profile: FadingProfile, cfg: ScenarioConfig,
                    n_samples: int, rng: np.random.Generator, *,
                    uplink_pc: uplink.UplinkPowerControl | None = None,
                    cbf_pc: downlink.CbfPowerControl | None = None,
                    zf_eta: float | None = None) -> dict[str, TermEstimate]:
-    """Brute-force every requested link of user ``k`` from one set of draws.
+    """Brute-force every requested link of every user from one set of draws.
 
     A link is requested by its power scale: ``uplink_pc`` for uplink MRC
     (key ``ul``), ``cbf_pc`` for downlink CBF (``cbf``) and the common ZF
     scale ``zf_eta`` for downlink ZFP (``zfp``).  Each block is drawn once,
     in the order the module docstring gives, and every requested link
-    reduces it before the next block is drawn, so ``n_samples`` joint
-    draws serve all of them.  Returns one :class:`TermEstimate` per
-    requested link, keyed in that order.
+    reduces it for all users before the next block is drawn, so
+    ``n_samples`` joint draws serve all of them.  Returns one
+    :class:`TermEstimate` per requested link, keyed in that order.
     """
-    if not 0 <= k < profile.num_users:
-        raise ConfigError(f"user index {k} out of range")
     if n_samples < 1:
         raise ConfigError(f"oracle needs at least 1 sample, got {n_samples}")
     alpha = expand_site_to_antennas(profile)
     links: dict[str, _Link] = {}
     if uplink_pc is not None:
-        links["ul"] = _Uplink(alpha, k, cfg, uplink_pc)
+        links["ul"] = _Uplink(alpha, cfg, uplink_pc)
     if cbf_pc is not None:
-        links["cbf"] = _Cbf(alpha, k, cfg, cbf_pc, profile)
+        links["cbf"] = _Cbf(alpha, cfg, cbf_pc, profile)
     grams = None
     if zf_eta is not None:
         grams = GramPass(n_samples,
                          lambda b: sample_channel_batch(profile, rng, b))
-        links["zfp"] = _Zfp(alpha, k, cfg, zf_eta, grams)
+        links["zfp"] = _Zfp(alpha, cfg, zf_eta, grams)
     if not links:
         raise ConfigError("no link requested")
     m, users = alpha.shape
@@ -314,53 +311,36 @@ def simulate_links(profile: FadingProfile, k: int, cfg: ScenarioConfig,
 
 
 def simulate_uplink_terms(profile: FadingProfile,
-                          pc: uplink.UplinkPowerControl, k: int,
+                          pc: uplink.UplinkPowerControl,
                           cfg: ScenarioConfig, n_samples: int,
                           rng: np.random.Generator) -> TermEstimate:
-    """Brute-force the five uplink parts for user ``k``.
-
-    Per draw: joint channels, unit-power symbols and receiver noise at
-    every antenna, then the combined sample is split exactly as the
-    closed-form derivation splits it, so the parts sum to the combiner
-    output.  The true channel is formed one block at a time.  This is
-    :func:`simulate_links` with the uplink alone.
-    """
-    return simulate_links(profile, k, cfg, n_samples, rng,
-                          uplink_pc=pc)["ul"]
+    """Brute-force the five uplink parts of every user, split as the
+    closed-form derivation splits the combiner output: :func:`simulate_links`
+    with the uplink alone."""
+    return simulate_links(profile, cfg, n_samples, rng, uplink_pc=pc)["ul"]
 
 
 def simulate_downlink_cbf(profile: FadingProfile, pc: downlink.CbfPowerControl,
-                          k: int, cfg: ScenarioConfig, n_samples: int,
-                          rng: np.random.Generator) -> TermEstimate:
-    """Brute-force the CBF downlink parts for user ``k``.
-
-    Per draw: joint channels, unit-power symbols and one noise sample at
-    the user; only user k's column of the true channel is formed.  This is
-    :func:`simulate_links` with CBF alone.
-    """
-    return simulate_links(profile, k, cfg, n_samples, rng, cbf_pc=pc)["cbf"]
-
-
-def simulate_downlink_zfp(profile: FadingProfile, eta_common: float, k: int,
                           cfg: ScenarioConfig, n_samples: int,
                           rng: np.random.Generator) -> TermEstimate:
-    """Brute-force the ZFP link for user ``k`` with a fresh precoder per draw.
+    """Brute-force the CBF downlink parts of every user:
+    :func:`simulate_links` with CBF alone."""
+    return simulate_links(profile, cfg, n_samples, rng, cbf_pc=pc)["cbf"]
+
+
+def simulate_downlink_zfp(profile: FadingProfile, eta_common: float,
+                          cfg: ScenarioConfig, n_samples: int,
+                          rng: np.random.Generator) -> TermEstimate:
+    """Brute-force the ZFP link of every user: :func:`simulate_links` with
+    ZFP alone.
 
     The parts are ``desired``, ``residual`` and ``noise``.  Through the
     estimated channels the precoder is exactly diagonal, so the only
     interference is the estimation error leaking through the
-    pseudo-inverse; ``max_est_iui`` reports the worst off-diagonal of the
-    estimated-channel response as a numerical audit.
-
-    Each block is pushed to one :class:`channel.GramPass` over all
-    ``n_samples`` draws, so a singular draw is redrawn (estimate and
-    error, in place) right after its block's noise, ``n_resampled`` counts
-    the redraws, and one redraw budget covers the whole pass.  Each
-    block's precoder is its conjugate estimates times its inverse Gram, so
-    the precoder exists one block at a time and the true channel is never
-    formed.  This is :func:`simulate_links` with ZFP alone.
+    pseudo-inverse, the user's own stream included; ``max_est_iui``
+    audits the estimated-channel response.
     """
-    return simulate_links(profile, k, cfg, n_samples, rng,
+    return simulate_links(profile, cfg, n_samples, rng,
                           zf_eta=eta_common)["zfp"]
 
 
@@ -413,11 +393,16 @@ def validate_instance(cfg: ScenarioConfig,
     does, so the ZFP closed form takes the moments the sweep would take;
     the drop's stream, after any moment draws, then serves one
     :func:`simulate_links` pass of ``n_samples`` joint draws for all three
-    links.  User 0 is inspected, and one row is returned per compared
-    quantity.  Relative tolerances hold as stated at the reference sample
-    count and widen like 1/sqrt(n) below it; at 250 samples or fewer the
-    widest would reach 100% and pass anything, so such counts are rejected.
+    links and every user.  User 0's estimates are reported, and one row is
+    returned per compared quantity.  Relative tolerances hold as stated at
+    the reference sample count and widen like 1/sqrt(n) below it; at 250
+    samples or fewer the widest would reach 100% and pass anything, so such
+    counts are rejected.  A drop count other than the field default is
+    rejected too, since only drop 0 is inspected.
     """
+    if cfg.drops != ScenarioConfig.drops:
+        raise ConfigError(f"validate inspects drop 0 only, so drops must "
+                          f"be {ScenarioConfig.drops}, got {cfg.drops}")
     floor = REFERENCE_SAMPLES * max(TERM_TOL, SINR_TOL, ZFP_SINR_TOL) ** 2
     if not n_samples > floor:
         raise ConfigError(f"validate needs more than {floor:.0f} samples "
@@ -428,7 +413,7 @@ def validate_instance(cfg: ScenarioConfig,
     rng, profile, zf, _ = draw_drop(cfg, 0)
     ul_pc = uplink.UplinkPowerControl.full_power(cfg.num_users)
     cbf_pc = downlink.cbf_power(profile)
-    est = simulate_links(profile, 0, cfg, n_samples, rng, uplink_pc=ul_pc,
+    est = simulate_links(profile, cfg, n_samples, rng, uplink_pc=ul_pc,
                          cbf_pc=cbf_pc, zf_eta=zf.eta)
     rows: list[ValidationRow] = []
 
@@ -441,14 +426,15 @@ def validate_instance(cfg: ScenarioConfig,
         closed = term_powers(profile, pc, cfg)
         for label in TERMS:
             rows.append(_row(f"{prefix}_{label}", float(closed[label][0]),
-                             est[prefix].powers[label], term_tol, n_samples))
+                             est[prefix].powers[label][0], term_tol,
+                             n_samples))
         rows.append(_row(f"{prefix}_sinr",
                          float(sinr_all(profile, pc, cfg)[0]),
-                         est[prefix].empirical_sinr, sinr_tol, n_samples))
+                         est[prefix].empirical_sinr[0], sinr_tol, n_samples))
 
     # ZFP SINR and the estimated-channel interference audit
     closed_zfp = float(downlink.zfp_sinr_all(profile, zf, cfg)[0])
-    rows.append(_row("zfp_sinr", closed_zfp, est["zfp"].empirical_sinr,
+    rows.append(_row("zfp_sinr", closed_zfp, est["zfp"].empirical_sinr[0],
                      ZFP_SINR_TOL * widen, n_samples))
     rows.append(_row("zfp_est_iui", 0.0, est["zfp"].max_est_iui,
                      ZFP_IUI_ABS_TOL, n_samples))

@@ -93,16 +93,16 @@ def test_criterion_1_uplink_oracle(reference_instance, acceptance_record):
     eta = UplinkPowerControl.full_power(cfg.num_users)
 
     t0 = time.perf_counter()
-    est = simulate_uplink_terms(profile, eta, 0, cfg, ORACLE_SAMPLES,
+    est = simulate_uplink_terms(profile, eta, cfg, ORACLE_SAMPLES,
                                 np.random.default_rng(11))
     elapsed = time.perf_counter() - t0
 
     closed = uplink_term_variances(profile, eta, cfg)
-    term_errs = {lbl: _relerr(closed[lbl][0], est.powers[lbl])
+    term_errs = {lbl: _relerr(closed[lbl][0], est.powers[lbl][0])
                  for lbl in closed}
     worst = max(term_errs, key=term_errs.get)
     sinr_err = _relerr(uplink_sinr_all(profile, eta, cfg)[0],
-                       est.empirical_sinr)
+                       est.empirical_sinr[0])
 
     ok = (max(term_errs.values()) <= 0.03 and sinr_err <= 0.03
           and elapsed < 60.0)
@@ -118,10 +118,11 @@ def test_criterion_2_cbf_oracle(reference_instance, acceptance_record):
     pc = cbf_power(profile)
 
     t0 = time.perf_counter()
-    est = simulate_downlink_cbf(profile, pc, 0, cfg, ORACLE_SAMPLES,
+    est = simulate_downlink_cbf(profile, pc, cfg, ORACLE_SAMPLES,
                                 np.random.default_rng(21))
     elapsed = time.perf_counter() - t0
-    sinr_err = _relerr(cbf_sinr_all(profile, pc, cfg)[0], est.empirical_sinr)
+    sinr_err = _relerr(cbf_sinr_all(profile, pc, cfg)[0],
+                       est.empirical_sinr[0])
 
     ok = sinr_err <= 0.03 and elapsed < 60.0
     detail = (f"closed-form SINR within 3% of link level ({sinr_err:.2%}), "
@@ -134,9 +135,9 @@ def test_criterion_3_zfp_oracle(reference_instance, acceptance_record):
     cfg, profile = reference_instance
     zf = zfp_moments(profile, cfg, np.random.default_rng(31), CHI_REF_SAMPLES)
     closed = zfp_sinr_all(profile, zf, cfg)[0]
-    est = simulate_downlink_zfp(profile, zf.eta, 0, cfg,
+    est = simulate_downlink_zfp(profile, zf.eta, cfg,
                                 ORACLE_SAMPLES, np.random.default_rng(33))
-    sinr_err = _relerr(closed, est.empirical_sinr)
+    sinr_err = _relerr(closed, est.empirical_sinr[0])
 
     ok = sinr_err <= 0.05 and est.max_est_iui < 1e-9
     detail = (f"closed form with sampled leakage moments within 5% of link "

@@ -297,6 +297,19 @@ def test_validate_rejects_drops(capsys):
     assert "usage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("quick", [[], ["--quick"]], ids=["full", "quick"])
+def test_validate_rejects_a_config_drop_count(tmp_path, capsys, monkeypatch,
+                                              quick):
+    # nor may a config set the drop count validate ignores; it is rejected
+    # before the drop is drawn
+    monkeypatch.setattr(oracle, "draw_drop", None)
+    path = tmp_path / "drops.json"
+    path.write_text(json.dumps({"drops": 4}))
+    assert main(["validate", "--config", str(path)] + quick) == 1
+    err = capsys.readouterr().err
+    assert "validate inspects drop 0 only, so drops must be 200, got 4" in err
+
+
 @pytest.mark.parametrize("command", [["sweep", "--nt", "2"], ["drop"],
                                      ["show-config"], ["validate"]])
 def test_cost_section_is_rejected(tmp_path, capsys, command):

@@ -26,35 +26,37 @@ def reference_profile(seed=0):
 def test_uplink_terms_match_closed_forms():
     cfg, profile, rng = reference_profile(1)
     eta = uplink.UplinkPowerControl.full_power(cfg.num_users)
-    est = simulate_uplink_terms(profile, eta, 0, cfg, N_FAST, rng)
+    est = simulate_uplink_terms(profile, eta, cfg, N_FAST, rng)
     closed = uplink.uplink_term_variances(profile, eta, cfg)
     for label in TERMS:
-        assert est.powers[label] == pytest.approx(closed[label][0],
-                                                  rel=0.03, abs=0), label
+        assert est.powers[label][0] == pytest.approx(closed[label][0],
+                                                     rel=0.03, abs=0), label
     # and the composed empirical SINR against the closed form
     gamma = uplink.uplink_sinr_all(profile, eta, cfg)[0]
-    assert est.empirical_sinr == pytest.approx(gamma, rel=0.03)
+    assert est.empirical_sinr[0] == pytest.approx(gamma, rel=0.03)
 
 
 def test_uplink_terms_uncorrelated():
     cfg, profile, rng = reference_profile(2)
     eta = uplink.UplinkPowerControl.full_power(cfg.num_users)
-    est = simulate_uplink_terms(profile, eta, 0, cfg, N_FAST, rng)
-    # orthogonal parts: normalized cross moments vanish within MC noise
+    est = simulate_uplink_terms(profile, eta, cfg, N_FAST, rng)
+    # orthogonal parts: normalized cross moments vanish within MC noise,
+    # for every user
     bound = 4.0 / np.sqrt(N_FAST)
     for pair, corr in est.correlations.items():
-        assert corr < bound, (pair, corr)
+        assert corr.shape == (cfg.num_users,), pair
+        assert (corr < bound).all(), (pair, corr)
 
 
 def test_uplink_desired_power_is_deterministic_amplitude():
     cfg, profile, rng = reference_profile(3)
     eta = uplink.UplinkPowerControl.full_power(cfg.num_users)
-    est = simulate_uplink_terms(profile, eta, 0, cfg, 5000, rng)
+    est = simulate_uplink_terms(profile, eta, cfg, 5000, rng)
     # the desired part has constant amplitude, so even few samples nail it
     terms = uplink.uplink_term_variances(profile, eta, cfg)
-    assert est.powers["desired"] == pytest.approx(terms["desired"][0],
-                                                  rel=0.05, abs=0)
-    assert est.stderrs["desired"] < 0.05 * est.powers["desired"]
+    assert est.powers["desired"][0] == pytest.approx(terms["desired"][0],
+                                                     rel=0.05, abs=0)
+    assert est.stderrs["desired"][0] < 0.05 * est.powers["desired"][0]
 
 
 def test_uplink_degenerate_perfect_csi_low_noise():
@@ -66,39 +68,39 @@ def test_uplink_degenerate_perfect_csi_low_noise():
     beta = np.full((3, 1), 1e-10)
     profile = FadingProfile(beta=beta, alpha=beta.copy(), antennas_per_site=2)
     est = simulate_uplink_terms(profile, uplink.UplinkPowerControl(eta=[1.0]),
-                                0, cfg, 2000, rng)
-    assert est.powers["est_error"] == 0.0
-    assert est.powers["inter_user"] == 0.0
-    assert est.powers["noise"] < 1e-12 * est.powers["desired"]
+                                cfg, 2000, rng)
+    assert est.powers["est_error"][0] == 0.0
+    assert est.powers["inter_user"][0] == 0.0
+    assert est.powers["noise"][0] < 1e-12 * est.powers["desired"][0]
     # remaining fluctuation: p_u * Var(|g_hat_k|^2) = p_u * n_t sum alpha^2
     expected = cfg.ue_tx_power * 2 * (beta ** 2).sum()
-    assert est.powers["uncertainty"] == pytest.approx(expected, rel=0.1,
-                                                      abs=0)
+    assert est.powers["uncertainty"][0] == pytest.approx(expected, rel=0.1,
+                                                         abs=0)
 
 
 def test_oracle_convergence_rate():
     cfg, profile, _ = reference_profile(5)
     eta = uplink.UplinkPowerControl.full_power(cfg.num_users)
-    est_small = simulate_uplink_terms(profile, eta, 0, cfg, 10_000,
+    est_small = simulate_uplink_terms(profile, eta, cfg, 10_000,
                                       np.random.default_rng(20))
-    est_big = simulate_uplink_terms(profile, eta, 0, cfg, 40_000,
+    est_big = simulate_uplink_terms(profile, eta, cfg, 40_000,
                                     np.random.default_rng(21))
     for label in ("inter_user", "noise"):
-        ratio = est_big.stderrs[label] / est_small.stderrs[label]
+        ratio = est_big.stderrs[label][0] / est_small.stderrs[label][0]
         assert ratio == pytest.approx(0.5, abs=0.1)
 
 
 def test_cbf_terms_and_sinr_match_closed_forms():
     cfg, profile, rng = reference_profile(6)
     pc = downlink.cbf_power(profile)
-    est = simulate_downlink_cbf(profile, pc, 0, cfg, N_FAST, rng)
+    est = simulate_downlink_cbf(profile, pc, cfg, N_FAST, rng)
     gamma = downlink.cbf_sinr_all(profile, pc, cfg)[0]
-    assert est.empirical_sinr == pytest.approx(gamma, rel=0.03)
+    assert est.empirical_sinr[0] == pytest.approx(gamma, rel=0.03)
     # parts are nonzero and sum to the closed denominator (times noise)
     s2 = derive_noise_power(cfg)
-    num = est.powers["desired"]
-    den = sum(est.powers[t] for t in TERMS if t != "desired")
-    assert est.powers["noise"] == pytest.approx(s2, rel=0.03, abs=0)
+    num = est.powers["desired"][0]
+    den = sum(est.powers[t][0] for t in TERMS if t != "desired")
+    assert est.powers["noise"][0] == pytest.approx(s2, rel=0.03, abs=0)
     assert num / den == pytest.approx(gamma, rel=0.05)
 
 
@@ -110,13 +112,13 @@ def test_cbf_single_site_single_user_hand_form():
     profile = FadingProfile(beta=beta, alpha=alpha, antennas_per_site=n_t)
     pc = downlink.cbf_power(profile)
     rng = np.random.default_rng(7)
-    est = simulate_downlink_cbf(profile, pc, 0, cfg, N_FAST, rng)
+    est = simulate_downlink_cbf(profile, pc, cfg, N_FAST, rng)
     p_d = cfg.ap_per_antenna_tx_power
     s2 = derive_noise_power(cfg)
     eta = 1.0 / 3e-11
     expected = (p_d * n_t ** 2 * eta * (3e-11) ** 2
                 / (s2 + p_d * n_t * 5e-11 * eta * 3e-11))
-    assert est.empirical_sinr == pytest.approx(expected, rel=0.03)
+    assert est.empirical_sinr[0] == pytest.approx(expected, rel=0.03)
     assert downlink.cbf_sinr_all(profile, pc, cfg)[0] == pytest.approx(
         expected, rel=1e-12)
 
@@ -125,22 +127,22 @@ def test_cbf_near_zero_power_leaves_only_noise():
     cfg, profile, rng = reference_profile(8)
     cfg = dataclasses.replace(cfg, ap_per_antenna_tx_power=1e-30)
     pc = downlink.cbf_power(profile)
-    est = simulate_downlink_cbf(profile, pc, 0, cfg, 4000, rng)
+    est = simulate_downlink_cbf(profile, pc, cfg, 4000, rng)
     s2 = derive_noise_power(cfg)
     for label in ("desired", "uncertainty", "est_error", "inter_user"):
-        assert est.powers[label] < 1e-12 * s2
-    assert est.powers["noise"] == pytest.approx(s2, rel=0.1, abs=0)
+        assert est.powers[label][0] < 1e-12 * s2
+    assert est.powers["noise"][0] == pytest.approx(s2, rel=0.1, abs=0)
 
 
 def test_zfp_oracle_matches_pipeline():
     cfg, profile, rng = reference_profile(9)
     zf = downlink.zfp_moments(profile, cfg, rng, 20_000)
     closed = downlink.zfp_sinr_all(profile, zf, cfg)[0]
-    est = simulate_downlink_zfp(profile, zf.eta, 0, cfg, N_FAST, rng)
-    assert est.empirical_sinr == pytest.approx(closed, rel=0.05)
+    est = simulate_downlink_zfp(profile, zf.eta, cfg, N_FAST, rng)
+    assert est.empirical_sinr[0] == pytest.approx(closed, rel=0.05)
     # interference through the estimated channels is numerically nil
     assert est.max_est_iui < 1e-9
-    residual = est.powers["residual"]
+    residual = est.powers["residual"][0]
     assert residual < 1e-15 or est.max_est_iui ** 2 < 1e-9 * residual
 
 
@@ -152,17 +154,22 @@ def test_reference_moments_take_a_fixed_20000_draws():
     assert downlink.zfp_moments(profile, cfg, rng).n_samples == 20_000
 
 
-def test_closed_forms_and_oracle_name_the_same_parts():
-    # one key set, in one order, on both sides of every link
-    cfg, profile, rng = reference_profile(0)
+def closed_and_joint(cfg, profile, zf, n, rng):
+    # every link's closed-form part powers, and one joint pass of n draws
     ul_pc = uplink.UplinkPowerControl.full_power(cfg.num_users)
     cbf_pc = downlink.cbf_power(profile)
-    zf = downlink.zfp_moments(profile, cfg, rng, 200)
     closed = {"ul": uplink.uplink_term_variances(profile, ul_pc, cfg),
               "cbf": downlink.cbf_term_variances(profile, cbf_pc, cfg),
               "zfp": downlink.zfp_term_variances(profile, zf, cfg)}
-    est = simulate_links(profile, 0, cfg, 200, rng, uplink_pc=ul_pc,
-                         cbf_pc=cbf_pc, zf_eta=zf.eta)
+    return closed, simulate_links(profile, cfg, n, rng, uplink_pc=ul_pc,
+                                  cbf_pc=cbf_pc, zf_eta=zf.eta)
+
+
+def test_closed_forms_and_oracle_name_the_same_parts():
+    # one key set, in one order, on both sides of every link
+    cfg, profile, rng = reference_profile(0)
+    zf = downlink.zfp_moments(profile, cfg, rng, 200)
+    closed, est = closed_and_joint(cfg, profile, zf, 200, rng)
     for link, parts in closed.items():
         assert list(parts) == list(est[link].powers), link
         for power in parts.values():
@@ -191,9 +198,9 @@ def test_zfp_oracle_matches_the_equivalent_where_it_runs():
     zf, share = downlink.zfp_equivalent(profile)
     assert share == pytest.approx(0.351, abs=1e-3)
     closed = downlink.zfp_sinr_all(profile, zf, cfg)[0]
-    est = simulate_downlink_zfp(profile, zf.eta, 0, cfg,
+    est = simulate_downlink_zfp(profile, zf.eta, cfg,
                                 REFERENCE_SAMPLES, np.random.default_rng(33))
-    assert est.empirical_sinr == pytest.approx(closed, rel=0.05)
+    assert est.empirical_sinr[0] == pytest.approx(closed, rel=0.05)
     assert est.max_est_iui < 1e-9
 
 
@@ -210,6 +217,22 @@ def test_validate_checks_the_zf_route_the_sweep_takes():
     assert all(r.passed for r in rows.values())
 
 
+@pytest.mark.parametrize("seed, sampled", [(0, True), (5, False)],
+                         ids=["sampled-zf", "equivalent-zf"])
+def test_every_user_meets_the_closed_forms(seed, sampled):
+    # drop 0 of the reference config as validate draws it, on both ZF
+    # routes; one joint pass of 20 000 draws puts every user's every part
+    # within 4 of its own standard errors of the closed form
+    cfg = reference_config(seed)
+    rng, profile, zf, _ = experiment.draw_drop(cfg, 0)
+    assert (zf.n_samples > 0) == sampled
+    closed, est = closed_and_joint(cfg, profile, zf, 20_000, rng)
+    for link, parts in closed.items():
+        for label, power in parts.items():
+            z = (est[link].powers[label] - power) / est[link].stderrs[label]
+            assert (np.abs(z) <= 4.0).all(), (link, label, z)
+
+
 def test_zfp_oracle_perfect_csi():
     cfg = reference_config(10)
     rng = np.random.default_rng(drop_seed(cfg.master_seed, 0))
@@ -217,12 +240,12 @@ def test_zfp_oracle_perfect_csi():
     perfect = FadingProfile(beta=profile.beta, alpha=profile.beta.copy(),
                             antennas_per_site=profile.antennas_per_site)
     zf = downlink.zfp_moments(perfect, cfg, rng, 2000)
-    est = simulate_downlink_zfp(perfect, zf.eta, 0, cfg, N_FAST, rng)
+    est = simulate_downlink_zfp(perfect, zf.eta, cfg, N_FAST, rng)
     s2 = derive_noise_power(cfg)
     expected = cfg.ap_per_antenna_tx_power * zf.eta / s2
-    assert est.powers["residual"] == 0.0
+    assert (est.powers["residual"] == 0.0).all()
     assert est.n_resampled == 0
-    assert est.empirical_sinr == pytest.approx(expected, rel=0.02)
+    assert est.empirical_sinr[0] == pytest.approx(expected, rel=0.02)
 
 
 def test_validation_report_passes_and_serializes(tmp_path):
@@ -257,40 +280,38 @@ BLOCK_DRAWS = 700
 N_BLOCKED = 1700
 
 
-def run_pass(which, cfg, profile, n, rng, k=0):
+def run_pass(which, cfg, profile, n, rng):
     if which == "uplink":
         eta = uplink.UplinkPowerControl.full_power(cfg.num_users)
-        return simulate_uplink_terms(profile, eta, k, cfg, n, rng)
+        return simulate_uplink_terms(profile, eta, cfg, n, rng)
     if which == "cbf":
-        return simulate_downlink_cbf(profile, downlink.cbf_power(profile), k,
+        return simulate_downlink_cbf(profile, downlink.cbf_power(profile),
                                      cfg, n, rng)
-    return simulate_downlink_zfp(profile, ZF_ETA, k, cfg, n, rng)
+    return simulate_downlink_zfp(profile, ZF_ETA, cfg, n, rng)
 
 
 @pytest.mark.parametrize("call, message", [
     (lambda cfg, profile, rng: simulate_downlink_zfp(
-        profile, float("nan"), 0, cfg, 100, rng), "eta_common must be finite"),
+        profile, float("nan"), cfg, 100, rng), "eta_common must be finite"),
     (lambda cfg, profile, rng: simulate_downlink_cbf(
         profile, downlink.CbfPowerControl(np.ones(profile.num_sites + 1)),
-        0, cfg, 100, rng), "eta_site has shape"),
+        cfg, 100, rng), "eta_site has shape"),
     (lambda cfg, profile, rng: simulate_downlink_cbf(
         profile, downlink.CbfPowerControl(np.full(profile.num_sites, np.nan)),
-        0, cfg, 100, rng), "eta_site must be finite"),
-    (lambda cfg, profile, rng: run_pass("uplink", cfg, profile, 100, rng,
-                                        k=4), "user index 4"),
+        cfg, 100, rng), "eta_site must be finite"),
     (lambda cfg, profile, rng: run_pass("cbf", cfg, profile, 0, rng),
      "at least 1 sample"),
-    (lambda cfg, profile, rng: simulate_links(profile, 0, cfg, 100, rng),
+    (lambda cfg, profile, rng: simulate_links(profile, cfg, 100, rng),
      "no link requested"),
     (lambda cfg, profile, rng: simulate_uplink_terms(
         profile, uplink.UplinkPowerControl.full_power(profile.num_users + 1),
-        0, cfg, 100, rng), "eta has 5 entries for 4 users"),
+        cfg, 100, rng), "eta has 5 entries for 4 users"),
     (lambda cfg, profile, rng: simulate_downlink_zfp(
         FadingProfile(beta=profile.beta[:1], alpha=profile.alpha[:1],
-                      antennas_per_site=2), ZF_ETA, 0, cfg, 100, rng),
+                      antennas_per_site=2), ZF_ETA, cfg, 100, rng),
      "at least as many antennas as users, got 2 x 4"),
-], ids=["zfp-nan-eta", "cbf-eta-shape", "cbf-nan-eta", "user-index",
-        "no-samples", "no-link", "ul-eta-length", "zf-few-antennas"])
+], ids=["zfp-nan-eta", "cbf-eta-shape", "cbf-nan-eta", "no-samples",
+        "no-link", "ul-eta-length", "zf-few-antennas"])
 def test_passes_reject_bad_inputs(call, message):
     # config errors, not an SINR of inf or a bare numpy broadcast error
     cfg, profile, rng = reference_profile(0)
@@ -429,7 +450,7 @@ LINK_ARGS = {"ul": "uplink_pc", "cbf": "cbf_pc", "zfp": "zf_eta"}
 def run_links(links, cfg, profile, n, rng, zf_eta=ZF_ETA):
     scales = {"ul": uplink.UplinkPowerControl.full_power(cfg.num_users),
               "cbf": downlink.cbf_power(profile), "zfp": zf_eta}
-    return simulate_links(profile, 0, cfg, n, rng,
+    return simulate_links(profile, cfg, n, rng,
                           **{LINK_ARGS[name]: scales[name] for name in links})
 
 
@@ -448,11 +469,11 @@ def test_joint_pass_matches_each_closed_form():
             ("cbf", downlink.cbf_term_variances(profile, cbf_pc, cfg),
              downlink.cbf_sinr_all(profile, cbf_pc, cfg)[0])):
         for label in TERMS:
-            assert est[name].powers[label] == pytest.approx(
+            assert est[name].powers[label][0] == pytest.approx(
                 closed[label][0], rel=0.03, abs=0), (name, label)
-        assert est[name].empirical_sinr == pytest.approx(gamma, rel=0.03)
+        assert est[name].empirical_sinr[0] == pytest.approx(gamma, rel=0.03)
         assert est[name].max_est_iui is None
-    assert est["zfp"].empirical_sinr == pytest.approx(
+    assert est["zfp"].empirical_sinr[0] == pytest.approx(
         downlink.zfp_sinr_all(profile, zf, cfg)[0], rel=0.05)
     assert est["zfp"].max_est_iui < 1e-9
 
