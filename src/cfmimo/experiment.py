@@ -37,7 +37,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -183,7 +182,11 @@ def _collect_drops(pairs: list, jobs: int, progress=None) -> list:
     as each result arrives in order.
     """
     workers = min(jobs, len(pairs))
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        # loaded here, not at import: it pulls in multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=workers)
     with pool or nullcontext():
         triples = (pool.map if pool else map)(run_drop, *zip(*pairs))
         results = []

@@ -20,10 +20,13 @@ block draws, in this order:
 
 With ZF asked for, a singular draw is then redrawn in place, estimate and
 error, before any link reads the block.  Each link then reduces the block
-into its own sums before the next block is drawn, so a pass holds one
-block's draws however many links it serves.  The block size fixes the draw
-order, and with it every bit of the report; a pass of one link draws
-exactly what that link's own function draws.
+into its own sums while one worker thread draws the next block into a
+second set of buffers, so a pass holds two blocks' draws however many
+links it serves.  The draw order stays the one above, block after block: a
+redraw rewinds the stream to where the worker's block began, and that
+block is drawn again after it (:func:`simulate_links`).  The block size
+fixes the draw order, and with it every bit of the report; a pass of one
+link draws exactly what that link's own function draws.
 
 Sharing the draws is the common-random-numbers device (Glasserman, *Monte
 Carlo Methods in Financial Engineering*, 2003, sec. 4.2).  Each link reads
@@ -98,11 +101,11 @@ class TermEstimate:
 class _Block(NamedTuple):
     """One block of joint draws, as every link of a pass reads it.
 
-    The channel arrays are views of the pass's buffers, which the next
-    block overwrites, and ``scratch`` is one more such buffer that each
-    link in turn may overwrite with a product of the block's shape.  A
-    noise array is None when no requested link reads it, and so is ``zf``
-    when zero-forcing is not requested.
+    The channel arrays are views of one of the pass's two sets of buffers,
+    which the block after next overwrites, and ``scratch`` is one more
+    buffer that each link in turn may overwrite with a product of the
+    block's shape.  A noise array is None when no requested link reads it,
+    and so is ``zf`` when zero-forcing is not requested.
     """
 
     g_hat: np.ndarray          # (b, antennas, users)
@@ -271,10 +274,16 @@ def simulate_links(profile: FadingProfile, cfg: ScenarioConfig,
     (key ``ul``), ``cbf_pc`` for downlink CBF (``cbf``) and the common ZF
     scale ``zf_eta`` for downlink ZFP (``zfp``).  Each block is drawn once,
     in the order the module docstring gives, and every requested link
-    reduces it for all users before the next block is drawn, so
-    ``n_samples`` joint draws serve all of them.  Returns one
+    reduces it for all users, so ``n_samples`` joint draws serve all of
+    them.  One worker thread draws block i + 1 while this thread inverts
+    and reduces block i; a redraw in block i joins the worker and rewinds
+    the stream to where block i + 1 began, so the draws and the generator's
+    final state are those of the serial loop, on every exit.  Returns one
     :class:`TermEstimate` per requested link, keyed in that order.
     """
+    # loaded here, not at import: only a pass starts a thread
+    from concurrent.futures import ThreadPoolExecutor
+
     if n_samples < 1:
         raise ConfigError(f"oracle needs at least 1 sample, got {n_samples}")
     alpha = expand_site_to_antennas(profile)
@@ -283,30 +292,66 @@ def simulate_links(profile: FadingProfile, cfg: ScenarioConfig,
         links["ul"] = _Uplink(alpha, cfg, uplink_pc)
     if cbf_pc is not None:
         links["cbf"] = _Cbf(alpha, cfg, cbf_pc, profile)
+    # the worker's block and the stream's state before it, while it draws
+    ahead = []
+
+    def rewind():
+        # join the worker and drop its block, as if it was never drawn
+        if ahead:
+            state, future = ahead.pop()
+            future.exception()
+            rng.bit_generator.state = state
+
+    def redraw(b):
+        rewind()
+        return sample_channel_batch(profile, rng, b)
+
     grams = None
     if zf_eta is not None:
-        grams = GramPass(n_samples,
-                         lambda b: sample_channel_batch(profile, rng, b))
+        grams = GramPass(n_samples, redraw)
         links["zfp"] = _Zfp(alpha, cfg, zf_eta, grams)
     if not links:
         raise ConfigError("no link requested")
     m, users = alpha.shape
     sigma_n2 = derive_noise_power(cfg)
+    # flags, not ``links``: the ZF link holds ``redraw``, and a draw that
+    # held the links could keep a pass's buffers alive in a reference cycle
+    ul, dl = "ul" in links, "cbf" in links or "zfp" in links
     sizes = block_sizes(n_samples, m * users)
-    hat_buf, err_buf, scratch = (np.empty((sizes[0], m, users), dtype=complex)
-                                 for _ in range(3))
-    for b in sizes:
+    # block i's channels fill set i % 2, which block i - 1 no longer reads
+    bufs = [[np.empty((sizes[0], m, users), dtype=complex) for _ in range(2)]
+            for _ in range(2)]
+    scratch = np.empty((sizes[0], m, users), dtype=complex)
+
+    def draw(i):
+        b, (hat_buf, err_buf) = sizes[i], bufs[i % 2]
         g_hat, g_err = sample_channel_batch(profile, rng, b,
                                             out=(hat_buf[:b], err_buf[:b]))
-        x = complex_normal(rng, 1.0, (b, users))
-        w_ul = complex_normal(rng, sigma_n2, (b, m)) \
-            if "ul" in links else None
-        w_dl = complex_normal(rng, sigma_n2, (b,)) \
-            if "cbf" in links or "zfp" in links else None
-        zf = grams.invert((g_hat, g_err)) if grams is not None else None
-        block = _Block(g_hat, g_err, scratch[:b], x, w_ul, w_dl, zf)
-        for link in links.values():
-            link.add(block)
+        return (g_hat, g_err, complex_normal(rng, 1.0, (b, users)),
+                complex_normal(rng, sigma_n2, (b, m)) if ul else None,
+                complex_normal(rng, sigma_n2, (b,)) if dl else None)
+
+    # while the worker draws, this thread only inverts and reduces: the
+    # benchmark's tracer wraps public functions with one span stack per
+    # process, so it must not see two threads' calls at once
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        try:
+            drawn = draw(0)
+            for i, b in enumerate(sizes):
+                last = i + 1 == len(sizes)
+                if not last:
+                    ahead.append((rng.bit_generator.state,
+                                  worker.submit(draw, i + 1)))
+                g_hat, g_err, x, w_ul, w_dl = drawn
+                zf = grams.invert((g_hat, g_err)) \
+                    if grams is not None else None
+                block = _Block(g_hat, g_err, scratch[:b], x, w_ul, w_dl, zf)
+                for link in links.values():
+                    link.add(block)
+                if not last:
+                    drawn = ahead.pop()[1].result() if ahead else draw(i + 1)
+        finally:
+            rewind()
     return {name: link.estimate(n_samples) for name, link in links.items()}
 
 

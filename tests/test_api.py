@@ -1,6 +1,9 @@
 """The package's public surface and its module boundaries."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import cfmimo
@@ -12,6 +15,20 @@ def test_every_exported_name_resolves():
     assert len(cfmimo.__all__) == len(set(cfmimo.__all__))
     for name in cfmimo.__all__:
         assert hasattr(cfmimo, name), name
+
+
+def test_importing_the_cli_loads_no_executor():
+    # the sweep's process pool pulls in multiprocessing, and the oracle's
+    # thread pool starts with a pass: importing the package, as every
+    # command does, loads neither
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cfmimo, cfmimo.cli; "
+         "print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def _private(name: str) -> bool:

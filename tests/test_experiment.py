@@ -4,7 +4,6 @@ import json
 import numpy as np
 import pytest
 
-from cfmimo import experiment
 from cfmimo.downlink import EQUIVALENT_SHARE_LIMIT
 from cfmimo.experiment import (CSV_COLUMNS, DEFAULT_COST_RATIOS,
                                DEFAULT_NT_SWEEP, RateReport, metadata_path,
@@ -178,7 +177,7 @@ class SerialPool:
 ])
 def test_sweep_opens_no_more_workers_than_drops(monkeypatch, nt_list, drops,
                                                 jobs, opened):
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(SerialPool, "sizes", [])
     cfg = dataclasses.replace(SMALL, drops=drops)
     records = sweep(cfg, nt_list=nt_list, cv_ratios=[0.05], jobs=jobs)

@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -330,8 +332,9 @@ def test_only_the_zf_pass_carries_an_audit():
 
 @pytest.mark.parametrize("which", PASSES)
 def test_oracle_pass_holds_about_one_chunk_of_channels(which):
-    # 100k reference samples in blocks of 409 draws: a pass holds its two
-    # reused 1 MB channel buffers and one block's products, a few MB
+    # 100k reference samples in blocks of 409 draws: a pass holds two sets
+    # of two reused 1 MB channel buffers (one drawn while the other is
+    # reduced) and one block's products, a few MB
     cfg, profile, rng = reference_profile(0)
     tracemalloc.start()
     try:
@@ -362,27 +365,30 @@ def test_passes_draw_exactly_their_block_plan(monkeypatch, which):
 def singular_zf_pass(monkeypatch, zeroed):
     # a ZF pass in blocks of 700, 700 and 300 draws whose block b draws zero
     # estimates at the indices zeroed[b]; returns the estimate (or the error
-    # raised), each block's parts as the pass used them, the redraws and a
-    # log of the draws and of the Gram inversions, in call order
+    # raised), each block's parts as the pass used them, the redraws, the
+    # pass's generator and how many block draws the pass discarded.  A block
+    # is counted by the generator state it starts from: a draw that starts
+    # where an earlier one started replaces that draw and every later one,
+    # so a block drawn ahead, discarded and drawn again counts once
     cfg, profile, _ = reference_profile(12)
     entries = cfg.total_antennas * cfg.num_users
     monkeypatch.setattr(channel, "BLOCK_ELEMENTS", BLOCK_DRAWS * entries)
-    real_draw, real_invert = oracle.sample_channel_batch, channel.invert_grams
-    used, redraws, log = [], [], []
+    real_draw = oracle.sample_channel_batch
+    used, redraws, starts, discarded = [], [], [], []
 
     def draw(profile, rng, b, out=None):
+        state = rng.bit_generator.state
+        if state in starts:             # a rewind: that draw on is void
+            at = starts.index(state)
+            discarded.extend(starts[at:])
+            del starts[at:]
         g_hat, g_err = real_draw(profile, rng, b, out)
         if b in (BLOCK_DRAWS, N_BLOCKED % BLOCK_DRAWS):
-            g_hat[zeroed.get(sum(e[0] == "block" for e in log), [])] = 0.0
-            log.append(("block", b))
+            g_hat[zeroed.get(len(starts), [])] = 0.0
+            starts.append(state)
         else:
             redraws.append((g_hat, g_err))
-            log.append(("redraw", b))
         return g_hat, g_err
-
-    def invert(gram):
-        log.append(("invert", len(gram)))
-        return real_invert(gram)
 
     class KeptGramPass(channel.GramPass):
         # the next block overwrites the channel buffers: keep a copy
@@ -392,26 +398,59 @@ def singular_zf_pass(monkeypatch, zeroed):
             return batch
 
     monkeypatch.setattr(oracle, "sample_channel_batch", draw)
-    monkeypatch.setattr(channel, "invert_grams", invert)
     monkeypatch.setattr(oracle, "GramPass", KeptGramPass)
+    rng = np.random.default_rng(6)
     try:
-        est = run_pass("zfp", cfg, profile, N_BLOCKED,
-                       np.random.default_rng(6))
+        est = run_pass("zfp", cfg, profile, N_BLOCKED, rng)
     except channel.NumericalError as exc:
         est = exc
-    return est, used, redraws, log, cfg, profile
+    return est, used, redraws, rng, len(discarded)
+
+
+def serial_stream(links, blocks, zeroed=None, redraw_last=True):
+    # the stream of the serial loop from generator 6, rebuilt draw by draw:
+    # per block the estimates and errors, with the draws zeroed[block]
+    # zeroed, the symbols, the uplink noise if "ul" is in links, the noise
+    # at the user if CBF or ZF is, then one redraw of the zeroed draws (not
+    # for the last block if not redraw_last, where the pass raised first);
+    # returns each block's parts as used and the generator
+    cfg, profile, _ = reference_profile(12)
+    m, k = cfg.total_antennas, cfg.num_users
+    direct = np.random.default_rng(6)
+    used = []
+    for index, b in enumerate(blocks):
+        hat, err = channel.sample_channel_batch(profile, direct, b)
+        direct.standard_normal((b, k, 2))
+        if "ul" in links:
+            direct.standard_normal((b, m, 2))
+        if "cbf" in links or "zfp" in links:
+            direct.standard_normal((b, 2))
+        bad = sorted((zeroed or {}).get(index, []))
+        if bad and not redraw_last and index + 1 == len(blocks):
+            break                       # the pass raised before using it
+        if bad:
+            hat[bad], err[bad] = channel.sample_channel_batch(
+                profile, direct, len(bad))
+        used.append((hat, err))
+    return used, direct
+
+
+def assert_serial(used, rng, links, blocks, zeroed=None, redraw_last=True):
+    # each block as the pass used it, and where it left the generator,
+    # equal the serial loop's
+    want, direct = serial_stream(links, blocks, zeroed, redraw_last)
+    assert len(used) == len(want)
+    for got, expected in zip(used, want):
+        for part, part_want in zip(got, expected):
+            assert np.array_equal(part, part_want)
+    assert rng.bit_generator.state == direct.bit_generator.state
 
 
 def test_zf_pass_redraws_a_singular_draw_right_after_its_block(monkeypatch):
     # one singular draw in block 0, one in block 2
-    est, used, redraws, log, cfg, profile = singular_zf_pass(
-        monkeypatch, {0: [1], 2: [100]})
+    zeroed = {0: [1], 2: [100]}
+    est, used, redraws, rng, _ = singular_zf_pass(monkeypatch, zeroed)
     assert est.n_resampled == 2
-    # each block, its inversion, then its redraw and the block's inversion
-    assert log == [("block", 700), ("invert", 700), ("redraw", 1),
-                   ("invert", 700), ("block", 700), ("invert", 700),
-                   ("block", 300), ("invert", 300), ("redraw", 1),
-                   ("invert", 300)]
     # both parts of each singular draw are replaced in place by the redraw
     for (hat, err), index, (new_hat, new_err) in zip(
             [used[0], used[2]], [1, 100], redraws):
@@ -419,13 +458,17 @@ def test_zf_pass_redraws_a_singular_draw_right_after_its_block(monkeypatch):
         assert np.array_equal(err[index], new_err[0])
         assert np.abs(new_hat[0]).min() > 0
     # in the stream, the first redraw follows block 0's symbols and noise
+    cfg, profile, _ = reference_profile(12)
     direct = np.random.default_rng(6)
     m, k = cfg.total_antennas, cfg.num_users
     for shape in ((700, m, k), (700, m, k), (700, k), (700,)):
         direct.standard_normal(shape + (2,))
-    new_hat, new_err = oracle.sample_channel_batch(profile, direct, 1)
+    new_hat, new_err = channel.sample_channel_batch(profile, direct, 1)
     assert np.array_equal(new_hat, redraws[0][0])
     assert np.array_equal(new_err, redraws[0][1])
+    # every block as used, and the generator's final state, are the serial
+    # loop's: blocks, symbols, noise, then the redraws
+    assert_serial(used, rng, ("zfp",), (700, 700, 300), zeroed)
 
 
 @pytest.mark.parametrize("extra, fails", [([], False), ([0], True)])
@@ -434,12 +477,85 @@ def test_zf_redraw_budget_covers_the_whole_pass(monkeypatch, extra, fails):
     # its 700 draws, and one redraw beyond 17 aborts the pass
     zeroed = {0: list(range(0, 700, 70)), 1: list(range(0, 700, 100)),
               2: extra}
-    est, *_ = singular_zf_pass(monkeypatch, zeroed)
+    est, used, _, rng, _ = singular_zf_pass(monkeypatch, zeroed)
     if fails:
         assert isinstance(est, channel.NumericalError)
         assert "18 of 1700" in str(est)
     else:
         assert est.n_resampled == 17
+    assert_serial(used, rng, ("zfp",), (700, 700, 300), zeroed,
+                  redraw_last=not fails)
+
+
+# --- the worker that draws ahead --------------------------------------------
+
+def test_a_pass_that_ends_joins_its_worker(monkeypatch):
+    # 17 blocks, all three links, threads switched as often as the
+    # interpreter allows: the pass leaves no thread behind, and the
+    # generator where the serial loop leaves it
+    cfg, profile, _ = reference_profile(12)
+    m, k = cfg.total_antennas, cfg.num_users
+    monkeypatch.setattr(channel, "BLOCK_ELEMENTS", 100 * m * k)
+    before, interval = threading.active_count(), sys.getswitchinterval()
+    rng = np.random.default_rng(6)
+    sys.setswitchinterval(1e-6)
+    try:
+        run_links(("ul", "cbf", "zfp"), cfg, profile, N_BLOCKED, rng)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    _, direct = serial_stream(("ul", "cbf", "zfp"), (100,) * 17)
+    assert rng.bit_generator.state == direct.bit_generator.state
+
+
+def test_a_redraw_rewinds_the_block_drawn_ahead(monkeypatch):
+    # block 0's redraw discards block 1, which the worker drew from where
+    # the redraw must start; block 1 is drawn again after the redraw
+    zeroed = {0: [1]}
+    before = threading.active_count()
+    est, used, _, rng, discarded = singular_zf_pass(monkeypatch, zeroed)
+    assert threading.active_count() == before
+    assert est.n_resampled == 1
+    assert discarded == 1
+    assert_serial(used, rng, ("zfp",), (700, 700, 300), zeroed)
+
+
+def test_an_over_budget_pass_joins_its_worker(monkeypatch):
+    # 20 singular draws in block 0 break the pass's budget of 17 while the
+    # worker draws block 1: the generator is rewound to after block 0's draws
+    zeroed = {0: list(range(0, 700, 35))}
+    before = threading.active_count()
+    est, used, _, rng, _ = singular_zf_pass(monkeypatch, zeroed)
+    assert threading.active_count() == before
+    assert isinstance(est, channel.NumericalError)
+    assert "20 of 1700" in str(est)
+    assert used == []
+    assert_serial(used, rng, ("zfp",), (700,), zeroed, redraw_last=False)
+
+
+def test_a_link_that_raises_joins_the_worker(monkeypatch):
+    # CBF fails on block 1 while the worker draws block 2: the error
+    # reaches the caller and the generator stops after block 1's draws
+    cfg, profile, _ = reference_profile(12)
+    m, k = cfg.total_antennas, cfg.num_users
+    monkeypatch.setattr(channel, "BLOCK_ELEMENTS", BLOCK_DRAWS * m * k)
+    real_parts, calls = oracle._Cbf.parts, []
+
+    def parts(self, block):
+        calls.append(len(block.x))
+        if len(calls) == 2:
+            raise ValueError("link failed")
+        return real_parts(self, block)
+
+    monkeypatch.setattr(oracle._Cbf, "parts", parts)
+    before = threading.active_count()
+    rng = np.random.default_rng(6)
+    with pytest.raises(ValueError, match="link failed"):
+        run_links(("ul", "cbf", "zfp"), cfg, profile, N_BLOCKED, rng)
+    assert threading.active_count() == before
+    assert calls == [700, 700]
+    _, direct = serial_stream(("ul", "cbf", "zfp"), (700, 700))
+    assert rng.bit_generator.state == direct.bit_generator.state
 
 
 # --- one joint pass for every link -----------------------------------------
@@ -518,7 +634,8 @@ def test_validate_draws_each_joint_channel_once(monkeypatch):
 
 
 def test_joint_pass_holds_about_one_block_of_channels():
-    # all three links on 100k reference samples share one block's draws
+    # all three links on 100k reference samples share each block's draws,
+    # and the pass holds two blocks at a time
     cfg, profile, rng = reference_profile(0)
     tracemalloc.start()
     try:
